@@ -7,7 +7,7 @@ branches, for instance); only the core model types and entry points are
 lifted to the package level.
 """
 
-from . import cli, elastica, elliptic, onedof, profiledesign, rodlinear
+from . import elastica, elliptic, onedof, profiledesign, rodlinear
 from .elastica import ElasticaProblem, solve_R
 from .onedof import (
     OneDofSystem,
@@ -21,7 +21,6 @@ from .profiledesign import design_profile, neutral_profile
 from .rodlinear import RodModel, critical_force, find_critical_loads
 
 __all__ = [
-    "cli",
     "elastica",
     "elliptic",
     "onedof",

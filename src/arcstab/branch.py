@@ -8,9 +8,10 @@ class BranchTrace:
     """One branch of a bifurcation diagram as an ordered point list.
 
     points holds equilibrium records in trace order.  events maps names
-    of special configurations (force zero crossings, lobe switches) to
-    their locations along the trace parameter.  complete turns False
-    when a continuation stops early, with the reason in diagnostic.
+    of special configurations (force zero crossings, load-sign
+    transitions) to their locations along the trace parameter.  complete
+    turns False when a trace stops early, with the reason in diagnostic;
+    points then holds the points computed before the stop.
     """
 
     label: str

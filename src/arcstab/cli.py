@@ -16,10 +16,10 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import elastica, onedof, profiledesign, rodlinear
 from .errors import (
@@ -29,114 +29,22 @@ from .errors import (
     SingularConfigurationError,
 )
 
-_SIX_PI = "%.17g" % (6.0 * math.pi)
-
-_DEFAULTS = {
-    "critical-1dof": {
-        "onedof": {
-            "chi_hat_grid": "-4, 0, 4",
-            "k": "1.0",
-            "l": "1.0",
-        }
-    },
-    "trace-1dof": {
-        "onedof": {
-            "profile": "s_shaped",
-            "chi_hat": "4.0",
-            "k": "1.0",
-            "l": "1.0",
-            "phi0": "0.0",
-            "n_points": "200",
-            "t_pad": "0.02",
-            "phi_start": "0.05",
-            "phi_stop": "1.2",
-        }
-    },
-    "design-profile": {
-        "profiledesign": {
-            "law": "constant",
-            "beta": "-1.0",
-            "base": "-1.0",
-            "amplitude": "0.3",
-            "lobes": "3.0",
-            "center": "-0.5",
-            "radius": "1.5",
-            "psi_max": "0.99",
-            "table": "",
-            "n_samples": "601",
-            "n_validate": "200",
-        }
-    },
-    "critical-rod": {
-        "rodlinear": {
-            "chi_hat_grid": "-5, -2, -1.25, -1, -0.8, -0.5, 0, 0.5, 1, 2, 5",
-            "B": "1.0",
-            "l": "1.0",
-            "spring_k": "1.0",
-            "alpha_l_max": _SIX_PI,
-            "max_modes": "3",
-        }
-    },
-    "trace-elastica": {
-        "elastica": {
-            "B": "1.0",
-            "l": "1.0",
-            "k_r": "0.0",
-            "R_c": "0.25",
-            "branch": "both",
-            "theta0_min": "1e-4",
-            "theta0_max": "2.8",
-            "n_points": "100",
-            "shape_phi": "",
-            "shape_samples": "400",
-            "seed": "",
-        }
-    },
-}
-
-_SCENARIOS = {
-    "fig1": ("critical-1dof", {("onedof", "chi_hat_grid"): "-4, 0, 4"}),
-    "fig2": (
-        "trace-1dof",
-        {
-            ("onedof", "profile"): "s_shaped",
-            ("onedof", "chi_hat"): "4.0",
-            ("onedof", "phi0"): "0.0",
-        },
-    ),
-    "neutral": (
-        "design-profile",
-        {("profiledesign", "law"): "constant", ("profiledesign", "beta"): "-1.0"},
-    ),
-    "fig7": (
-        "trace-elastica",
-        {
-            ("elastica", "R_c"): "0.25",
-            ("elastica", "k_r"): "0.0",
-            ("elastica", "branch"): "both",
-            ("elastica", "shape_phi"): "0.7853981633974483, 1.5707963267948966",
-        },
-    ),
-}
-
-
 # ------------------------------------------------------------- configuration
 
 def _resolve_config(command, args):
-    cfg = {sec: dict(keys) for sec, keys in _DEFAULTS[command].items()}
+    spec = _COMMANDS[command]
+    cfg = {spec.section: {key: default for key, (default, _) in spec.keys.items()}}
     if args.scenario is not None:
-        if args.scenario not in _SCENARIOS:
+        owner = next((c for c, s in _COMMANDS.items() if args.scenario in s.scenarios), None)
+        if owner is None:
             raise ConfigError(
-                "unknown scenario %r (choose from %s)"
-                % (args.scenario, ", ".join(sorted(_SCENARIOS)))
+                "unknown scenario %r (choose from %s)" % (args.scenario, _scenario_names())
             )
-        cmd, overrides = _SCENARIOS[args.scenario]
-        if cmd != command:
+        if owner != command:
             raise ConfigError(
-                "scenario %r belongs to command %r" % (args.scenario, cmd)
+                "scenario %r belongs to command %r" % (args.scenario, owner)
             )
-        for (sec, key), val in overrides.items():
-            cfg[sec][key] = val
+        cfg[spec.section].update(spec.scenarios[args.scenario])
     if args.config is not None:
         cp = configparser.ConfigParser(interpolation=None)
         cp.optionxform = str
@@ -245,18 +153,6 @@ def cmd_critical_1dof(cfg, out):
 
 # ---------------------------------------------------------------- trace-1dof
 
-def _trace_rows(point_of, grid, k, l):
-    """Rows (phi, F l/k, delta/l, stability); stops at the first singular point."""
-    rows = []
-    for g in grid:
-        try:
-            p = point_of(g)
-        except SingularConfigurationError as exc:
-            return rows, exc
-        rows.append((p.phi, p.F * l / k, p.delta / l, p.stability))
-    return rows, None
-
-
 def cmd_trace_1dof(cfg, out):
     kind = _cfg_choice(cfg, "onedof", "profile", ("s_shaped", "circular", "straight"))
     chi = _cfg_float(cfg, "onedof", "chi_hat")
@@ -267,46 +163,42 @@ def cmd_trace_1dof(cfg, out):
     t_pad = _cfg_float(cfg, "onedof", "t_pad")
     if n < 1:
         raise ConfigError("onedof.n_points: need at least one trace point")
-    header = "phi,F_normalized,delta_over_l,stability"
 
     if kind == "straight":
-        sys_ = onedof.OneDofSystem(k=k, l=l, phi0=phi0, profile=onedof.profile_straight())
+        profile = onedof.profile_straight()
+        trace_fn = onedof.trace_branch
         grid = np.linspace(
             _cfg_float(cfg, "onedof", "phi_start"),
             _cfg_float(cfg, "onedof", "phi_stop"),
             n,
         )
-        rows, err = _trace_rows(
-            lambda phi: onedof.trace_branch(sys_, [phi]).points[0], grid, k, l
-        )
-        _write_rows(os.path.join(out, "trace_1dof.csv"), header, rows)
-        if err is not None:
-            print("error: %s" % err, file=sys.stderr)
-            return 3
-        return 0
-
-    if chi == 0.0:
-        raise ConfigError("onedof.chi_hat: curved tracing needs a nonzero curvature")
-    if kind == "circular":
-        sys_ = onedof.OneDofSystem(
-            k=k, l=l, phi0=phi0, profile=onedof.profile_circular(chi)
-        )
-        lobes = [("trace_1dof.csv", np.linspace(t_pad, math.pi - t_pad, n))]
+        lobes = [("trace_1dof.csv", grid)]
     else:
-        sys_ = onedof.OneDofSystem(
-            k=k, l=l, phi0=phi0, profile=onedof.profile_s_shaped(abs(chi))
-        )
-        lobes = [
-            ("trace_1dof_tensile.csv", np.linspace(t_pad, math.pi - t_pad, n)),
-            ("trace_1dof_compressive.csv", np.linspace(-math.pi + t_pad, -t_pad, n)),
-        ]
+        if chi == 0.0:
+            raise ConfigError("onedof.chi_hat: curved tracing needs a nonzero curvature")
+        # the bar reaches psi = sin(t)/|chi| <= 1 only up to t = asin|chi|
+        # on a lobe flatter than the unit circle
+        t_stop = (math.pi if abs(chi) >= 1.0 else math.asin(abs(chi))) - t_pad
+        if not t_pad < t_stop:
+            raise ConfigError("onedof.t_pad: no reachable pin angles left on the lobe")
+        trace_fn = onedof.trace_branch_arc
+        t_grid = np.linspace(t_pad, t_stop, n)
+        if kind == "circular":
+            profile = onedof.profile_circular(chi)
+            lobes = [("trace_1dof.csv", t_grid)]
+        else:
+            profile = onedof.profile_s_shaped(abs(chi))
+            lobes = [
+                ("trace_1dof_tensile.csv", t_grid),
+                ("trace_1dof_compressive.csv", np.linspace(-t_stop, -t_pad, n)),
+            ]
+    sys_ = onedof.OneDofSystem(k=k, l=l, phi0=phi0, profile=profile)
     for name, grid in lobes:
-        rows, err = _trace_rows(
-            lambda t: onedof.trace_branch_arc(sys_, [t]).points[0], grid, k, l
-        )
-        _write_rows(os.path.join(out, name), header, rows)
-        if err is not None:
-            print("error: %s" % err, file=sys.stderr)
+        trace = trace_fn(sys_, grid)
+        rows = [(p.phi, p.F * l / k, p.delta / l, p.stability) for p in trace.points]
+        _write_rows(os.path.join(out, name), "phi,F_normalized,delta_over_l,stability", rows)
+        if not trace.complete:
+            print("error: %s" % trace.diagnostic, file=sys.stderr)
             return 3
     return 0
 
@@ -401,26 +293,6 @@ def cmd_critical_rod(cfg, out):
 
 # ------------------------------------------------------------ trace-elastica
 
-def _solve_between(pr, a, b, value, target):
-    # a, b are trace points bracketing value(state) == target; theta0 is the
-    # continuation parameter and the reaction warm start interpolates a-b
-    def gap(th0):
-        w = (th0 - a.theta0) / (b.theta0 - a.theta0)
-        st = elastica.solve_R(th0, pr, seed=a.R + w * (b.R - a.R))
-        return value(st) - target
-
-    th = brentq(gap, a.theta0, b.theta0, xtol=1e-13)
-    w = (th - a.theta0) / (b.theta0 - a.theta0)
-    return elastica.solve_R(th, pr, seed=a.R + w * (b.R - a.R))
-
-
-def _refine_on_trace(pr, trace, value, target):
-    for a, b in zip(trace.points, trace.points[1:]):
-        if (value(a) - target) * (value(b) - target) <= 0.0:
-            return _solve_between(pr, a, b, value, target)
-    return None
-
-
 def _shift_report(path, problem, traces):
     tens, comp = traces["tensile"], traces["compressive"]
     ft = [p.F for p in tens.points]
@@ -432,10 +304,8 @@ def _shift_report(path, problem, traces):
     if lo < hi:
         targets = np.linspace(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), 5)
         for F in targets:
-            pr_t = replace(problem, half="left")
-            pr_c = replace(problem, half="right")
-            st = _refine_on_trace(pr_t, tens, lambda p: p.F, F)
-            sc = _refine_on_trace(pr_c, comp, lambda p: p.F, F)
+            st = elastica.refine_on_trace(problem, tens, lambda p: p.F, F)
+            sc = elastica.refine_on_trace(problem, comp, lambda p: p.F, F)
             if st is None or sc is None:
                 continue
             shift = st.delta - sc.delta
@@ -472,9 +342,12 @@ def cmd_trace_elastica(cfg, out):
         raise ConfigError("elastica: need n_points >= 2 and 0 < theta0_min < theta0_max")
     schedule = np.linspace(th_min, th_max, n)
     shape_targets = _cfg_float_list(cfg, sec, "shape_phi")
+    if len({"%.6g" % phi for phi in shape_targets}) < len(shape_targets):
+        raise ConfigError(
+            "elastica.shape_phi: values equal to 6 significant digits share a shape file"
+        )
     shape_samples = _cfg_int(cfg, sec, "shape_samples")
-    seed_raw = cfg[sec]["seed"].strip()
-    seed = float(seed_raw) if seed_raw else None
+    seed = _cfg_float(cfg, sec, "seed") if cfg[sec]["seed"].strip() else None
 
     code = 0
     traces = {}
@@ -494,9 +367,8 @@ def cmd_trace_elastica(cfg, out):
             code = 4
             continue
         traces[br] = trace
-        pr = replace(problem, half="left" if br == "tensile" else "right")
         for phi in shape_targets:
-            st = _refine_on_trace(pr, trace, lambda p: p.phi, phi)
+            st = elastica.refine_on_trace(problem, trace, lambda p: p.phi, phi)
             if st is None:
                 print(
                     "note: phi=%.6g outside the traced %s branch, no shape written"
@@ -515,57 +387,116 @@ def cmd_trace_elastica(cfg, out):
 
 # -------------------------------------------------------------------- parser
 
-_RUNNERS = {
-    "critical-1dof": cmd_critical_1dof,
-    "trace-1dof": cmd_trace_1dof,
-    "design-profile": cmd_design_profile,
-    "critical-rod": cmd_critical_rod,
-    "trace-elastica": cmd_trace_elastica,
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: runner, help line, config section and settings.
+
+    keys maps each setting, in config echo order, to (default, help);
+    scenarios maps preset names to overrides of some of those keys.
+    """
+
+    run: Callable
+    help: str
+    section: str
+    keys: dict
+    scenarios: dict = field(default_factory=dict)
+
+
+_COMMANDS = {
+    "critical-1dof": _Command(
+        cmd_critical_1dof,
+        "buckling loads of the rigid bar over a curvature grid",
+        "onedof",
+        {
+            "chi_hat_grid": ("-4, 0, 4", "comma separated signed curvature values"),
+            "k": ("1.0", "rotational spring stiffness"),
+            "l": ("1.0", "structure length"),
+        },
+        {"fig1": {"chi_hat_grid": "-4, 0, 4"}},
+    ),
+    "trace-1dof": _Command(
+        cmd_trace_1dof,
+        "postcritical force-rotation trace of the rigid bar",
+        "onedof",
+        {
+            "profile": ("s_shaped", "constraint profile: s_shaped, circular or straight"),
+            "chi_hat": ("4.0", "signed curvature of the constraint"),
+            "k": ("1.0", "rotational spring stiffness"),
+            "l": ("1.0", "structure length"),
+            "phi0": ("0.0", "imperfection angle in radians"),
+            "n_points": ("200", "number of trace points"),
+            "t_pad": ("0.02", "pin-angle margin kept clear of the lobe ends"),
+            "phi_start": ("0.05", "first bar rotation of a straight-profile trace"),
+            "phi_stop": ("1.2", "last bar rotation of a straight-profile trace"),
+        },
+        {"fig2": {"profile": "s_shaped", "chi_hat": "4.0", "phi0": "0.0"}},
+    ),
+    "design-profile": _Command(
+        cmd_design_profile,
+        "constraint profile producing a prescribed force law",
+        "profiledesign",
+        {
+            "law": ("constant", "target force law: constant, sinusoidal, circular or tabulated"),
+            "beta": ("-1.0", "constant target force as F*l/k"),
+            "base": ("-1.0", "mean level of the sinusoidal law"),
+            "amplitude": ("0.3", "amplitude of the sinusoidal law"),
+            "lobes": ("3.0", "oscillation count of the sinusoidal law"),
+            "center": ("-0.5", "center level of the circular law"),
+            "radius": ("1.5", "radius of the circular law"),
+            "psi_max": ("0.99", "upper design limit of psi = sin(phi)"),
+            "table": ("", "CSV file with psi,beta rows for the tabulated law"),
+            "n_samples": ("601", "profile samples written to the CSV"),
+            "n_validate": ("200", "closed-loop validation points"),
+        },
+        {"neutral": {"law": "constant", "beta": "-1.0"}},
+    ),
+    "critical-rod": _Command(
+        cmd_critical_rod,
+        "linearized buckling tables for the sliding rod",
+        "rodlinear",
+        {
+            "chi_hat_grid": (
+                "-5, -2, -1.25, -1, -0.8, -0.5, 0, 0.5, 1, 2, 5",
+                "comma separated signed curvature values",
+            ),
+            "B": ("1.0", "bending stiffness"),
+            "l": ("1.0", "structure length"),
+            "spring_k": ("1.0", "end spring stiffness of the spring-hinged table"),
+            "alpha_l_max": ("%.17g" % (6.0 * math.pi), "upper bound of the root scan in alpha*l"),
+            "max_modes": ("3", "modes kept per load sign"),
+        },
+    ),
+    "trace-elastica": _Command(
+        cmd_trace_elastica,
+        "postcritical branches of the rod on a circular constraint",
+        "elastica",
+        {
+            "B": ("1.0", "bending stiffness"),
+            "l": ("1.0", "structure length"),
+            "k_r": ("0.0", "rotational end spring stiffness"),
+            "R_c": ("0.25", "constraint circle radius"),
+            "branch": ("both", "tensile, compressive or both"),
+            "theta0_min": ("1e-4", "first end rotation of the continuation schedule"),
+            "theta0_max": ("2.8", "last end rotation of the continuation schedule"),
+            "n_points": ("100", "number of schedule points"),
+            "shape_phi": ("", "comma separated clamp rotations for shape exports"),
+            "shape_samples": ("400", "arclength samples per exported shape"),
+            "seed": ("", "reaction seed overriding the linearized default"),
+        },
+        {
+            "fig7": {
+                "R_c": "0.25",
+                "k_r": "0.0",
+                "branch": "both",
+                "shape_phi": "0.7853981633974483, 1.5707963267948966",
+            }
+        },
+    ),
 }
 
-_HELP = {
-    "critical-1dof": "buckling loads of the rigid bar over a curvature grid",
-    "trace-1dof": "postcritical force-rotation trace of the rigid bar",
-    "design-profile": "constraint profile producing a prescribed force law",
-    "critical-rod": "linearized buckling tables for the sliding rod",
-    "trace-elastica": "postcritical branches of the rod on a circular constraint",
-}
 
-_KEY_HELP = {
-    "chi_hat_grid": "comma separated signed curvature values",
-    "k": "rotational spring stiffness",
-    "l": "structure length",
-    "profile": "constraint profile: s_shaped, circular or straight",
-    "chi_hat": "signed curvature of the constraint",
-    "phi0": "imperfection angle in radians",
-    "n_points": "number of trace or schedule points",
-    "t_pad": "pin-angle margin kept clear of the lobe ends",
-    "phi_start": "first bar rotation of a straight-profile trace",
-    "phi_stop": "last bar rotation of a straight-profile trace",
-    "law": "target force law: constant, sinusoidal, circular or tabulated",
-    "beta": "constant target force as F*l/k",
-    "base": "mean level of the sinusoidal law",
-    "amplitude": "amplitude of the sinusoidal law",
-    "lobes": "oscillation count of the sinusoidal law",
-    "center": "center level of the circular law",
-    "radius": "radius of the circular law",
-    "psi_max": "upper design limit of psi = sin(phi)",
-    "table": "CSV file with psi,beta rows for the tabulated law",
-    "n_samples": "profile samples written to the CSV",
-    "n_validate": "closed-loop validation points",
-    "B": "bending stiffness",
-    "spring_k": "end spring stiffness of the spring-hinged table",
-    "alpha_l_max": "upper bound of the root scan in alpha*l",
-    "max_modes": "modes kept per load sign",
-    "k_r": "rotational end spring stiffness",
-    "R_c": "constraint circle radius",
-    "branch": "tensile, compressive or both",
-    "theta0_min": "first end rotation of the continuation schedule",
-    "theta0_max": "last end rotation of the continuation schedule",
-    "shape_phi": "comma separated clamp rotations for shape exports",
-    "shape_samples": "arclength samples per exported shape",
-    "seed": "reaction seed overriding the linearized default",
-}
+def _scenario_names():
+    return ", ".join(sorted(name for spec in _COMMANDS.values() for name in spec.scenarios))
 
 
 def _build_parser():
@@ -573,16 +504,13 @@ def _build_parser():
         description="stability of bars and rods with ends sliding on curved profiles"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, sections in _DEFAULTS.items():
-        p = sub.add_parser(command, help=_HELP[command])
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", help="INI file overriding the defaults")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--scenario", help="named preset (%s)" % ", ".join(sorted(_SCENARIOS)))
-        for keys in sections.values():
-            for key in keys:
-                p.add_argument(
-                    "--" + key.replace("_", "-"), dest=key, help=_KEY_HELP[key]
-                )
+        p.add_argument("--scenario", help="named preset (%s)" % _scenario_names())
+        for key, (_, key_help) in spec.keys.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=key_help)
     return parser
 
 
@@ -592,7 +520,7 @@ def main(argv=None):
         cfg = _resolve_config(args.command, args)
         os.makedirs(args.out, exist_ok=True)
         _write_echo(args.command, cfg, args.out)
-        return _RUNNERS[args.command](cfg, args.out)
+        return _COMMANDS[args.command].run(cfg, args.out)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

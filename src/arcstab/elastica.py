@@ -49,6 +49,7 @@ __all__ = [
     "compatibility_residual",
     "solve_R",
     "trace_branch",
+    "refine_on_trace",
     "shape_export",
     "write_branch_csv",
     "write_shape_csv",
@@ -308,6 +309,14 @@ def solve_R(theta0, problem, seed=None):
     return make_state(theta0, min(roots, key=abs) * scale, problem)
 
 
+def _branch_problem(problem, branch):
+    if branch == "tensile":
+        return replace(problem, half="left")
+    if branch == "compressive":
+        return replace(problem, half="right")
+    raise ValueError("branch must be 'tensile' or 'compressive'")
+
+
 def trace_branch(problem, theta0_schedule, branch, seed=None):
     """Continue a postcritical branch over an increasing theta0 schedule.
 
@@ -315,51 +324,60 @@ def trace_branch(problem, theta0_schedule, branch, seed=None):
     bifurcation (half = "left"), "compressive" from the compressive one.
     Each solve is warm started from the previous reaction.  A root-finding
     failure stops the trace early with complete = False.  The load-sign
-    transition and the half-circle switch coincide at phi = pi/2 and are
-    both recorded in events after bisection refinement.
+    transition, where the pin tops the circle at phi = pi/2, is recorded
+    in events after refinement with refine_on_trace.
     """
-    if branch == "tensile":
-        pr = replace(problem, half="left")
-    elif branch == "compressive":
-        pr = replace(problem, half="right")
-    else:
-        raise ValueError("branch must be 'tensile' or 'compressive'")
+    pr = _branch_problem(problem, branch)
     schedule = np.asarray(theta0_schedule, dtype=float)
     if schedule.size == 0 or not np.all(schedule > 0.0) or not np.all(np.diff(schedule) > 0.0):
         raise ValueError("theta0_schedule must be strictly increasing positives")
 
-    points = []
-    complete = True
-    diagnostic = ""
+    trace = BranchTrace(label=branch, points=[])
     warm = seed
     for th0 in schedule:
         try:
             st = solve_R(th0, pr, seed=warm)
         except (ContinuationError, DegenerateGeometryError) as exc:
-            complete = False
-            diagnostic = f"stopped at theta0={th0:.6g}: {exc}"
+            trace.complete = False
+            trace.diagnostic = f"stopped at theta0={th0:.6g}: {exc}"
             break
-        points.append(PostcriticalPoint(st.theta0, st.R, st.F, st.phi, st.delta))
+        trace.points.append(PostcriticalPoint(st.theta0, st.R, st.F, st.phi, st.delta))
         warm = st.R
 
-    events = {}
-    for a, b in zip(points, points[1:]):
-        if (a.phi - math.pi / 2.0) * (b.phi - math.pi / 2.0) <= 0.0:
-            def crossing(th0):
-                w = (th0 - a.theta0) / (b.theta0 - a.theta0)
-                guess = a.R + w * (b.R - a.R)
-                return solve_R(th0, pr, seed=guess).phi - math.pi / 2.0
+    st = refine_on_trace(problem, trace, lambda p: p.phi, math.pi / 2.0)
+    if st is not None:
+        trace.events["load_sign_transition"] = PostcriticalPoint(
+            st.theta0, st.R, st.F, st.phi, st.delta
+        )
+    return trace
 
-            th_star = brentq(crossing, a.theta0, b.theta0, xtol=1e-14, rtol=_BRENTQ_RTOL)
-            w = (th_star - a.theta0) / (b.theta0 - a.theta0)
-            st = solve_R(th_star, pr, seed=a.R + w * (b.R - a.R))
-            ev = PostcriticalPoint(st.theta0, st.R, st.F, st.phi, st.delta)
-            events["load_sign_transition"] = ev
-            events["half_circle_switch"] = ev
-            break
-    return BranchTrace(
-        label=branch, points=points, events=events, complete=complete, diagnostic=diagnostic
-    )
+
+def refine_on_trace(problem, trace, value, target):
+    """Solved state where value(state) == target on a traced branch.
+
+    The first pair of consecutive trace points whose values bracket target
+    is refined by brentq in theta0; each trial solve is warm started from
+    the reaction interpolated between the pair.  value must accept both
+    trace points and states (both carry theta0, R, F, phi and delta).
+    trace.label selects the assembly as in trace_branch.  Returns None
+    when no pair brackets target.
+    """
+    pr = _branch_problem(problem, trace.label)
+    for a, b in zip(trace.points, trace.points[1:]):
+        if (value(a) - target) * (value(b) - target) <= 0.0:
+            def solve(th0):
+                w = (th0 - a.theta0) / (b.theta0 - a.theta0)
+                return solve_R(th0, pr, seed=a.R + w * (b.R - a.R))
+
+            th = brentq(
+                lambda th0: value(solve(th0)) - target,
+                a.theta0,
+                b.theta0,
+                xtol=1e-13,
+                rtol=_BRENTQ_RTOL,
+            )
+            return solve(th)
+    return None
 
 
 def shape_export(state, n):

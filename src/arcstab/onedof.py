@@ -212,28 +212,41 @@ def elongation(phi: float, sys: OneDofSystem) -> float:
     )
 
 
+def _trace(point_of, grid, label):
+    # points in grid order up to the first singular configuration
+    pts = []
+    complete, diagnostic = True, ""
+    for g in grid:
+        try:
+            pts.append(point_of(float(g)))
+        except SingularConfigurationError as exc:
+            complete, diagnostic = False, str(exc)
+            break
+    if label is None:
+        label = "tensile" if pts and pts[0].F > 0.0 else "compressive"
+    return BranchTrace(label=label, points=pts, complete=complete, diagnostic=diagnostic)
+
+
+def _phi_point(phi: float, sys: OneDofSystem) -> EquilibriumPoint:
+    F = equilibrium_force(phi, sys)
+    return EquilibriumPoint(
+        phi=phi, F=F, delta=elongation(phi, sys), stability=stability_of(phi, F, sys)
+    )
+
+
 def trace_branch(
     sys: OneDofSystem, phi_grid: Sequence[float], label: Optional[str] = None
 ) -> BranchTrace:
-    """Equilibrium points along an ordered grid of bar rotations."""
-    pts = []
-    for phi in phi_grid:
-        phi = float(phi)
-        F = equilibrium_force(phi, sys)
-        pts.append(
-            EquilibriumPoint(
-                phi=phi,
-                F=F,
-                delta=elongation(phi, sys),
-                stability=stability_of(phi, F, sys),
-            )
-        )
-    if label is None:
-        label = "tensile" if pts and pts[0].F > 0.0 else "compressive"
-    return BranchTrace(label=label, points=pts)
+    """Equilibrium points along an ordered grid of bar rotations.
+
+    A singular configuration stops the trace: the points before it are
+    returned with complete = False and the reason in diagnostic.
+    """
+    return _trace(lambda phi: _phi_point(phi, sys), phi_grid, label)
 
 
-def _arc_chi(t: float, sys: OneDofSystem) -> float:
+def _arc_angles(t: float, sys: OneDofSystem) -> Tuple[float, float, float]:
+    """(lobe curvature, sin phi, phi) of the pin at angle t."""
     chi = (
         sys.profile.curvature_right_at_0
         if t >= 0.0
@@ -241,18 +254,17 @@ def _arc_chi(t: float, sys: OneDofSystem) -> float:
     )
     if chi == 0.0:
         raise ValueError("arc tracing needs a curved constraint")
-    return chi
+    sphi = math.sin(t) / abs(chi)
+    if abs(sphi) > 1.0:
+        raise ValueError("pin angle %r leaves the reachable arc" % (t,))
+    return chi, sphi, math.asin(sphi)
 
 
 def _arc_force(t: float, sys: OneDofSystem) -> float:
     # force along the lobe by pin angle, regular through the fold of the
     # phi parameterization (vertical profile tangent)
-    chi = _arc_chi(t, sys)
+    chi, sphi, phi = _arc_angles(t, sys)
     st, ct = math.sin(t), math.cos(t)
-    sphi = st / abs(chi)
-    if abs(sphi) > 1.0:
-        raise ValueError("pin angle %r leaves the reachable arc" % (t,))
-    phi = math.asin(sphi)
     sg = math.copysign(1.0, chi)
     den = sys.l * (sphi * ct + math.cos(phi) * sg * st)
     if abs(den) < 1e-15 * sys.l:
@@ -282,8 +294,7 @@ def _arc_stability(t: float, phi: float, F: float, chi: float, sys: OneDofSystem
 
 
 def _arc_point(t: float, sys: OneDofSystem) -> EquilibriumPoint:
-    chi = _arc_chi(t, sys)
-    phi = math.asin(math.sin(t) / abs(chi))
+    chi, _, phi = _arc_angles(t, sys)
     F = _arc_force(t, sys)
     fval = (1.0 - math.cos(t)) / chi
     f0 = sys.profile.f(math.sin(sys.phi0))
@@ -301,20 +312,22 @@ def trace_branch_arc(
     The pin angle runs along the constraint circle (t = 0 at the lobe
     joint, t > 0 on the psi > 0 lobe), so the trace continues through
     the vertical-tangent point where tracing by phi folds back and the
-    force changes sign.
+    force changes sign.  A singular configuration stops the trace as in
+    trace_branch; a pin angle off the reachable arc raises ValueError.
     """
     ts = [float(t) for t in t_grid]
-    pts = [_arc_point(t, sys) for t in ts]
-    events = {}
+    trace = _trace(lambda t: _arc_point(t, sys), ts, label)
+    pts = trace.points
     for i in range(len(pts) - 1):
         a, b = pts[i].F, pts[i + 1].F
         if a == 0.0:
-            events.setdefault("force_zero_t", ts[i])
+            trace.events.setdefault("force_zero_t", ts[i])
         elif a * b < 0.0:
-            tz = brentq(lambda t: _arc_force(t, sys), ts[i], ts[i + 1], xtol=1e-14)
-            events.setdefault("force_zero_t", tz)
+            try:
+                tz = brentq(lambda t: _arc_force(t, sys), ts[i], ts[i + 1], xtol=1e-14)
+            except SingularConfigurationError:
+                continue  # the force changes sign through a pole, not a zero
+            trace.events.setdefault("force_zero_t", tz)
     if pts and pts[-1].F == 0.0:
-        events.setdefault("force_zero_t", ts[-1])
-    if label is None:
-        label = "tensile" if pts and pts[0].F > 0.0 else "compressive"
-    return BranchTrace(label=label, points=pts, events=events)
+        trace.events.setdefault("force_zero_t", ts[len(pts) - 1])
+    return trace

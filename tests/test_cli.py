@@ -47,10 +47,15 @@ def test_critical_1dof_empty_grid(tmp_path):
     assert rows == []
 
 
-def test_scenario_fig1_reruns_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "command, scenario",
+    [("critical-1dof", "fig1"), ("trace-1dof", "fig2"), ("design-profile", "neutral")],
+    ids=["fig1", "fig2", "neutral"],
+)
+def test_scenario_reruns_byte_identical(command, scenario, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["critical-1dof", "--scenario", "fig1"], a) == 0
-    assert run(["critical-1dof", "--scenario", "fig1"], b) == 0
+    assert run([command, "--scenario", scenario], a) == 0
+    assert run([command, "--scenario", scenario], b) == 0
     names = sorted(os.listdir(a))
     assert names == sorted(os.listdir(b)) and names
     for n in names:
@@ -125,6 +130,26 @@ def test_trace_1dof_singular_midtrace_partial_exit_3(tmp_path, capsys):
     _, rows = read_csv(tmp_path / "trace_1dof.csv")
     assert len(rows) == 1  # points before the vertical tangent are kept
     assert "vertical" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile", ["circular", "s_shaped"])
+@pytest.mark.parametrize("chi", ["0.5", "-0.5", "0.99"])
+def test_trace_1dof_shallow_lobe_stays_on_reachable_arc(profile, chi, tmp_path):
+    # |chi_hat| < 1: the bar reaches the lobe only up to pin angle asin|chi_hat|
+    assert run(["trace-1dof", "--profile", profile, "--chi-hat", chi,
+                "--n-points", "50"], tmp_path) == 0
+    names = sorted(p.name for p in tmp_path.glob("trace_1dof*.csv"))
+    assert len(names) == (1 if profile == "circular" else 2)
+    for n in names:
+        _, rows = read_csv(tmp_path / n)
+        assert len(rows) == 50
+        assert all(math.isfinite(float(v)) for r in rows for v in r[:3])
+
+
+def test_trace_1dof_no_reachable_pin_angle_exits_2(tmp_path, capsys):
+    # asin(0.01) is below twice the default pad of 0.02
+    assert run(["trace-1dof", "--profile", "circular", "--chi-hat", "0.01"], tmp_path) == 2
+    assert "onedof.t_pad" in capsys.readouterr().err
 
 
 def test_trace_1dof_imperfection_sign_controls_peak(tmp_path):
@@ -266,6 +291,20 @@ def test_elastica_continuation_failure_exits_4(tmp_path, capsys):
     assert rows == []  # partial data kept, nothing solved here
 
 
+def test_elastica_seed_not_a_number_exits_2(tmp_path, capsys):
+    assert run(["trace-elastica", "--seed", "abc"], tmp_path) == 2
+    assert "elastica.seed: not a number" in capsys.readouterr().err
+
+
+def test_elastica_shape_phi_file_name_collision_exits_2(tmp_path, capsys):
+    # both values print as phi0.785398, so their shape files would collide
+    code = run(["trace-elastica", "--shape-phi", "0.7853981633974483, 0.78539816"],
+               tmp_path)
+    assert code == 2
+    assert "elastica.shape_phi" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_elastica_without_viable_seed_exits_2(tmp_path):
     assert run(["trace-elastica", "--R-c", "1.5", "--branch", "tensile"],
                tmp_path) == 2
@@ -274,11 +313,14 @@ def test_elastica_without_viable_seed_exits_2(tmp_path):
 # ----------------------------------------------------------------- entry point
 
 def test_module_entry_help():
+    # -W error turns the runpy warning about a package that imports its own
+    # __main__ module eagerly into a failure
     res = subprocess.run(
-        [sys.executable, "-m", "arcstab.cli", "--help"],
+        [sys.executable, "-W", "error", "-m", "arcstab.cli", "--help"],
         capture_output=True, text=True,
     )
     assert res.returncode == 0
+    assert res.stderr == ""
     for cmd in ("critical-1dof", "trace-1dof", "design-profile",
                 "critical-rod", "trace-elastica"):
         assert cmd in res.stdout

@@ -14,6 +14,7 @@ from arcstab.elastica import (
     coordinates_at,
     make_state,
     modulus_from,
+    refine_on_trace,
     shape_export,
     solve_R,
     theta_at,
@@ -380,13 +381,11 @@ def test_compressive_trace_structure(traced_compressive):
 @pytest.mark.parametrize("branch", ["tensile", "compressive"])
 def test_trace_records_transition_events(branch, traced_tensile, traced_compressive):
     tr = traced_tensile if branch == "tensile" else traced_compressive
+    # the pin tops the circle (phi = pi/2) exactly where the load changes sign
     ev = tr.events["load_sign_transition"]
-    sw = tr.events["half_circle_switch"]
     scale = max(abs(p.F) for p in tr.points)
     assert abs(ev.phi - math.pi / 2) < 1e-9
     assert abs(ev.F) < 1e-12 * scale
-    # the pin tops the circle exactly where the load changes sign
-    assert sw == ev
 
 
 def test_branch_shift_congruence(traced_tensile, traced_compressive):
@@ -396,6 +395,15 @@ def test_branch_shift_congruence(traced_tensile, traced_compressive):
         st_t = solve_at_force(pr_t, traced_tensile, target)
         st_c = solve_at_force(pr_c, traced_compressive, target)
         assert st_t.delta - st_c.delta == pytest.approx(0.5, abs=1e-6)
+
+
+def test_refine_on_trace_matches_local_bisection(traced_tensile, traced_compressive):
+    # the trace label picks the assembly, whatever half the problem names
+    for tr, pr in ((traced_tensile, tensile_problem()),
+                   (traced_compressive, compressive_problem())):
+        st = refine_on_trace(tensile_problem(), tr, lambda p: p.phi, math.pi / 4)
+        assert st == solve_at_phi(pr, tr, math.pi / 4)
+        assert refine_on_trace(pr, tr, lambda p: p.F, 1e6) is None
 
 
 def test_trace_is_deterministic(traced_tensile):

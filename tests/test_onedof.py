@@ -224,8 +224,34 @@ def test_singular_configuration_reported():
     with pytest.raises(SingularConfigurationError) as err:
         equilibrium_force(0.0, sys)
     assert err.value.phi == 0.0
-    with pytest.raises(SingularConfigurationError):
-        trace_branch(sys, [0.1, 0.0, -0.1])
+    # a trace stops at the singular point and keeps the points before it
+    tr = trace_branch(sys, [0.1, 0.0, -0.1])
+    assert len(tr.points) == 1
+    assert not tr.complete
+    assert "phi=0.0" in tr.diagnostic
+    # on the unit circle the load path goes vertical past t = pi/2
+    tr = trace_branch_arc(system(profile_circular(1.0)), [0.3, 2.0, 2.5])
+    assert len(tr.points) == 1
+    assert not tr.complete
+    assert "pin angle 2.0" in tr.diagnostic
+
+
+def test_arc_trace_stops_at_pole_without_raising():
+    # the force changes sign through a pole just past t = pi/2 on the unit
+    # circle; the zero search skips it and the trace ends partial
+    ts = np.linspace(0.02, np.pi - 0.02, 200)
+    tr = trace_branch_arc(system(profile_circular(1.0)), ts)
+    assert 0 < len(tr.points) < len(ts)
+    assert not tr.complete
+    assert "force_zero_t" not in tr.events
+
+
+def test_arc_trace_rejects_unreachable_pin_angle():
+    # on a lobe flatter than the unit circle the bar reaches t <= asin|chi|
+    sys = system(profile_circular(0.5))
+    assert len(trace_branch_arc(sys, [np.arcsin(0.5) - 1e-3]).points) == 1
+    with pytest.raises(ValueError, match="leaves the reachable arc"):
+        trace_branch_arc(sys, [1.0])
 
 
 def test_trace_branch_points_consistent():
