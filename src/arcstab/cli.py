@@ -177,8 +177,9 @@ def cmd_trace_1dof(cfg, out):
         if chi == 0.0:
             raise ConfigError("onedof.chi_hat: curved tracing needs a nonzero curvature")
         # the bar reaches psi = sin(t)/|chi| <= 1 only up to t = asin|chi|
-        # on a lobe flatter than the unit circle
-        t_stop = (math.pi if abs(chi) >= 1.0 else math.asin(abs(chi))) - t_pad
+        # on a lobe flatter than the unit circle, and on the unit circle
+        # the force is singular past t = pi/2
+        t_stop = (math.pi if abs(chi) > 1.0 else math.asin(abs(chi))) - t_pad
         if not t_pad < t_stop:
             raise ConfigError("onedof.t_pad: no reachable pin angles left on the lobe")
         trace_fn = onedof.trace_branch_arc

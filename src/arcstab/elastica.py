@@ -33,7 +33,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .branch import BranchTrace
-from .elliptic import _E_sym, _F_sym, ellint_F, jacobi_am, jacobi_dn, jacobi_epsilon
+from .elliptic import _E_sym, _F_sym, _jacobi, ellint_F
+# unused here; the benchmark tracer (bench/tracing.py) wraps them under this module's name
+from .elliptic import jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
 from .errors import ContinuationError, DegenerateGeometryError
 from .rodlinear import RodModel, critical_force, find_critical_loads
 
@@ -149,8 +151,21 @@ def modulus_from(theta0, R, k_r=0.0, B=1.0):
     return 2.0 * math.sqrt(at2) / math.sqrt(den)
 
 
-def make_state(theta0, R, problem):
-    """Build the elliptic representation of the rod at a trial reaction R."""
+def _rod_point(s, k, at, R, u0, eps0, dn0, offset):
+    """(theta, x1, x2) at arclength s from one Jacobi evaluation at s alpha/k + u0."""
+    u = s * at / k
+    am, dn, eps = _jacobi(u + u0, k)
+    pref = math.copysign(1.0, R) * 2.0 / (k * at)
+    return (
+        2.0 * am + offset,
+        pref * ((1.0 - 0.5 * k * k) * u + eps0 - eps),
+        pref * (dn - dn0),
+    )
+
+
+def _state_and_defect(theta0, R, problem):
+    """The rod at a trial reaction R and its closure defect
+    [x1(l) - c] sin phi - x2(l) cos phi, c = +-R_c."""
     if theta0 < 0.0:
         raise ValueError("theta0 must be nonnegative; mirror states negate x2 and phi")
     den, spring, half_trig, at2 = _rotation_denominator(theta0, R, problem.k_r, problem.B)
@@ -171,19 +186,14 @@ def make_state(theta0, R, problem):
         dn0 = math.sqrt(c2)
     else:
         u0 = ellint_F(beta0, k)
-        eps0 = jacobi_epsilon(u0, k)
-        dn0 = jacobi_dn(u0, k)
-    ul = problem.l * at / k
-    phi = 2.0 * jacobi_am(ul + u0, k) + offset
-    pref = math.copysign(1.0, R) * 2.0 / (k * at)
-    x1 = pref * ((1.0 - 0.5 * k * k) * ul + eps0 - jacobi_epsilon(ul + u0, k))
-    x2 = pref * (jacobi_dn(ul + u0, k) - dn0)
+        _, dn0, eps0 = _jacobi(u0, k)
+    phi, x1, x2 = _rod_point(problem.l, k, at, R, u0, eps0, dn0, offset)
     c = problem.R_c if problem.half == "left" else -problem.R_c
     if abs(math.cos(phi)) >= abs(math.sin(phi)):
         lam = (x1 - c) / math.cos(phi)
     else:
         lam = x2 / math.sin(phi)
-    return ElasticaState(
+    state = ElasticaState(
         theta0=theta0,
         R=R,
         modulus=k,
@@ -198,32 +208,35 @@ def make_state(theta0, R, problem):
         eps0=eps0,
         dn0=dn0,
     )
+    return state, (x1 - c) * math.sin(phi) - x2 * math.cos(phi)
 
 
-def _check_arclength(s, state):
+def make_state(theta0, R, problem):
+    """Build the elliptic representation of the rod at a trial reaction R."""
+    return _state_and_defect(theta0, R, problem)[0]
+
+
+def _state_point(s, state):
+    """_rod_point of a state at arclength s in [0, l]."""
     l = state.problem.l
     if s < -1e-9 * l or s > l * (1.0 + 1e-9):
         raise ValueError("arclength s must lie in [0, l]")
+    return _rod_point(
+        s, state.modulus, state.alpha_tilde, state.R, state.u0, state.eps0, state.dn0,
+        state.angle_offset,
+    )
 
 
 def theta_at(s, state):
     """Rod rotation theta(s) = 2 am(s alpha/k + u0, k) + angle offset."""
-    _check_arclength(s, state)
-    u = s * state.alpha_tilde / state.modulus
-    return 2.0 * jacobi_am(u + state.u0, state.modulus) + state.angle_offset
+    return _state_point(s, state)[0]
 
 
 def coordinates_at(s, state):
     """Rod centerline point (x1, x2); the pin sits at the origin."""
-    _check_arclength(s, state)
     if s == 0.0:
         return 0.0, 0.0
-    k, at, u0 = state.modulus, state.alpha_tilde, state.u0
-    u = s * at / k
-    pref = math.copysign(1.0, state.R) * 2.0 / (k * at)
-    x1 = pref * ((1.0 - 0.5 * k * k) * u + state.eps0 - jacobi_epsilon(u + u0, k))
-    x2 = pref * (jacobi_dn(u + u0, k) - state.dn0)
-    return x1, x2
+    return _state_point(s, state)[1:]
 
 
 def compatibility_residual(R, theta0, problem):
@@ -232,10 +245,7 @@ def compatibility_residual(R, theta0, problem):
     The cos phi regularization keeps the same roots as the tan phi form
     while staying finite where branches legitimately cross phi = pi/2.
     """
-    st = make_state(theta0, R, problem)
-    x1, x2 = coordinates_at(problem.l, st)
-    c = problem.R_c if problem.half == "left" else -problem.R_c
-    return (x1 - c) * math.sin(st.phi) - x2 * math.cos(st.phi)
+    return _state_and_defect(theta0, R, problem)[1]
 
 
 def _nd_problem(problem):
@@ -386,8 +396,8 @@ def shape_export(state, n):
         raise ValueError("need at least two samples")
     out = np.empty((n, 4))
     for i, s in enumerate(np.linspace(0.0, state.problem.l, n)):
-        x1, x2 = coordinates_at(s, state)
-        out[i] = (s, x1, x2, theta_at(s, state))
+        theta, x1, x2 = _state_point(s, state)
+        out[i] = (s, x1, x2, theta)
     out[0] = (0.0, 0.0, 0.0, state.theta0)
     return out
 

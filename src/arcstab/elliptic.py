@@ -70,6 +70,30 @@ def _half_reduce(beta):
     return beta - np.pi * n, n
 
 
+def _carlson_args(beta, k):
+    """(s, c2, w, m, n): the Carlson arguments of F and E at (beta, k).
+
+    k <= 1: beta = beta_r + n pi with |beta_r| <= pi/2, s = sin(beta_r)
+    and m = k^2.  k > 1: the reciprocal-modulus angle gamma with
+    s = sin(gamma) = k sin(beta), m = 1/k^2 and n = 0.  c2 is cos^2 of
+    that angle and w = 1 - m s^2 the complement.
+    """
+    beta = float(beta)
+    _check(beta, k)
+    if k <= 1.0:
+        m = k * k
+        br, n = _half_reduce(beta)
+        s = np.sin(br)
+        c = np.cos(br)
+        c2 = c * c
+    else:
+        s = _unit_clamped(k * np.sin(beta))
+        m = k ** -2
+        c2 = (1.0 - s) * (1.0 + s)
+        n = 0
+    return s, c2, c2 + (1.0 - m) * s * s, m, n
+
+
 def ellint_F(beta, k):
     """Incomplete elliptic integral of the first kind F(beta, k).
 
@@ -78,23 +102,12 @@ def ellint_F(beta, k):
     k sin(beta) = 1 is an integrable square-root singularity and evaluates
     to the finite limit.
     """
-    beta = float(beta)
     k = float(k)
-    _check(beta, k)
-    if k <= 1.0:
-        m = k * k
-        br, n = _half_reduce(beta)
-        s = np.sin(br)
-        c = np.cos(br)
-        c2 = c * c
-        w = c2 + (1.0 - m) * s * s
-        f = _F_sym(s, c2, w)
-        return f if n == 0 else f + 2.0 * n * _comp_K(m)
-    s = _unit_clamped(k * np.sin(beta))
-    m1 = k ** -2
-    c2 = (1.0 - s) * (1.0 + s)
-    w = c2 + (1.0 - m1) * s * s
-    return _F_sym(s, c2, w) / k
+    s, c2, w, m, n = _carlson_args(beta, k)
+    f = _F_sym(s, c2, w)
+    if k > 1.0:
+        return f / k
+    return f if n == 0 else f + 2.0 * n * _comp_K(m)
 
 
 def ellint_E(beta, k):
@@ -103,23 +116,12 @@ def ellint_E(beta, k):
     Reciprocal-modulus transform for k > 1:
     E(beta, k) = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k).
     """
-    beta = float(beta)
     k = float(k)
-    _check(beta, k)
-    if k <= 1.0:
-        m = k * k
-        br, n = _half_reduce(beta)
-        s = np.sin(br)
-        c = np.cos(br)
-        c2 = c * c
-        w = c2 + (1.0 - m) * s * s
-        e = _E_sym(s, c2, w, m)
-        return e if n == 0 else e + 2.0 * n * _comp_E(m)
-    s = _unit_clamped(k * np.sin(beta))
-    m1 = k ** -2
-    c2 = (1.0 - s) * (1.0 + s)
-    w = c2 + (1.0 - m1) * s * s
-    return float(k * _E_sym(s, c2, w, m1) - (k - 1.0 / k) * _F_sym(s, c2, w))
+    s, c2, w, m, n = _carlson_args(beta, k)
+    if k > 1.0:
+        return float(k * _E_sym(s, c2, w, m) - (k - 1.0 / k) * _F_sym(s, c2, w))
+    e = _E_sym(s, c2, w, m)
+    return e if n == 0 else e + 2.0 * n * _comp_E(m)
 
 
 def _ellipj_reduced(w, m):
@@ -148,6 +150,27 @@ def _ellipj_reduced(w, m):
     return sgn * sn, sgn * cn, dn, am, eps
 
 
+def _jacobi(u, k):
+    """(am, dn, eps) at argument u and modulus k from one reduced evaluation.
+
+    Dispatches on k once: k > 1 through the reciprocal modulus (signed dn,
+    see jacobi_dn), k = 1 in closed form, k < 1 through the reduction of
+    _ellipj_reduced (am = u exactly at k = 0).
+    """
+    u = float(u)
+    k = float(k)
+    _check(u, k)
+    if k > 1.0:
+        m1 = k ** -2
+        sn, cn, _, _, eps1 = _ellipj_reduced(k * u, m1)
+        return (float(np.arcsin(sn / k)), float(cn),
+                float((eps1 - (1.0 - m1) * k * u) / (k * m1)))
+    if k == 1.0:
+        return float(np.arcsin(np.tanh(u))), float(1.0 / np.cosh(u)), float(np.tanh(u))
+    _, _, dn, am, eps = _ellipj_reduced(u, k * k)
+    return (u if k == 0.0 else am), dn, eps
+
+
 def jacobi_am(u, k):
     """Jacobi amplitude am(u, k), the inverse of ellint_F in beta.
 
@@ -158,18 +181,7 @@ def jacobi_am(u, k):
     inverse of ellint_F on |u| <= F(arcsin(1/k), k) and extends it smoothly
     through the turning points (|k sin am| <= 1 holds for every u).
     """
-    u = float(u)
-    k = float(k)
-    _check(u, k)
-    if k > 1.0:
-        sn, _, _, _, _ = _ellipj_reduced(k * u, k ** -2)
-        return float(np.arcsin(sn / k))
-    if k == 1.0:
-        return float(np.arcsin(np.tanh(u)))
-    if k == 0.0:
-        return u
-    _, _, _, am, _ = _ellipj_reduced(u, k * k)
-    return am
+    return _jacobi(u, k)[0]
 
 
 def jacobi_dn(u, k):
@@ -180,16 +192,7 @@ def jacobi_dn(u, k):
     d(dn)/du = -k^2 sn cn and the coordinate quadratures exact through
     inflexion points. The identity dn^2 + k^2 sin^2(am) = 1 holds for all u.
     """
-    u = float(u)
-    k = float(k)
-    _check(u, k)
-    if k > 1.0:
-        _, cn, _, _, _ = _ellipj_reduced(k * u, k ** -2)
-        return float(cn)
-    if k == 1.0:
-        return float(1.0 / np.cosh(u))
-    _, _, dn, _, _ = _ellipj_reduced(u, k * k)
-    return dn
+    return _jacobi(u, k)[1]
 
 
 def jacobi_epsilon(u, k):
@@ -200,24 +203,14 @@ def jacobi_epsilon(u, k):
     branch through eps(u, k) = (eps(k u, 1/k) - (1 - 1/k^2) k u) k, writing
     1/k^2 = m1, i.e. (eps1 - (1 - m1) k u) / (k m1).
     """
-    u = float(u)
-    k = float(k)
-    _check(u, k)
-    if k > 1.0:
-        m1 = k ** -2
-        _, _, _, _, eps1 = _ellipj_reduced(k * u, m1)
-        return float((eps1 - (1.0 - m1) * k * u) / (k * m1))
-    if k == 1.0:
-        return float(np.tanh(u))
-    _, _, _, _, eps = _ellipj_reduced(u, k * k)
-    return eps
+    return _jacobi(u, k)[2]
 
 
 def _am_agm(u, k):
     """Descending-Landen (AGM) amplitude for k < 1.
 
-    Independent of the reduction route in jacobi_am; kept as a cross-check
-    path and a possible fast path.
+    Independent of the reduction route in jacobi_am; kept as the reference
+    that the tests check jacobi_am against.
     """
     if k == 0.0:
         return u

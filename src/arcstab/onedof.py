@@ -82,26 +82,33 @@ def _circle_fpp(chi: float, psi: float) -> float:
     return chi / s2**1.5
 
 
+def _two_lobe_profile(chi_right: float, chi_left: float) -> ProfileShape:
+    """Circular lobes of signed curvature chi_right at psi >= 0 and
+    chi_left at psi < 0, tangent to the psi axis at the joint."""
+    lim = min(1.0, 1.0 / max(abs(chi_right), abs(chi_left)))
+
+    def side(psi):
+        if abs(psi) > lim + _DOMAIN_SLACK:
+            raise ValueError("psi=%r outside the constraint, |psi| <= %g" % (psi, lim))
+        # right side wins at the joint
+        return chi_right if psi >= 0.0 else chi_left
+
+    return ProfileShape(
+        f=lambda psi: _circle_f(side(psi), psi),
+        fp=lambda psi: _circle_fp(side(psi), psi),
+        fpp=lambda psi: _circle_fpp(side(psi), psi),
+        domain=(-lim, lim),
+        curvature_right_at_0=chi_right,
+        curvature_left_at_0=chi_left,
+    )
+
+
 def profile_circular(chi_hat: float) -> ProfileShape:
     """Circle tangent to the psi axis at 0 with signed curvature chi_hat."""
     chi = float(chi_hat)
     if chi == 0.0:
         raise ValueError("zero curvature, use profile_straight")
-    lim = min(1.0, 1.0 / abs(chi))
-
-    def dom(psi):
-        if abs(psi) > lim + _DOMAIN_SLACK:
-            raise ValueError("psi=%r outside the constraint, |psi| <= %g" % (psi, lim))
-        return psi
-
-    return ProfileShape(
-        f=lambda psi: _circle_f(chi, dom(psi)),
-        fp=lambda psi: _circle_fp(chi, dom(psi)),
-        fpp=lambda psi: _circle_fpp(chi, dom(psi)),
-        domain=(-lim, lim),
-        curvature_right_at_0=chi,
-        curvature_left_at_0=chi,
-    )
+    return _two_lobe_profile(chi, chi)
 
 
 def profile_straight() -> ProfileShape:
@@ -130,25 +137,7 @@ def profile_s_shaped(chi_hat_magnitude: float) -> ProfileShape:
     mag = float(chi_hat_magnitude)
     if mag <= 0.0:
         raise ValueError("curvature magnitude must be positive")
-    lim = min(1.0, 1.0 / mag)
-
-    def side(psi):
-        # right side wins at the joint
-        return -mag if psi >= 0.0 else mag
-
-    def dom(psi):
-        if abs(psi) > lim + _DOMAIN_SLACK:
-            raise ValueError("psi=%r outside the constraint, |psi| <= %g" % (psi, lim))
-        return psi
-
-    return ProfileShape(
-        f=lambda psi: _circle_f(side(psi), dom(psi)),
-        fp=lambda psi: _circle_fp(side(psi), dom(psi)),
-        fpp=lambda psi: _circle_fpp(side(psi), dom(psi)),
-        domain=(-lim, lim),
-        curvature_right_at_0=-mag,
-        curvature_left_at_0=mag,
-    )
+    return _two_lobe_profile(-mag, mag)
 
 
 def equilibrium_force(phi: float, sys: OneDofSystem) -> float:
@@ -163,6 +152,13 @@ def equilibrium_force(phi: float, sys: OneDofSystem) -> float:
     return num / den
 
 
+def _critical_for(chi: float, sys: OneDofSystem) -> float:
+    # bifurcation load of a lobe of curvature chi at psi = 0
+    if abs(1.0 + chi) < 1e-12:
+        raise DegenerateGeometryError("curvature -1, critical load at infinity")
+    return -sys.k / (sys.l * (1.0 + chi))
+
+
 def critical_load(sys: OneDofSystem) -> float:
     """Bifurcation load of the perfect system, set by the curvature at 0."""
     if sys.phi0 != 0.0:
@@ -170,21 +166,15 @@ def critical_load(sys: OneDofSystem) -> float:
     chi_r = sys.profile.curvature_right_at_0
     if chi_r != sys.profile.curvature_left_at_0:
         raise ValueError("two-sided curvature, use critical_loads_s_shaped")
-    if abs(1.0 + chi_r) < 1e-12:
-        raise DegenerateGeometryError("curvature -1, critical load at infinity")
-    return -sys.k / (sys.l * (1.0 + chi_r))
+    return _critical_for(chi_r, sys)
 
 
 def critical_loads_s_shaped(sys: OneDofSystem) -> Tuple[float, float]:
     """Buckling load pair of a two-sided profile: (psi>0 side, psi<0 side)."""
     if sys.phi0 != 0.0:
         raise ValueError("critical loads are defined for the perfect system only")
-    out = []
-    for chi in (sys.profile.curvature_right_at_0, sys.profile.curvature_left_at_0):
-        if abs(1.0 + chi) < 1e-12:
-            raise DegenerateGeometryError("curvature -1, critical load at infinity")
-        out.append(-sys.k / (sys.l * (1.0 + chi)))
-    return out[0], out[1]
+    p = sys.profile
+    return _critical_for(p.curvature_right_at_0, sys), _critical_for(p.curvature_left_at_0, sys)
 
 
 def stability_of(phi: float, F: float, sys: OneDofSystem) -> str:
@@ -267,7 +257,9 @@ def _arc_force(t: float, sys: OneDofSystem) -> float:
     st, ct = math.sin(t), math.cos(t)
     sg = math.copysign(1.0, chi)
     den = sys.l * (sphi * ct + math.cos(phi) * sg * st)
-    if abs(den) < 1e-15 * sys.l:
+    # on a unit circle den vanishes identically where sg cos t < 0, since
+    # cos^2 t - (chi^2 - sin^2 t) = 1 - chi^2; rounding leaves ~1e-15 there
+    if abs(den) < 1e-15 * sys.l or (abs(chi) == 1.0 and ct * sg < 0.0):
         raise SingularConfigurationError(
             "load path tangent vertical at pin angle %r" % (t,), phi=phi
         )

@@ -146,6 +146,14 @@ def test_trace_1dof_shallow_lobe_stays_on_reachable_arc(profile, chi, tmp_path):
         assert all(math.isfinite(float(v)) for r in rows for v in r[:3])
 
 
+def test_trace_1dof_unit_circle_stops_at_quarter_turn(tmp_path):
+    # past pin angle pi/2 the unit circle's load path is singular
+    assert run(["trace-1dof", "--profile", "circular", "--chi-hat", "1.0"], tmp_path) == 0
+    _, rows = read_csv(tmp_path / "trace_1dof.csv")
+    assert len(rows) == 200
+    assert all(math.isfinite(float(v)) for r in rows for v in r[:3])
+
+
 def test_trace_1dof_no_reachable_pin_angle_exits_2(tmp_path, capsys):
     # asin(0.01) is below twice the default pad of 0.02
     assert run(["trace-1dof", "--profile", "circular", "--chi-hat", "0.01"], tmp_path) == 2

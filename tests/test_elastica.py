@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from arcstab import elliptic
 from arcstab.branch import BranchTrace
 from arcstab.elastica import (
     ElasticaProblem,
@@ -289,6 +290,49 @@ def test_residual_sign_flip_across_root():
     pr = tensile_problem()
     st = solve_R(0.5, pr)
     assert compatibility_residual(0.9 * st.R, 0.5, pr) * compatibility_residual(1.1 * st.R, 0.5, pr) < 0.0
+
+
+@pytest.fixture
+def ellipj_calls(monkeypatch):
+    # arguments of every scipy ellipj call the elliptic kernels make
+    calls = []
+    ellipj = elliptic.special.ellipj
+
+    def counting(*args):
+        calls.append(args)
+        return ellipj(*args)
+
+    monkeypatch.setattr(elliptic.special, "ellipj", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k_r, R, calls", [(0.0, 1.3, 1), (5.0, 0.5, 2)])
+def test_residual_makes_one_jacobi_evaluation_per_rod_point(ellipj_calls, k_r, R, calls):
+    # k > 1 takes the pin's turning point in closed form, so only the clamp
+    # needs Jacobi functions; k < 1 evaluates them at the pin and the clamp
+    assert (modulus_from(0.8, R, k_r) > 1.0) == (calls == 1)
+    compatibility_residual(R, 0.8, tensile_problem(k_r=k_r))
+    assert len(ellipj_calls) == calls
+
+
+def test_shape_export_one_jacobi_evaluation_per_sample(ellipj_calls):
+    st = make_state(0.8, 1.3, tensile_problem())
+    ellipj_calls.clear()
+    shape_export(st, 9)
+    assert len(ellipj_calls) == 9
+
+
+@pytest.mark.parametrize("half", ["left", "right"])
+@pytest.mark.parametrize("key", sorted(EVAL_STATES))
+def test_residual_is_closure_defect_of_state(half, key):
+    # the residual reuses the end point of make_state; both routes agree exactly
+    th0, R, k_r = key
+    pr = ElasticaProblem(B=1.0, l=1.0, k_r=k_r, R_c=0.25, half=half)
+    st = make_state(th0, R, pr)
+    x1, x2 = coordinates_at(pr.l, st)
+    c = 0.25 if half == "left" else -0.25
+    defect = (x1 - c) * math.sin(st.phi) - x2 * math.cos(st.phi)
+    assert compatibility_residual(R, th0, pr) == defect
 
 
 def test_solved_tensile_state_frozen():

@@ -237,13 +237,14 @@ def test_singular_configuration_reported():
 
 
 def test_arc_trace_stops_at_pole_without_raising():
-    # the force changes sign through a pole just past t = pi/2 on the unit
-    # circle; the zero search skips it and the trace ends partial
+    # on the unit circle the load path is singular everywhere past t = pi/2;
+    # the trace keeps the points before it, none of them rounding noise
     ts = np.linspace(0.02, np.pi - 0.02, 200)
     tr = trace_branch_arc(system(profile_circular(1.0)), ts)
-    assert 0 < len(tr.points) < len(ts)
+    assert len(tr.points) == 100
     assert not tr.complete
     assert "force_zero_t" not in tr.events
+    assert all(abs(p.F) < 1.0 for p in tr.points)
 
 
 def test_arc_trace_rejects_unreachable_pin_angle():
