@@ -1,4 +1,4 @@
-"""Shared container for traced equilibrium branches."""
+"""Shared container for traced equilibrium branches and the root scan rule."""
 
 from dataclasses import dataclass, field
 
@@ -7,11 +7,12 @@ from dataclasses import dataclass, field
 class BranchTrace:
     """One branch of a bifurcation diagram as an ordered point list.
 
-    points holds equilibrium records in trace order.  events maps names
-    of special configurations (force zero crossings, load-sign
-    transitions) to their locations along the trace parameter.  complete
-    turns False when a trace stops early, with the reason in diagnostic;
-    points then holds the points computed before the stop.
+    points holds equilibrium records in trace order.  events maps the
+    name of a special configuration to a point record of the same type
+    as points, refined between two trace points; both traces name the
+    point where the axial force changes sign "load_sign_transition".
+    complete turns False when a trace stops early, with the reason in
+    diagnostic; points then holds the points computed before the stop.
     """
 
     label: str
@@ -19,3 +20,14 @@ class BranchTrace:
     events: dict = field(default_factory=dict)
     complete: bool = True
     diagnostic: str = ""
+
+
+def sign_changes(vals):
+    """Root brackets of sampled values in order: (i, i) where vals[i] is
+    zero, (i, i + 1) where vals[i] * vals[i + 1] < 0.  A zero sample is
+    never also a bracket end, and NaN brackets nothing."""
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            yield i, i
+        elif i + 1 < len(vals) and v * vals[i + 1] < 0.0:
+            yield i, i + 1

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .branch import BranchTrace
+from .branch import BranchTrace, sign_changes
 from .elliptic import _E_sym, _F_sym, _jacobi, ellint_F
 # unused here; the benchmark tracer (bench/tracing.py) wraps them under this module's name
 from .elliptic import jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
@@ -275,7 +275,7 @@ def solve_R(theta0, problem, seed=None):
     """Solve the compatibility condition for the constraint reaction.
 
     Scans a geometric window seed*[0.2, 5] for sign changes of the
-    residual, refines each by bracketing, warns when several roots fall in
+    residual, refines each by brentq, warns when several roots fall in
     the window and keeps the smallest-magnitude one.  The solve runs on
     the unit-B, unit-l problem and rescales at the boundary.
     """
@@ -285,24 +285,11 @@ def solve_R(theta0, problem, seed=None):
     scale = problem.B / problem.l**2
     seed_nd = _default_seed(ndp) if seed is None else seed / scale
     grid = seed_nd * np.geomspace(0.2, 5.0, _SCAN_POINTS)
-    vals = [compatibility_residual(R, theta0, ndp) for R in grid]
-    roots = []
-    for i in range(_SCAN_POINTS - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(
-                brentq(
-                    compatibility_residual,
-                    grid[i],
-                    grid[i + 1],
-                    args=(theta0, ndp),
-                    xtol=1e-15,
-                    rtol=_BRENTQ_RTOL,
-                )
-            )
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
+    f = lambda R: compatibility_residual(R, theta0, ndp)
+    roots = [
+        grid[i] if i == j else brentq(f, grid[i], grid[j], xtol=1e-15, rtol=_BRENTQ_RTOL)
+        for i, j in sign_changes([f(R) for R in grid])
+    ]
     if not roots:
         lo, hi = sorted((grid[0], grid[-1]))
         raise ContinuationError(
@@ -365,28 +352,27 @@ def trace_branch(problem, theta0_schedule, branch, seed=None):
 def refine_on_trace(problem, trace, value, target):
     """Solved state where value(state) == target on a traced branch.
 
-    The first pair of consecutive trace points whose values bracket target
-    is refined by brentq in theta0; each trial solve is warm started from
-    the reaction interpolated between the pair.  value must accept both
-    trace points and states (both carry theta0, R, F, phi and delta).
-    trace.label selects the assembly as in trace_branch.  Returns None
-    when no pair brackets target.
+    The first sign change of value - target over the trace points is
+    refined by brentq in theta0, each trial solve warm started from the
+    reaction interpolated between the pair; a point on target is solved
+    again in place.  value must accept both trace points and states (both
+    carry theta0, R, F, phi and delta).  trace.label selects the assembly
+    as in trace_branch.  Returns None when nothing brackets target.
     """
     pr = _branch_problem(problem, trace.label)
-    for a, b in zip(trace.points, trace.points[1:]):
-        if (value(a) - target) * (value(b) - target) <= 0.0:
-            def solve(th0):
-                w = (th0 - a.theta0) / (b.theta0 - a.theta0)
-                return solve_R(th0, pr, seed=a.R + w * (b.R - a.R))
+    pts = trace.points
+    for i, j in sign_changes([value(p) - target for p in pts]):
+        a, b = pts[i], pts[j]
+        if i == j:
+            return solve_R(a.theta0, pr, seed=a.R)
 
-            th = brentq(
-                lambda th0: value(solve(th0)) - target,
-                a.theta0,
-                b.theta0,
-                xtol=1e-13,
-                rtol=_BRENTQ_RTOL,
-            )
-            return solve(th)
+        def solve(th0):
+            w = (th0 - a.theta0) / (b.theta0 - a.theta0)
+            return solve_R(th0, pr, seed=a.R + w * (b.R - a.R))
+
+        th = brentq(lambda th0: value(solve(th0)) - target, a.theta0, b.theta0,
+                    xtol=1e-13, rtol=_BRENTQ_RTOL)
+        return solve(th)
     return None
 
 

@@ -59,6 +59,8 @@ def _comp_K(m):
 
 
 def _comp_E(m):
+    if m == 1.0:
+        return 1.0  # the Carlson form is inf - inf here
     mc = 1.0 - m
     return float(special.elliprf(0.0, mc, 1.0)
                  - (m / 3.0) * special.elliprd(0.0, mc, 1.0))

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from scipy.optimize import brentq
 
-from .branch import BranchTrace
+from .branch import BranchTrace, sign_changes
 from .errors import DegenerateGeometryError, SingularConfigurationError
 
 _DOMAIN_SLACK = 1e-12
@@ -304,22 +304,19 @@ def trace_branch_arc(
     The pin angle runs along the constraint circle (t = 0 at the lobe
     joint, t > 0 on the psi > 0 lobe), so the trace continues through
     the vertical-tangent point where tracing by phi folds back and the
-    force changes sign.  A singular configuration stops the trace as in
-    trace_branch; a pin angle off the reachable arc raises ValueError.
+    force changes sign; the first force zero, refined in t, is
+    events["load_sign_transition"].  A singular configuration stops the
+    trace as in trace_branch; a pin angle off the reachable arc raises
+    ValueError.
     """
     ts = [float(t) for t in t_grid]
     trace = _trace(lambda t: _arc_point(t, sys), ts, label)
-    pts = trace.points
-    for i in range(len(pts) - 1):
-        a, b = pts[i].F, pts[i + 1].F
-        if a == 0.0:
-            trace.events.setdefault("force_zero_t", ts[i])
-        elif a * b < 0.0:
-            try:
-                tz = brentq(lambda t: _arc_force(t, sys), ts[i], ts[i + 1], xtol=1e-14)
-            except SingularConfigurationError:
-                continue  # the force changes sign through a pole, not a zero
-            trace.events.setdefault("force_zero_t", tz)
-    if pts and pts[-1].F == 0.0:
-        trace.events.setdefault("force_zero_t", ts[len(pts) - 1])
+    force = lambda t: _arc_force(t, sys)
+    for i, j in sign_changes([p.F for p in trace.points]):
+        try:
+            tz = ts[i] if i == j else brentq(force, ts[i], ts[j], xtol=1e-14)
+            trace.events["load_sign_transition"] = _arc_point(tz, sys)
+            break
+        except SingularConfigurationError:
+            pass  # the force changes sign through a pole, not a zero
     return trace

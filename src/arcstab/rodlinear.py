@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
+
+from .branch import sign_changes
 
 __all__ = [
     "RodModel",
@@ -27,7 +30,6 @@ __all__ = [
 
 _SIGNS = {"tension": 1.0, "compression": -1.0}
 _DEFAULT_STEP = math.pi / 50.0
-_BISECT_WIDTH = 1e-13
 
 
 @dataclass(frozen=True)
@@ -97,24 +99,14 @@ def characteristic(alpha_l, load_sign, model):
     return first + model.k * model.l / (model.B * x) * bracket
 
 
-def _bisect(f, lo, hi, flo):
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) != (fm < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
                         max_modes=None, step=_DEFAULT_STEP):
     """All characteristic roots in (0, alpha_l_max], sorted, as BucklingMode.
 
-    Fixed-step sign-change bracketing followed by bisection.  The clamped
+    Sign changes on the grid step * (1e-3, 1, 2, ...), refined by brentq.
+    Near zero the function is a power of x times a constant, e.g.
+    -x (1/|chi_hat| + (k l/B)(1/|chi_hat| + sgn(chi_hat)/2)) in compression,
+    so the first sample keeps a root below step.  The clamped
     chi_hat = -1 case degenerates: 1/|chi_hat| + sgn(chi_hat) = 0 and the
     compression equation collapses to -(1 - cos x), touching zero at
     x = 2 pi n without a sign change, so those roots are emitted analytically.
@@ -132,16 +124,11 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     else:
         f = lambda x: characteristic(x, load_sign, model)
         count = int(alpha_l_max / step + 1e-9)
-        xs = step * np.arange(1, count + 1)
-        vals = [f(x) for x in xs]
-        roots = []
-        if vals[0] == 0.0:
-            roots.append(xs[0])
-        for i in range(1, len(xs)):
-            if vals[i] == 0.0:
-                roots.append(xs[i])
-            elif vals[i - 1] != 0.0 and (vals[i - 1] < 0.0) != (vals[i] < 0.0):
-                roots.append(_bisect(f, xs[i - 1], xs[i], vals[i - 1]))
+        xs = step * np.concatenate(([1e-3], np.arange(1, count + 1)))
+        roots = [
+            xs[i] if i == j else brentq(f, xs[i], xs[j], xtol=1e-14)
+            for i, j in sign_changes([f(x) for x in xs])
+        ]
     if max_modes is not None:
         roots = roots[:max_modes]
     return [

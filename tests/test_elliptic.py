@@ -6,6 +6,8 @@ square-root endpoint singularity for modulus > 1) and a few values frozen
 from 40-digit arithmetic.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,16 @@ def test_frozen_values():
         assert abs(fn(beta, k) - want) < 1e-13, (kind, beta, k)
     assert abs(ellint_F(BETA_STAR_12, 1.2) - F_END_12) < 1e-12
     assert abs(ellint_E(BETA_STAR_12, 1.2) - E_END_12) < 1e-13
+
+
+@pytest.mark.parametrize("beta", [3.0, -5.0, 10.0])
+def test_E_at_unit_modulus_past_quarter_turn(beta):
+    # E(1) = 1 closes the half-period reduction; its Carlson form is inf - inf
+    mpmath = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ellint_E(beta, 1.0)
+    assert abs(got - float(mpmath.ellipe(beta, 1))) < 1e-14 * abs(got)
 
 
 def test_oracle_equivalence_500_random():

@@ -243,7 +243,7 @@ def test_arc_trace_stops_at_pole_without_raising():
     tr = trace_branch_arc(system(profile_circular(1.0)), ts)
     assert len(tr.points) == 100
     assert not tr.complete
-    assert "force_zero_t" not in tr.events
+    assert "load_sign_transition" not in tr.events
     assert all(abs(p.F) < 1.0 for p in tr.points)
 
 
@@ -302,8 +302,9 @@ def test_load_sign_transition_on_sharp_circles():
         a, mid, b = [pt.F for pt in tr.points]
         assert abs(mid) < 1e-12
         assert a > 0 > b
-        assert "force_zero_t" in tr.events
-        assert abs(tr.events["force_zero_t"] - np.pi / 2) < 1e-9
+        ev = tr.events["load_sign_transition"]
+        assert abs(ev.F) < 1e-12
+        assert abs(ev.phi - np.arcsin(1.0 / mag)) < 1e-9
 
 
 def test_no_load_sign_transition_on_shallow_circle():

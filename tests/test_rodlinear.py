@@ -44,6 +44,10 @@ SPRING_COMPRESSION_M4_K1 = (
 CLAMPED_TENSION_M15 = 2.5756789099203311
 CLAMPED_COMPRESSION_M15 = (2.0 * math.pi, 8.7652510531946400, 4.0 * math.pi)
 STRAIGHT_COMPRESSION_K1 = 2.0287578381104342
+# roots below the first scan step pi/50, next to curvatures where a
+# compression load passes through zero
+SMALL_SPRING_M29159_K21881 = 0.047492013042825283
+SMALL_CLAMPED_M20005702 = 0.058473000919645724
 
 
 def characteristic_complex(x, sgn_f, chi, k, B=1.0, l=1.0):
@@ -263,6 +267,41 @@ def test_clamped_curvature_minus_one_double_roots():
     assert characteristic(2.0 * math.pi - 0.3, "compression", model) < 0.0
     assert characteristic(2.0 * math.pi + 0.3, "compression", model) < 0.0
     assert find_critical_loads(model, "tension", alpha_l_max=6.0 * math.pi) == []
+
+
+def test_every_frozen_root_to_a_few_ulps():
+    cl = RodModel(B=1.0, l=1.0, k=0.0, chi_hat=-1.5, clamped=True)
+    cases = [
+        *((RodModel(B=1.0, l=1.0, chi_hat=c), "tension", 6.0 * math.pi, (r,))
+          for c, r in ROLLER_TENSION.items()),
+        *((RodModel(B=1.0, l=1.0, chi_hat=c), "compression", 6.0 * math.pi, rs)
+          for c, rs in ROLLER_COMPRESSION.items()),
+        *((RodModel(B=1.0, l=1.0, k=k, chi_hat=-4.0), "tension", 6.0 * math.pi, (r,))
+          for k, r in SPRING_TENSION_M4.items()),
+        (RodModel(B=1.0, l=1.0, k=1.0, chi_hat=-4.0), "compression", 5.0 * math.pi,
+         SPRING_COMPRESSION_M4_K1),
+        (cl, "tension", 6.0 * math.pi, (CLAMPED_TENSION_M15,)),
+        (cl, "compression", 13.0, CLAMPED_COMPRESSION_M15),
+        (RodModel(B=1.0, l=1.0, k=1.0, chi_hat=0.0), "compression", math.pi,
+         (STRAIGHT_COMPRESSION_K1,)),
+    ]
+    for model, sign, x_max, refs in cases:
+        found = find_critical_loads(model, sign, alpha_l_max=x_max)
+        for got, ref in zip(found, refs):
+            assert abs(got.alpha_l - ref) < 5e-15, (model, sign, ref)
+
+
+def test_roots_below_first_scan_step():
+    # the first sample at step/1000 keeps a root in (0, step); the
+    # characteristic cancels to O(x^3) there, so the root is good to ~1e-12
+    spring = RodModel(B=1.0, l=1.0, k=2.1881, chi_hat=-2.9159)
+    found = find_critical_loads(spring, "compression")
+    assert abs(found[0].alpha_l - SMALL_SPRING_M29159_K21881) < 1e-11
+    assert found[1].alpha_l > math.pi / 50.0
+    clamped = RodModel(B=1.0, l=1.0, chi_hat=-2.0005702060644834, clamped=True)
+    found = find_critical_loads(clamped, "compression")
+    assert abs(found[0].alpha_l - SMALL_CLAMPED_M20005702) < 1e-11
+    assert abs(found[1].alpha_l - 2.0 * math.pi) < 1e-12
 
 
 def test_scan_step_halving_identical():
