@@ -60,10 +60,21 @@ __all__ = [
 _HALVES = ("left", "right")
 _SCAN_POINTS = 200
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+# warm solves: first ratio off the seed, its growth exponent, and the last ratio
+_WARM_FIRST_RATIO = 1.02
+_WARM_GROWTH = 1.6
+_WARM_MAX_RATIO = 5.0
+# continuity guard of trace_branch: the largest |R/R_prev - 1| and
+# |phi - phi_prev| (rad) of an accepted step, and the halvings of a
+# rejected theta0 step before the trace stops
+_GUARD_R_RATIO = 0.25
+_GUARD_PHI = 0.5
+_GUARD_HALVINGS = 6
 
 
 class MultipleRootWarning(UserWarning):
-    """The reaction scan window bracketed more than one root (higher modes)."""
+    """A cold solve's reaction scan window bracketed more than one root
+    (higher modes)."""
 
 
 @dataclass(frozen=True)
@@ -271,27 +282,62 @@ def _default_seed(ndp):
     return critical_force(modes[0], model)
 
 
+def _refine(f, xs, i, j):
+    """brentq root of f on the bracket (xs[i], xs[j]); xs[i] itself when i == j."""
+    return xs[i] if i == j else brentq(f, xs[i], xs[j], xtol=1e-15, rtol=_BRENTQ_RTOL)
+
+
+def _nearest_root(f, seed):
+    """Root of f nearest to seed in ratio, or None past seed*[1/5, 5].
+
+    Samples seed, then seed/r and seed*r for r = 1.02, 1.02**1.6, ...,
+    capped at 5, and refines the first bracket that appears; when both
+    sides bracket at the same r, the smaller magnitude side wins.
+    """
+    xs, fs, r = [seed], [f(seed)], 1.0
+    while True:
+        c = len(xs) // 2
+        brackets = list(sign_changes(fs))
+        if brackets:
+            i, j = min(brackets, key=lambda b: (max(c - b[0], b[1] - c), b[0]))
+            return _refine(f, xs, i, j)
+        if r >= _WARM_MAX_RATIO:
+            return None
+        r = _WARM_FIRST_RATIO if r == 1.0 else min(r**_WARM_GROWTH, _WARM_MAX_RATIO)
+        xs = [seed / r, *xs, seed * r]
+        fs = [f(xs[0]), *fs, f(xs[-1])]
+
+
 def solve_R(theta0, problem, seed=None):
     """Solve the compatibility condition for the constraint reaction.
 
-    Scans a geometric window seed*[0.2, 5] for sign changes of the
-    residual, refines each by brentq, warns when several roots fall in
-    the window and keeps the smallest-magnitude one.  The solve runs on
-    the unit-B, unit-l problem and rescales at the boundary.
+    With a seed (a warm start), the search widens from it in ratio:
+    residuals at seed/r and seed*r for r = 1.02, then r**1.6, up to 5,
+    and brentq refines the first sign change between neighbouring
+    samples, so the root nearest the seed wins and a nearby higher mode
+    raises no warning.  Without a seed (a cold start), the seed is the
+    linearized critical load of the matching sliding-rod model, the whole
+    window seed*[0.2, 5] is scanned at 200 points, and a
+    MultipleRootWarning marks a window holding several roots, of which
+    the smallest in magnitude is kept.  Either way a ContinuationError
+    names the window seed*[0.2, 5] when it holds no sign change.  The
+    solve runs on the unit-B, unit-l problem and rescales at the boundary.
     """
     if not theta0 > 0.0:
         raise ValueError("theta0 must be positive")
     ndp = _nd_problem(problem)
     scale = problem.B / problem.l**2
-    seed_nd = _default_seed(ndp) if seed is None else seed / scale
-    grid = seed_nd * np.geomspace(0.2, 5.0, _SCAN_POINTS)
     f = lambda R: compatibility_residual(R, theta0, ndp)
-    roots = [
-        grid[i] if i == j else brentq(f, grid[i], grid[j], xtol=1e-15, rtol=_BRENTQ_RTOL)
-        for i, j in sign_changes([f(R) for R in grid])
-    ]
+    if seed is not None:
+        seed_nd = seed / scale
+        root = _nearest_root(f, seed_nd)
+        roots = [] if root is None else [root]
+    else:
+        seed_nd = _default_seed(ndp)
+        grid = seed_nd * np.geomspace(0.2, 5.0, _SCAN_POINTS)
+        roots = [_refine(f, grid, i, j) for i, j in sign_changes([f(R) for R in grid])]
     if not roots:
-        lo, hi = sorted((grid[0], grid[-1]))
+        lo, hi = sorted((0.2 * seed_nd * scale, 5.0 * seed_nd * scale))
         raise ContinuationError(
             "no sign change of the compatibility residual in the reaction window "
             f"[{lo:.6g}, {hi:.6g}] at theta0={theta0:.6g}"
@@ -314,15 +360,68 @@ def _branch_problem(problem, branch):
     raise ValueError("branch must be 'tensile' or 'compressive'")
 
 
+def _guard_rejection(st, prev):
+    """Why the state st breaks the continuity bounds against the accepted
+    state prev, or "" when it keeps them."""
+    dR, dphi = abs(st.R / prev.R - 1.0), abs(st.phi - prev.phi)
+    if dR <= _GUARD_R_RATIO and dphi <= _GUARD_PHI:
+        return ""
+    return (
+        f"rejected R={st.R:.6g}, phi={st.phi:.6g} with |R/R_prev - 1|={dR:.3g} "
+        f"and |phi - phi_prev|={dphi:.3g} (bounds {_GUARD_R_RATIO:g} and {_GUARD_PHI:g} rad)"
+    )
+
+
+def _guarded_step(problem, start, theta0):
+    """(state at theta0, "") continued from the solved state start, or
+    (None, reason) when the continuity guard stops the step.
+
+    Each solve is warm started from the last accepted state and accepted
+    only within _GUARD_R_RATIO and _GUARD_PHI of it.  A rejected step, or
+    one whose solve fails, is halved, at most _GUARD_HALVINGS times; the
+    states accepted short of theta0 only seed the next solve.
+    """
+    n = 2**_GUARD_HALVINGS  # theta0 positions in units of 1/n of the step
+    last, pos, step = start, 0, n
+    while True:
+        nxt = pos + step
+        th = theta0 if nxt == n else start.theta0 + (theta0 - start.theta0) * nxt / n
+        try:
+            st = solve_R(th, problem, seed=last.R)
+        except (ContinuationError, DegenerateGeometryError) as exc:
+            why = str(exc)
+        else:
+            why = _guard_rejection(st, last)
+            if not why:
+                if nxt == n:
+                    return st, ""
+                last, pos = st, nxt
+                continue
+        if step == 1:
+            return None, (
+                f"stopped at theta0={th:.6g} after {_GUARD_HALVINGS} step halvings "
+                f"past the last accepted theta0={last.theta0:.6g}: {why}"
+            )
+        step //= 2
+
+
 def trace_branch(problem, theta0_schedule, branch, seed=None):
     """Continue a postcritical branch over an increasing theta0 schedule.
 
     branch selects the assembly: "tensile" starts from the tensile
     bifurcation (half = "left"), "compressive" from the compressive one.
-    Each solve is warm started from the previous reaction.  A root-finding
-    failure stops the trace early with complete = False.  The load-sign
-    transition, where the pin tops the circle at phi = pi/2, is recorded
-    in events after refinement with refine_on_trace.
+    The first point is solved from seed (cold when seed is None), and each
+    later one is warm started from the previous reaction.  A continuity
+    guard accepts a step only when |R/R_prev - 1| <= 0.25 and
+    |phi - phi_prev| <= 0.5 rad; otherwise, or when the solve fails, the
+    theta0 step is halved, at most 6 times, and the intermediate states
+    only warm start the next solve, so the points follow the schedule.
+    When the guard gives up, or the first solve fails, the trace stops
+    with complete = False and a diagnostic naming the theta0 it stopped
+    at, the last accepted theta0 and the rejected (R, phi) or the solve
+    failure.  The load-sign transition,
+    where the pin tops the circle at phi = pi/2, is recorded in events
+    after refinement with refine_on_trace.
     """
     pr = _branch_problem(problem, branch)
     schedule = np.asarray(theta0_schedule, dtype=float)
@@ -330,16 +429,21 @@ def trace_branch(problem, theta0_schedule, branch, seed=None):
         raise ValueError("theta0_schedule must be strictly increasing positives")
 
     trace = BranchTrace(label=branch, points=[])
-    warm = seed
+    prev = None
     for th0 in schedule:
-        try:
-            st = solve_R(th0, pr, seed=warm)
-        except (ContinuationError, DegenerateGeometryError) as exc:
+        if prev is None:
+            try:
+                st, why = solve_R(th0, pr, seed=seed), ""
+            except (ContinuationError, DegenerateGeometryError) as exc:
+                st, why = None, f"stopped at theta0={th0:.6g}: {exc}"
+        else:
+            st, why = _guarded_step(pr, prev, th0)
+        if st is None:
             trace.complete = False
-            trace.diagnostic = f"stopped at theta0={th0:.6g}: {exc}"
+            trace.diagnostic = why
             break
         trace.points.append(PostcriticalPoint(st.theta0, st.R, st.F, st.phi, st.delta))
-        warm = st.R
+        prev = st
 
     st = refine_on_trace(problem, trace, lambda p: p.phi, math.pi / 2.0)
     if st is not None:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from arcstab import cli
+from arcstab import cli, elastica
 from arcstab.profiledesign import neutral_profile
 
 
@@ -49,9 +49,15 @@ def test_critical_1dof_empty_grid(tmp_path):
 
 @pytest.mark.parametrize(
     "command, scenario",
-    [("critical-1dof", "fig1"), ("trace-1dof", "fig2"), ("design-profile", "neutral")],
-    ids=["fig1", "fig2", "neutral"],
+    [
+        ("critical-1dof", "fig1"),
+        ("trace-1dof", "fig2"),
+        ("design-profile", "neutral"),
+        ("trace-elastica", "fig7"),
+    ],
+    ids=["fig1", "fig2", "neutral", "fig7"],
 )
+@pytest.mark.filterwarnings("error::arcstab.elastica.MultipleRootWarning")
 def test_scenario_reruns_byte_identical(command, scenario, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run([command, "--scenario", scenario], a) == 0
@@ -284,6 +290,21 @@ def test_elastica_shift_report(fig7_dir):
     assert "shift" in txt
     spread = float(txt.splitlines()[-1].split("=")[1].split()[0])
     assert spread < 1e-6
+
+
+def test_fig7_residual_budget(tmp_path, monkeypatch):
+    # warm solves widen from their seed instead of scanning a 200-point
+    # window: 3,544 residuals where the window scan made 65,591
+    calls = []
+    residual = elastica.compatibility_residual
+
+    def counting(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(elastica, "compatibility_residual", counting)
+    assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
+    assert len(calls) < 5000
 
 
 def test_elastica_continuation_failure_exits_4(tmp_path, capsys):

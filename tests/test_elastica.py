@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from arcstab import elliptic
+from arcstab import elastica, elliptic
 from arcstab.branch import BranchTrace
 from arcstab.elastica import (
     ElasticaProblem,
@@ -369,17 +370,61 @@ def test_solve_rejects_bad_rotation():
 
 
 def test_solve_reports_multiple_roots():
-    # a scan window around a higher mode sees two sign changes
-    pr = compressive_problem()
+    # the cold scan window around the linearized seed also brackets a
+    # higher mode at theta0 = 1.5; the smaller reaction is kept
+    pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.6, half="left")
     with pytest.warns(MultipleRootWarning):
-        st = solve_R(0.01, pr, seed=-20.6)
-    assert st.R == pytest.approx(-20.594, rel=1e-2)
+        st = solve_R(1.5, pr)
+    assert st.R == pytest.approx(1.519, rel=1e-3)
+
+
+def test_warm_solve_takes_nearest_root_without_warning():
+    # a warm start next to a higher mode widens from the seed and stops at
+    # the first bracket, so the other roots of the old window stay unseen
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MultipleRootWarning)
+        st = solve_R(0.01, compressive_problem(), seed=-20.6)
+    assert st.R == pytest.approx(-20.594, rel=1e-4)
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    # solve_R looks compatibility_residual up at call time, so this counts
+    # every residual it evaluates
+    calls = []
+    residual = elastica.compatibility_residual
+
+    def counting(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(elastica, "compatibility_residual", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "half, theta0",
+    [("left", 0.5), ("left", 2.0), ("right", 0.01), ("right", 0.5), ("right", 2.0)],
+)
+@pytest.mark.parametrize("offset", [0.99, 0.9999, 1.0001, 1.01])
+def test_warm_solve_residual_budget(residual_calls, half, theta0, offset):
+    # a seed within 1 % of its root is bracketed at the first ratio, 1.02,
+    # where the old 200-point window cost over 200 residuals per warm solve.
+    # Tensile states below theta0 ~ 0.03 are left out: their residual is
+    # noisy near 1e-12 (module docstring), and brentq spends up to ~40
+    # calls shrinking the bracket through that noise.
+    problem = ElasticaProblem(B=1.0, l=1.0, R_c=0.25, half=half)
+    root = solve_R(theta0, problem)
+    residual_calls.clear()
+    st = solve_R(theta0, problem, seed=offset * root.R)
+    assert len(residual_calls) <= 24
+    assert st.R == pytest.approx(root.R, rel=1e-13)
 
 
 def test_solve_without_bracket_reports_interval():
-    # the scanned window 0.2*[0.2, 5] tops out below the first reaction
+    # the searched window 0.2*[1/5, 5] tops out below the first reaction
     # root at ~1.07 (windows above it always catch a higher mode instead)
-    with pytest.raises(ContinuationError, match="no sign change"):
+    with pytest.raises(ContinuationError, match=r"no sign change .* \[0\.04, 1\] at theta0=0\.001"):
         solve_R(1e-3, tensile_problem(), seed=0.2)
 
 
@@ -464,6 +509,68 @@ def test_trace_partial_on_bracket_loss():
     assert not tr.complete
     assert len(tr.points) == 0
     assert "no sign change" in tr.diagnostic
+
+
+def guarded_trace(monkeypatch, problem, schedule, branch):
+    """trace_branch with every solve it makes recorded: returns the trace and
+    the (previous, new) state pairs of the steps the guard accepted.
+
+    A warm solve is seeded with the reaction of the last accepted state, so
+    a state is accepted when it is a trace point or seeds a later solve.
+    """
+    solves = []
+    solve = elastica.solve_R
+
+    def recording(theta0, pr, seed=None):
+        st = solve(theta0, pr, seed=seed)
+        solves.append((seed, st))
+        return st
+
+    monkeypatch.setattr(elastica, "solve_R", recording)
+    tr = trace_branch(problem, schedule, branch)
+    accepted = {p.R for p in tr.points} | {seed for seed, _ in solves}
+    by_R = {st.R: st for _, st in solves}
+    steps = [(by_R[seed], st) for seed, st in solves if seed in by_R and st.R in accepted]
+    assert len(steps) >= len(tr.points) - 1
+    return tr, steps
+
+
+def assert_steps_within_guard(steps):
+    for a, b in steps:
+        assert abs(b.R / a.R - 1.0) <= 0.25, (a, b)
+        assert abs(b.phi - a.phi) <= 0.5, (a, b)
+
+
+def test_guard_stops_runaway_compressive_branch(monkeypatch):
+    # a stiff spring on a wide circle: past theta0 ~ 1.93 the window scan
+    # jumped to another branch (phi 0.45 -> 3.43) and later stopped anyway
+    pr = ElasticaProblem(B=1.0, l=1.0, R_c=2.0, k_r=1.0)
+    tr, steps = guarded_trace(monkeypatch, pr, np.linspace(1e-4, 3.0, 60), "compressive")
+    assert not tr.complete
+    assert "theta0=" in tr.diagnostic and "step halvings" in tr.diagnostic
+    assert_steps_within_guard(steps)
+
+
+def test_guard_follows_spring_hinged_compressive_branch(monkeypatch):
+    # the window scan jumped phi 1.58 -> 3.95 at theta0 = 2.687 and still
+    # reported a complete trace; the nearest root stays on the branch
+    pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.8, k_r=0.5)
+    tr, steps = guarded_trace(monkeypatch, pr, np.linspace(1e-4, 2.8, 100), "compressive")
+    assert tr.complete
+    assert len(tr.points) == 100
+    assert max(abs(b.phi - a.phi) for a, b in zip(tr.points, tr.points[1:])) < 0.1
+    assert_steps_within_guard(steps)
+
+
+def test_guard_stops_instead_of_jumping(monkeypatch):
+    # the window scan reported a complete trace across a single step of
+    # |dphi| = 13.1; the guarded trace stops and names where
+    pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.25, k_r=2.0)
+    tr, steps = guarded_trace(monkeypatch, pr, np.linspace(1e-4, 2.8, 100), "compressive")
+    assert not tr.complete
+    assert "last accepted theta0=" in tr.diagnostic and "rejected R=" in tr.diagnostic
+    assert tr.points
+    assert_steps_within_guard(steps)
 
 
 def test_shape_export_samples_and_arclength():
