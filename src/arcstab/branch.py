@@ -1,6 +1,9 @@
 """Shared container for traced equilibrium branches and the root scan rule."""
 
+import sys
 from dataclasses import dataclass, field
+
+from scipy.optimize import brentq
 
 
 @dataclass
@@ -31,3 +34,10 @@ def sign_changes(vals):
             yield i, i
         elif i + 1 < len(vals) and v * vals[i + 1] < 0.0:
             yield i, i + 1
+
+
+def refine(f, xs, i, j, xtol):
+    """Root of f on a bracket (i, j) of sign_changes over f at xs: xs[i]
+    itself when i == j, else brentq to xtol and scipy's default rtol, 4 eps."""
+    eps = sys.float_info.epsilon
+    return xs[i] if i == j else brentq(f, xs[i], xs[j], xtol=xtol, rtol=4.0 * eps)

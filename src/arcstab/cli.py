@@ -2,9 +2,12 @@
 
 Every subcommand resolves its settings from built-in defaults, an optional
 scenario preset, an optional INI config file, and per-command flags, in
-that order of increasing precedence.  The fully resolved configuration is
-echoed next to the outputs so a run can be repeated exactly; all floats
-print with 17 significant digits and reruns are byte identical.
+that order of increasing precedence.  Every setting of the command is then
+parsed and range-checked by the parser next to its default in _COMMANDS,
+before any output is written, and the command runs on the parsed values.
+The fully resolved configuration is echoed next to the outputs so a run can
+be repeated exactly; all floats print with 17 significant digits and reruns
+are byte identical.
 
 Exit codes: 0 success, 2 invalid configuration, 3 singular configuration
 reached mid-run (partial output kept), 4 continuation failure (partial
@@ -16,7 +19,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,8 +35,9 @@ from .errors import (
 # ------------------------------------------------------------- configuration
 
 def _resolve_config(command, args):
+    """The command's settings as text, keyed by name."""
     spec = _COMMANDS[command]
-    cfg = {spec.section: {key: default for key, (default, _) in spec.keys.items()}}
+    raw = {key: default for key, (default, _, _) in spec.keys.items()}
     if args.scenario is not None:
         owner = next((c for c, s in _COMMANDS.items() if args.scenario in s.scenarios), None)
         if owner is None:
@@ -44,7 +48,7 @@ def _resolve_config(command, args):
             raise ConfigError(
                 "scenario %r belongs to command %r" % (args.scenario, owner)
             )
-        cfg[spec.section].update(spec.scenarios[args.scenario])
+        raw.update(spec.scenarios[args.scenario])
     if args.config is not None:
         cp = configparser.ConfigParser(interpolation=None)
         cp.optionxform = str
@@ -56,71 +60,84 @@ def _resolve_config(command, args):
         except configparser.Error as exc:
             raise ConfigError("malformed config file: %s" % exc)
         for sec in cp.sections():
-            if sec not in cfg:
+            if sec != spec.section:
                 raise ConfigError(
                     "unknown config section [%s] for command %s" % (sec, command)
                 )
             for key, val in cp[sec].items():
-                if key not in cfg[sec]:
+                if key not in raw:
                     raise ConfigError("unknown config key %s.%s" % (sec, key))
-                cfg[sec][key] = val
-    for sec, keys in cfg.items():
-        for key in keys:
-            val = getattr(args, key, None)
-            if val is not None:
-                cfg[sec][key] = val
-    return cfg
+                raw[key] = val
+    for key in raw:
+        val = getattr(args, key, None)
+        if val is not None:
+            raw[key] = val
+    return raw
 
 
-def _write_echo(command, cfg, out):
+def _write_echo(command, raw, out):
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    for sec, keys in cfg.items():
-        cp[sec] = keys
+    cp[_COMMANDS[command].section] = raw
     path = os.path.join(out, command.replace("-", "_") + "_config.ini")
     with open(path, "w", newline="") as fh:
         cp.write(fh)
 
 
-def _cfg_float(cfg, sec, key):
-    raw = cfg[sec][key]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError("%s.%s: not a number: %r" % (sec, key, raw.strip()))
+def _number(kind, least=None):
+    """Parser of one number of type kind, no smaller than least if given."""
+    noun = "an integer" if kind is int else "a number"
 
-
-def _cfg_int(cfg, sec, key):
-    raw = cfg[sec][key]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError("%s.%s: not an integer: %r" % (sec, key, raw.strip()))
-
-
-def _cfg_float_list(cfg, sec, key):
-    raw = cfg[sec][key].strip()
-    if not raw:
-        return []
-    out = []
-    for tok in raw.split(","):
+    def parse(raw):
         try:
-            out.append(float(tok))
+            val = kind(raw)
         except ValueError:
-            raise ConfigError("%s.%s: not a number: %r" % (sec, key, tok.strip()))
-    return out
+            raise ValueError("not %s: %r" % (noun, raw.strip())) from None
+        if least is not None and val < least:
+            raise ValueError("need at least %g, got %s" % (least, raw.strip()))
+        return val
+
+    return parse
 
 
-def _cfg_choice(cfg, sec, key, choices):
-    raw = cfg[sec][key].strip()
-    if raw not in choices:
-        raise ConfigError(
-            "%s.%s: %r is not one of %s" % (sec, key, raw, ", ".join(choices))
-        )
-    return raw
+_float = _number(float)
+
+
+def _float_list(raw):
+    return [_float(tok) for tok in raw.split(",")] if raw.strip() else []
+
+
+def _optional_float(raw):
+    return _float(raw) if raw.strip() else None
+
+
+class _Choice:
+    """Parser of one of a fixed set of words."""
+
+    def __init__(self, *choices):
+        self.choices = choices
+
+    def __call__(self, raw):
+        raw = raw.strip()
+        if raw not in self.choices:
+            raise ValueError("%r is not one of %s" % (raw, ", ".join(self.choices)))
+        return raw
+
+
+def _parse_settings(spec, raw):
+    """Every setting of a command parsed by its parser, as attributes."""
+    values = {}
+    for key, (_, parse, _) in spec.keys.items():
+        try:
+            values[key] = parse(raw[key])
+        except ValueError as exc:
+            raise ConfigError("%s.%s: %s" % (spec.section, key, exc)) from None
+    return argparse.Namespace(**values)
 
 
 def _write_rows(path, header, rows):
+    """CSV of a header line and rows; a str cell is written as it is, a
+    number with 17 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -132,12 +149,10 @@ def _write_rows(path, header, rows):
 
 # ------------------------------------------------------------- critical-1dof
 
-def cmd_critical_1dof(cfg, out):
-    grid = _cfg_float_list(cfg, "onedof", "chi_hat_grid")
-    k = _cfg_float(cfg, "onedof", "k")
-    l = _cfg_float(cfg, "onedof", "l")
+def cmd_critical_1dof(opts, out):
+    k, l = opts.k, opts.l
     rows = []
-    for chi in grid:
+    for chi in opts.chi_hat_grid:
         profile = (
             onedof.profile_straight() if chi == 0.0 else onedof.profile_circular(chi)
         )
@@ -153,26 +168,12 @@ def cmd_critical_1dof(cfg, out):
 
 # ---------------------------------------------------------------- trace-1dof
 
-def cmd_trace_1dof(cfg, out):
-    kind = _cfg_choice(cfg, "onedof", "profile", ("s_shaped", "circular", "straight"))
-    chi = _cfg_float(cfg, "onedof", "chi_hat")
-    k = _cfg_float(cfg, "onedof", "k")
-    l = _cfg_float(cfg, "onedof", "l")
-    phi0 = _cfg_float(cfg, "onedof", "phi0")
-    n = _cfg_int(cfg, "onedof", "n_points")
-    t_pad = _cfg_float(cfg, "onedof", "t_pad")
-    if n < 1:
-        raise ConfigError("onedof.n_points: need at least one trace point")
-
-    if kind == "straight":
+def cmd_trace_1dof(opts, out):
+    chi, k, l, n, t_pad = opts.chi_hat, opts.k, opts.l, opts.n_points, opts.t_pad
+    if opts.profile == "straight":
         profile = onedof.profile_straight()
         trace_fn = onedof.trace_branch
-        grid = np.linspace(
-            _cfg_float(cfg, "onedof", "phi_start"),
-            _cfg_float(cfg, "onedof", "phi_stop"),
-            n,
-        )
-        lobes = [("trace_1dof.csv", grid)]
+        lobes = [("trace_1dof.csv", np.linspace(opts.phi_start, opts.phi_stop, n))]
     else:
         if chi == 0.0:
             raise ConfigError("onedof.chi_hat: curved tracing needs a nonzero curvature")
@@ -184,7 +185,7 @@ def cmd_trace_1dof(cfg, out):
             raise ConfigError("onedof.t_pad: no reachable pin angles left on the lobe")
         trace_fn = onedof.trace_branch_arc
         t_grid = np.linspace(t_pad, t_stop, n)
-        if kind == "circular":
+        if opts.profile == "circular":
             profile = onedof.profile_circular(chi)
             lobes = [("trace_1dof.csv", t_grid)]
         else:
@@ -193,7 +194,7 @@ def cmd_trace_1dof(cfg, out):
                 ("trace_1dof_tensile.csv", t_grid),
                 ("trace_1dof_compressive.csv", np.linspace(-t_stop, -t_pad, n)),
             ]
-    sys_ = onedof.OneDofSystem(k=k, l=l, phi0=phi0, profile=profile)
+    sys_ = onedof.OneDofSystem(k=k, l=l, phi0=opts.phi0, profile=profile)
     for name, grid in lobes:
         trace = trace_fn(sys_, grid)
         rows = [(p.phi, p.F * l / k, p.delta / l, p.stability) for p in trace.points]
@@ -226,33 +227,26 @@ def _tabulated_law(path):
     )
 
 
-def cmd_design_profile(cfg, out):
-    sec = "profiledesign"
-    kind = _cfg_choice(cfg, sec, "law", ("constant", "sinusoidal", "circular", "tabulated"))
-    if kind == "constant":
-        law = profiledesign.law_constant(_cfg_float(cfg, sec, "beta"))
-    elif kind == "sinusoidal":
+def cmd_design_profile(opts, out):
+    if opts.law == "constant":
+        law = profiledesign.law_constant(opts.beta)
+    elif opts.law == "sinusoidal":
         law = profiledesign.law_sinusoidal(
-            base=_cfg_float(cfg, sec, "base"),
-            amplitude=_cfg_float(cfg, sec, "amplitude"),
-            lobes=_cfg_float(cfg, sec, "lobes"),
-            psi_max=_cfg_float(cfg, sec, "psi_max"),
+            base=opts.base, amplitude=opts.amplitude, lobes=opts.lobes, psi_max=opts.psi_max
         )
-    elif kind == "circular":
+    elif opts.law == "circular":
         law = profiledesign.law_circular(
-            center=_cfg_float(cfg, sec, "center"),
-            radius=_cfg_float(cfg, sec, "radius"),
-            psi_max=_cfg_float(cfg, sec, "psi_max"),
+            center=opts.center, radius=opts.radius, psi_max=opts.psi_max
         )
     else:
-        law = _tabulated_law(cfg[sec]["table"].strip())
+        law = _tabulated_law(opts.table)
 
     profile = profiledesign.design_profile(law)
     profiledesign.export_profile_csv(
-        profile, os.path.join(out, "profile.csv"), n=_cfg_int(cfg, sec, "n_samples")
+        profile, os.path.join(out, "profile.csv"), n=opts.n_samples
     )
     phi_hi = math.asin(0.95 * law.psi_max)
-    grid = np.linspace(0.05, phi_hi, _cfg_int(cfg, sec, "n_validate"))
+    grid = np.linspace(0.05, phi_hi, opts.n_validate)
     worst = profiledesign.closed_loop_validate(profile, law, grid)
     line = "closed_loop_max_error = %.3e over %d phi points in [%.6g, %.6g]" % (
         worst,
@@ -268,27 +262,27 @@ def cmd_design_profile(cfg, out):
 
 # -------------------------------------------------------------- critical-rod
 
-def cmd_critical_rod(cfg, out):
-    sec = "rodlinear"
-    grid = _cfg_float_list(cfg, sec, "chi_hat_grid")
-    B = _cfg_float(cfg, sec, "B")
-    l = _cfg_float(cfg, sec, "l")
-    spring_k = _cfg_float(cfg, sec, "spring_k")
-    alpha_l_max = _cfg_float(cfg, sec, "alpha_l_max")
-    max_modes = _cfg_int(cfg, sec, "max_modes")
-    tables = (
-        ("critical_rod_k0.csv", dict(k=0.0)),
-        ("critical_rod_spring.csv", dict(k=spring_k)),
-        ("critical_rod_clamped.csv", dict(k=0.0, clamped=True)),
-    )
-    for name, extra in tables:
-        models = [rodlinear.RodModel(B=B, l=l, chi_hat=c, **extra) for c in grid]
-        rodlinear.write_table_csv(
-            os.path.join(out, name),
-            models,
-            alpha_l_max=alpha_l_max,
-            max_modes=max_modes,
-        )
+def cmd_critical_rod(opts, out):
+    def rows(**end):
+        return [
+            (chi, m.load_sign, "%d" % m.mode_index, m.alpha_l, m.F_cr_normalized, m.xi)
+            for chi in opts.chi_hat_grid
+            for sign in ("tension", "compression")
+            for m in rodlinear.find_critical_loads(
+                rodlinear.RodModel(B=opts.B, l=opts.l, chi_hat=chi, **end), sign,
+                alpha_l_max=opts.alpha_l_max, max_modes=opts.max_modes,
+            )
+        ]
+
+    # every table is computed before the first file is written
+    tables = {
+        "critical_rod_k0.csv": rows(k=0.0),
+        "critical_rod_spring.csv": rows(k=opts.spring_k),
+        "critical_rod_clamped.csv": rows(k=0.0, clamped=True),
+    }
+    header = "chi_hat,sign,mode_index,alpha_l,Fcr_normalized,xi"
+    for name, table in tables.items():
+        _write_rows(os.path.join(out, name), header, table)
     return 0
 
 
@@ -326,49 +320,37 @@ def _shift_report(path, problem, traces):
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_trace_elastica(cfg, out):
-    sec = "elastica"
-    problem = elastica.ElasticaProblem(
-        B=_cfg_float(cfg, sec, "B"),
-        l=_cfg_float(cfg, sec, "l"),
-        k_r=_cfg_float(cfg, sec, "k_r"),
-        R_c=_cfg_float(cfg, sec, "R_c"),
-    )
-    branch = _cfg_choice(cfg, sec, "branch", ("tensile", "compressive", "both"))
-    branches = ("tensile", "compressive") if branch == "both" else (branch,)
-    th_min = _cfg_float(cfg, sec, "theta0_min")
-    th_max = _cfg_float(cfg, sec, "theta0_max")
-    n = _cfg_int(cfg, sec, "n_points")
-    if n < 2 or not 0.0 < th_min < th_max:
-        raise ConfigError("elastica: need n_points >= 2 and 0 < theta0_min < theta0_max")
-    schedule = np.linspace(th_min, th_max, n)
-    shape_targets = _cfg_float_list(cfg, sec, "shape_phi")
-    if len({"%.6g" % phi for phi in shape_targets}) < len(shape_targets):
+def cmd_trace_elastica(opts, out):
+    problem = elastica.ElasticaProblem(B=opts.B, l=opts.l, k_r=opts.k_r, R_c=opts.R_c)
+    branches = ("tensile", "compressive") if opts.branch == "both" else (opts.branch,)
+    if not 0.0 < opts.theta0_min < opts.theta0_max:
+        raise ConfigError("elastica.theta0_min: need 0 < theta0_min < theta0_max")
+    schedule = np.linspace(opts.theta0_min, opts.theta0_max, opts.n_points)
+    if len({"%.6g" % phi for phi in opts.shape_phi}) < len(opts.shape_phi):
         raise ConfigError(
             "elastica.shape_phi: values equal to 6 significant digits share a shape file"
         )
-    shape_samples = _cfg_int(cfg, sec, "shape_samples")
-    seed = _cfg_float(cfg, sec, "seed") if cfg[sec]["seed"].strip() else None
+    norm = 4.0 * problem.l**2 / (problem.B * math.pi**2)
 
     code = 0
     traces = {}
     for br in branches:
-        trace = elastica.trace_branch(problem, schedule, br, seed=seed)
+        trace = elastica.trace_branch(problem, schedule, br, seed=opts.seed)
         pts = list(trace.points)
         ev = trace.events.get("load_sign_transition")
         if ev is not None and all(abs(ev.theta0 - p.theta0) > 1e-12 for p in pts):
             pts = sorted([*pts, ev], key=lambda p: p.theta0)
-        elastica.write_branch_csv(
+        _write_rows(
             os.path.join(out, "elastica_%s.csv" % br),
-            replace(trace, points=pts),
-            problem,
+            "theta0,R,F,phi,delta,normalized_F",
+            [(p.theta0, p.R, p.F, p.phi, p.delta, p.F * norm) for p in pts],
         )
         if not trace.complete:
             print("error: %s" % trace.diagnostic, file=sys.stderr)
             code = 4
             continue
         traces[br] = trace
-        for phi in shape_targets:
+        for phi in opts.shape_phi:
             st = elastica.refine_on_trace(problem, trace, lambda p: p.phi, phi)
             if st is None:
                 print(
@@ -377,9 +359,10 @@ def cmd_trace_elastica(cfg, out):
                     file=sys.stderr,
                 )
                 continue
-            elastica.write_shape_csv(
+            _write_rows(
                 os.path.join(out, "shape_%s_phi%.6g.csv" % (br, phi)),
-                elastica.shape_export(st, shape_samples),
+                "s,x1,x2,theta",
+                elastica.shape_export(st, opts.shape_samples),
             )
     if {"tensile", "compressive"} <= set(traces):
         _shift_report(os.path.join(out, "branch_shift.txt"), problem, traces)
@@ -392,8 +375,10 @@ def cmd_trace_elastica(cfg, out):
 class _Command:
     """One subcommand: runner, help line, config section and settings.
 
-    keys maps each setting, in config echo order, to (default, help);
-    scenarios maps preset names to overrides of some of those keys.
+    keys maps each setting, in config echo order, to (default, parser,
+    help); a parser turns the setting's text into its value or raises
+    ValueError.  scenarios maps preset names to overrides of some keys.
+    run(opts, out) receives every parsed setting as an attribute of opts.
     """
 
     run: Callable
@@ -409,9 +394,9 @@ _COMMANDS = {
         "buckling loads of the rigid bar over a curvature grid",
         "onedof",
         {
-            "chi_hat_grid": ("-4, 0, 4", "comma separated signed curvature values"),
-            "k": ("1.0", "rotational spring stiffness"),
-            "l": ("1.0", "structure length"),
+            "chi_hat_grid": ("-4, 0, 4", _float_list, "comma separated signed curvature values"),
+            "k": ("1.0", _float, "rotational spring stiffness"),
+            "l": ("1.0", _float, "structure length"),
         },
         {"fig1": {"chi_hat_grid": "-4, 0, 4"}},
     ),
@@ -420,15 +405,17 @@ _COMMANDS = {
         "postcritical force-rotation trace of the rigid bar",
         "onedof",
         {
-            "profile": ("s_shaped", "constraint profile: s_shaped, circular or straight"),
-            "chi_hat": ("4.0", "signed curvature of the constraint"),
-            "k": ("1.0", "rotational spring stiffness"),
-            "l": ("1.0", "structure length"),
-            "phi0": ("0.0", "imperfection angle in radians"),
-            "n_points": ("200", "number of trace points"),
-            "t_pad": ("0.02", "pin-angle margin kept clear of the lobe ends"),
-            "phi_start": ("0.05", "first bar rotation of a straight-profile trace"),
-            "phi_stop": ("1.2", "last bar rotation of a straight-profile trace"),
+            "profile": (
+                "s_shaped", _Choice("s_shaped", "circular", "straight"), "constraint profile"
+            ),
+            "chi_hat": ("4.0", _float, "signed curvature of the constraint"),
+            "k": ("1.0", _float, "rotational spring stiffness"),
+            "l": ("1.0", _float, "structure length"),
+            "phi0": ("0.0", _float, "imperfection angle in radians"),
+            "n_points": ("200", _number(int, 1), "number of trace points"),
+            "t_pad": ("0.02", _float, "pin-angle margin kept clear of the lobe ends"),
+            "phi_start": ("0.05", _float, "first bar rotation of a straight-profile trace"),
+            "phi_stop": ("1.2", _float, "last bar rotation of a straight-profile trace"),
         },
         {"fig2": {"profile": "s_shaped", "chi_hat": "4.0", "phi0": "0.0"}},
     ),
@@ -437,17 +424,21 @@ _COMMANDS = {
         "constraint profile producing a prescribed force law",
         "profiledesign",
         {
-            "law": ("constant", "target force law: constant, sinusoidal, circular or tabulated"),
-            "beta": ("-1.0", "constant target force as F*l/k"),
-            "base": ("-1.0", "mean level of the sinusoidal law"),
-            "amplitude": ("0.3", "amplitude of the sinusoidal law"),
-            "lobes": ("3.0", "oscillation count of the sinusoidal law"),
-            "center": ("-0.5", "center level of the circular law"),
-            "radius": ("1.5", "radius of the circular law"),
-            "psi_max": ("0.99", "upper design limit of psi = sin(phi)"),
-            "table": ("", "CSV file with psi,beta rows for the tabulated law"),
-            "n_samples": ("601", "profile samples written to the CSV"),
-            "n_validate": ("200", "closed-loop validation points"),
+            "law": (
+                "constant",
+                _Choice("constant", "sinusoidal", "circular", "tabulated"),
+                "target force law",
+            ),
+            "beta": ("-1.0", _float, "constant target force as F*l/k"),
+            "base": ("-1.0", _float, "mean level of the sinusoidal law"),
+            "amplitude": ("0.3", _float, "amplitude of the sinusoidal law"),
+            "lobes": ("3.0", _float, "oscillation count of the sinusoidal law"),
+            "center": ("-0.5", _float, "center level of the circular law"),
+            "radius": ("1.5", _float, "radius of the circular law"),
+            "psi_max": ("0.99", _float, "upper design limit of psi = sin(phi)"),
+            "table": ("", str.strip, "CSV file with psi,beta rows for the tabulated law"),
+            "n_samples": ("601", _number(int, 1), "profile samples written to the CSV"),
+            "n_validate": ("200", _number(int, 1), "closed-loop validation points"),
         },
         {"neutral": {"law": "constant", "beta": "-1.0"}},
     ),
@@ -458,13 +449,18 @@ _COMMANDS = {
         {
             "chi_hat_grid": (
                 "-5, -2, -1.25, -1, -0.8, -0.5, 0, 0.5, 1, 2, 5",
+                _float_list,
                 "comma separated signed curvature values",
             ),
-            "B": ("1.0", "bending stiffness"),
-            "l": ("1.0", "structure length"),
-            "spring_k": ("1.0", "end spring stiffness of the spring-hinged table"),
-            "alpha_l_max": ("%.17g" % (6.0 * math.pi), "upper bound of the root scan in alpha*l"),
-            "max_modes": ("3", "modes kept per load sign"),
+            "B": ("1.0", _float, "bending stiffness"),
+            "l": ("1.0", _float, "structure length"),
+            "spring_k": (
+                "1.0", _number(float, 0.0), "end spring stiffness of the spring-hinged table"
+            ),
+            "alpha_l_max": (
+                "%.17g" % (6.0 * math.pi), _float, "upper bound of the root scan in alpha*l"
+            ),
+            "max_modes": ("3", _number(int, 1), "modes kept per load sign"),
         },
     ),
     "trace-elastica": _Command(
@@ -472,17 +468,17 @@ _COMMANDS = {
         "postcritical branches of the rod on a circular constraint",
         "elastica",
         {
-            "B": ("1.0", "bending stiffness"),
-            "l": ("1.0", "structure length"),
-            "k_r": ("0.0", "rotational end spring stiffness"),
-            "R_c": ("0.25", "constraint circle radius"),
-            "branch": ("both", "tensile, compressive or both"),
-            "theta0_min": ("1e-4", "first end rotation of the continuation schedule"),
-            "theta0_max": ("2.8", "last end rotation of the continuation schedule"),
-            "n_points": ("100", "number of schedule points"),
-            "shape_phi": ("", "comma separated clamp rotations for shape exports"),
-            "shape_samples": ("400", "arclength samples per exported shape"),
-            "seed": ("", "reaction seed overriding the linearized default"),
+            "B": ("1.0", _float, "bending stiffness"),
+            "l": ("1.0", _float, "structure length"),
+            "k_r": ("0.0", _float, "rotational end spring stiffness"),
+            "R_c": ("0.25", _float, "constraint circle radius"),
+            "branch": ("both", _Choice("tensile", "compressive", "both"), "branches to trace"),
+            "theta0_min": ("1e-4", _float, "first end rotation of the continuation schedule"),
+            "theta0_max": ("2.8", _float, "last end rotation of the continuation schedule"),
+            "n_points": ("100", _number(int, 2), "number of schedule points"),
+            "shape_phi": ("", _float_list, "comma separated clamp rotations for shape exports"),
+            "shape_samples": ("400", _number(int, 2), "arclength samples per exported shape"),
+            "seed": ("", _optional_float, "reaction seed overriding the linearized default"),
         },
         {
             "fig7": {
@@ -510,19 +506,24 @@ def _build_parser():
         p.add_argument("--config", help="INI file overriding the defaults")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--scenario", help="named preset (%s)" % _scenario_names())
-        for key, (_, key_help) in spec.keys.items():
+        for key, (_, parse, key_help) in spec.keys.items():
+            if isinstance(parse, _Choice):
+                *head, last = parse.choices
+                key_help += ": %s or %s" % (", ".join(head), last)
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=key_help)
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    spec = _COMMANDS[args.command]
     try:
-        cfg = _resolve_config(args.command, args)
+        raw = _resolve_config(args.command, args)
+        opts = _parse_settings(spec, raw)
         os.makedirs(args.out, exist_ok=True)
-        _write_echo(args.command, cfg, args.out)
-        return _COMMANDS[args.command].run(cfg, args.out)
-    except ConfigError as exc:
+        _write_echo(args.command, raw, args.out)
+        return spec.run(opts, args.out)
+    except (ConfigError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (SingularConfigurationError, DegenerateGeometryError) as exc:
@@ -531,9 +532,6 @@ def main(argv=None):
     except ContinuationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

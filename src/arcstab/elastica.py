@@ -30,9 +30,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .branch import BranchTrace, sign_changes
+from .branch import BranchTrace, refine, sign_changes
 from .elliptic import _E_sym, _F_sym, _jacobi, ellint_F
 # unused here; the benchmark tracer (bench/tracing.py) wraps them under this module's name
 from .elliptic import jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
@@ -53,13 +52,10 @@ __all__ = [
     "trace_branch",
     "refine_on_trace",
     "shape_export",
-    "write_branch_csv",
-    "write_shape_csv",
 ]
 
 _HALVES = ("left", "right")
 _SCAN_POINTS = 200
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
 # warm solves: first ratio off the seed, its growth exponent, and the last ratio
 _WARM_FIRST_RATIO = 1.02
 _WARM_GROWTH = 1.6
@@ -282,11 +278,6 @@ def _default_seed(ndp):
     return critical_force(modes[0], model)
 
 
-def _refine(f, xs, i, j):
-    """brentq root of f on the bracket (xs[i], xs[j]); xs[i] itself when i == j."""
-    return xs[i] if i == j else brentq(f, xs[i], xs[j], xtol=1e-15, rtol=_BRENTQ_RTOL)
-
-
 def _nearest_root(f, seed):
     """Root of f nearest to seed in ratio, or None past seed*[1/5, 5].
 
@@ -300,7 +291,7 @@ def _nearest_root(f, seed):
         brackets = list(sign_changes(fs))
         if brackets:
             i, j = min(brackets, key=lambda b: (max(c - b[0], b[1] - c), b[0]))
-            return _refine(f, xs, i, j)
+            return refine(f, xs, i, j, 1e-15)
         if r >= _WARM_MAX_RATIO:
             return None
         r = _WARM_FIRST_RATIO if r == 1.0 else min(r**_WARM_GROWTH, _WARM_MAX_RATIO)
@@ -335,7 +326,7 @@ def solve_R(theta0, problem, seed=None):
     else:
         seed_nd = _default_seed(ndp)
         grid = seed_nd * np.geomspace(0.2, 5.0, _SCAN_POINTS)
-        roots = [_refine(f, grid, i, j) for i, j in sign_changes([f(R) for R in grid])]
+        roots = [refine(f, grid, i, j, 1e-15) for i, j in sign_changes([f(R) for R in grid])]
     if not roots:
         lo, hi = sorted((0.2 * seed_nd * scale, 5.0 * seed_nd * scale))
         raise ContinuationError(
@@ -465,18 +456,15 @@ def refine_on_trace(problem, trace, value, target):
     """
     pr = _branch_problem(problem, trace.label)
     pts = trace.points
+    thetas = [p.theta0 for p in pts]
     for i, j in sign_changes([value(p) - target for p in pts]):
         a, b = pts[i], pts[j]
-        if i == j:
-            return solve_R(a.theta0, pr, seed=a.R)
 
         def solve(th0):
-            w = (th0 - a.theta0) / (b.theta0 - a.theta0)
+            w = (th0 - a.theta0) / (b.theta0 - a.theta0) if i != j else 0.0
             return solve_R(th0, pr, seed=a.R + w * (b.R - a.R))
 
-        th = brentq(lambda th0: value(solve(th0)) - target, a.theta0, b.theta0,
-                    xtol=1e-13, rtol=_BRENTQ_RTOL)
-        return solve(th)
+        return solve(refine(lambda th0: value(solve(th0)) - target, thetas, i, j, 1e-13))
     return None
 
 
@@ -490,20 +478,3 @@ def shape_export(state, n):
         out[i] = (s, x1, x2, theta)
     out[0] = (0.0, 0.0, 0.0, state.theta0)
     return out
-
-
-def write_branch_csv(path, trace, problem):
-    """Branch table with the load also normalized as 4 F l^2/(B pi^2)."""
-    norm = 4.0 * problem.l**2 / (problem.B * math.pi**2)
-    with open(path, "w", newline="") as fh:
-        fh.write("theta0,R,F,phi,delta,normalized_F\n")
-        for p in trace.points:
-            row = (p.theta0, p.R, p.F, p.phi, p.delta, p.F * norm)
-            fh.write(",".join("%.16e" % v for v in row) + "\n")
-
-
-def write_shape_csv(path, shape):
-    with open(path, "w", newline="") as fh:
-        fh.write("s,x1,x2,theta\n")
-        for row in shape:
-            fh.write(",".join("%.16e" % v for v in row) + "\n")

@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from scipy.optimize import brentq
-
-from .branch import BranchTrace, sign_changes
+from .branch import BranchTrace, refine, sign_changes
 from .errors import DegenerateGeometryError, SingularConfigurationError
 
 _DOMAIN_SLACK = 1e-12
@@ -314,7 +312,7 @@ def trace_branch_arc(
     force = lambda t: _arc_force(t, sys)
     for i, j in sign_changes([p.F for p in trace.points]):
         try:
-            tz = ts[i] if i == j else brentq(force, ts[i], ts[j], xtol=1e-14)
+            tz = refine(force, ts, i, j, 1e-14)
             trace.events["load_sign_transition"] = _arc_point(tz, sys)
             break
         except SingularConfigurationError:

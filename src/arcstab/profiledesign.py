@@ -218,11 +218,9 @@ def closed_loop_validate(
     return worst
 
 
-def export_profile_csv(profile: ProfileShape, path, n: int = 601, psi_max=None):
+def export_profile_csv(profile: ProfileShape, path, n: int = 601):
     """Write (psi, f) samples over the profile domain, 17 significant digits."""
     lo, hi = profile.domain
-    if psi_max is not None:
-        hi = float(psi_max)
     with open(path, "w", newline="") as fh:
         fh.write("psi,f\n")
         for psi in np.linspace(lo, hi, n):

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .branch import sign_changes
+from .branch import refine, sign_changes
 
 __all__ = [
     "RodModel",
@@ -25,7 +24,6 @@ __all__ = [
     "critical_force",
     "effective_length_factor",
     "mode_shape",
-    "write_table_csv",
 ]
 
 _SIGNS = {"tension": 1.0, "compression": -1.0}
@@ -114,6 +112,8 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     sgn = _load_sign(load_sign)
     if not alpha_l_max > 0.0:
         raise ValueError("alpha_l_max must be positive")
+    if max_modes is not None and max_modes < 1:
+        raise ValueError("max_modes must be at least 1")
     if model.clamped and model.chi_hat == -1.0:
         roots = []
         if sgn < 0.0:
@@ -125,10 +125,7 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
         f = lambda x: characteristic(x, load_sign, model)
         count = int(alpha_l_max / step + 1e-9)
         xs = step * np.concatenate(([1e-3], np.arange(1, count + 1)))
-        roots = [
-            xs[i] if i == j else brentq(f, xs[i], xs[j], xtol=1e-14)
-            for i, j in sign_changes([f(x) for x in xs])
-        ]
+        roots = [refine(f, xs, i, j, 1e-14) for i, j in sign_changes([f(x) for x in xs])]
     if max_modes is not None:
         roots = roots[:max_modes]
     return [
@@ -203,17 +200,3 @@ def mode_shape(mode, model, n_samples=201):
     v = coeffs[:4] @ basis
     peak = v[np.argmax(np.abs(v))]
     return z, v / peak, coeffs[4] / peak
-
-
-def write_table_csv(path, models, load_signs=("tension", "compression"),
-                    alpha_l_max=6.0 * math.pi, max_modes=3):
-    """Critical-load table `chi_hat,sign,mode_index,alpha_l,Fcr_normalized,xi`."""
-    with open(path, "w", newline="") as fh:
-        fh.write("chi_hat,sign,mode_index,alpha_l,Fcr_normalized,xi\n")
-        for model in models:
-            for sign in load_signs:
-                for m in find_critical_loads(model, sign, alpha_l_max=alpha_l_max,
-                                             max_modes=max_modes):
-                    fh.write("%.16e,%s,%d,%.16e,%.16e,%.16e\n"
-                             % (model.chi_hat, m.load_sign, m.mode_index,
-                                m.alpha_l, m.F_cr_normalized, m.xi))

@@ -48,20 +48,22 @@ def test_critical_1dof_empty_grid(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, scenario",
+    "argv",
     [
-        ("critical-1dof", "fig1"),
-        ("trace-1dof", "fig2"),
-        ("design-profile", "neutral"),
-        ("trace-elastica", "fig7"),
+        ["critical-1dof", "--scenario", "fig1"],
+        ["trace-1dof", "--scenario", "fig2"],
+        ["design-profile", "--scenario", "neutral"],
+        ["trace-elastica", "--scenario", "fig7"],
+        ["critical-rod"],
+        ["trace-1dof", "--profile", "circular"],
     ],
-    ids=["fig1", "fig2", "neutral", "fig7"],
+    ids=["fig1", "fig2", "neutral", "fig7", "critical-rod", "trace-1dof-circular"],
 )
 @pytest.mark.filterwarnings("error::arcstab.elastica.MultipleRootWarning")
-def test_scenario_reruns_byte_identical(command, scenario, tmp_path):
+def test_scenario_reruns_byte_identical(argv, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run([command, "--scenario", scenario], a) == 0
-    assert run([command, "--scenario", scenario], b) == 0
+    assert run(argv, a) == 0
+    assert run(argv, b) == 0
     names = sorted(os.listdir(a))
     assert names == sorted(os.listdir(b)) and names
     for n in names:
@@ -107,6 +109,43 @@ def test_unknown_scenario_exits_2(tmp_path):
 def test_malformed_numeric_exits_2(tmp_path, capsys):
     assert run(["critical-1dof", "--chi-hat-grid", "1, spam"], tmp_path) == 2
     assert "spam" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["critical-rod", "--max-modes", "-1"], "rodlinear.max_modes"),
+        (["design-profile", "--n-validate", "0"], "profiledesign.n_validate"),
+        (["design-profile", "--n-samples", "0"], "profiledesign.n_samples"),
+        (["trace-elastica", "--scenario", "fig7", "--shape-samples", "1"],
+         "elastica.shape_samples"),
+        (["trace-elastica", "--n-points", "1"], "elastica.n_points"),
+        (["critical-rod", "--spring-k", "-1"], "rodlinear.spring_k"),
+        # a key the circular profile never reads is still parsed
+        (["trace-1dof", "--profile", "circular", "--phi-start", "abc"], "onedof.phi_start"),
+    ],
+    ids=["max-modes", "n-validate", "n-samples", "shape-samples", "elastica-n-points",
+         "spring-k", "unused-phi-start"],
+)
+def test_bad_setting_exits_2_before_any_output(argv, key, tmp_path, capsys):
+    assert run(argv, tmp_path) == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_rows_format(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = [(0.1, "tension", "3", -5.0), np.array([1.0, 2.5e-300, -math.pi, 0.0])]
+    cli._write_rows(path, "a,sign,mode_index,b", rows)
+    assert path.read_text().splitlines() == [
+        "a,sign,mode_index,b",
+        "1.0000000000000001e-01,tension,3,-5.0000000000000000e+00",
+        "1.0000000000000000e+00,2.5000000000000000e-300,"
+        "-3.1415926535897931e+00,0.0000000000000000e+00",
+    ]
+    # 17 significant digits round-trip every double, NumPy rows included
+    cells = path.read_text().splitlines()[2].split(",")
+    assert [float(c) for c in cells] == list(rows[1])
 
 
 # ------------------------------------------------------------------ trace-1dof
@@ -240,6 +279,7 @@ def test_critical_rod_three_tables(tmp_path):
         header, rows = read_csv(tmp_path / name)
         assert header == "chi_hat,sign,mode_index,alpha_l,Fcr_normalized,xi"
         assert all(r[1] != "tension" for r in rows if float(r[0]) == 0.5)
+        assert all(r[1] in ("tension", "compression") and r[2].isdigit() for r in rows)
         for r in rows[::11]:
             xi, al, Fn = float(r[5]), float(r[3]), float(r[4])
             assert abs(xi * al - math.pi) < 1e-10
@@ -355,13 +395,26 @@ def test_module_entry_help():
         assert cmd in res.stdout
 
 
-def test_subcommand_help_documents_every_key():
-    res = subprocess.run(
-        [sys.executable, "-m", "arcstab.cli", "trace-elastica", "--help"],
-        capture_output=True, text=True,
-    )
-    assert res.returncode == 0
-    for flag in ("--config", "--out", "--scenario", "--R-c", "--k-r",
-                 "--theta0-min", "--shape-phi", "--seed"):
-        assert flag in res.stdout
-    assert "constraint circle radius" in res.stdout
+def test_subcommand_help_documents_every_key(capsys):
+    for command, spec in cli._COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        for flag in ("--config", "--out", "--scenario"):
+            assert flag in text
+        for key, (_, _, key_help) in spec.keys.items():
+            assert "--%s %s %s" % (key.replace("_", "-"), key.upper(), key_help) in text
+    # a choice key's help lists its parser's choices
+    for command, line in (
+        ("trace-1dof", "--profile PROFILE constraint profile: s_shaped, circular or straight"),
+        ("design-profile",
+         "--law LAW target force law: constant, sinusoidal, circular or tabulated"),
+        ("trace-elastica", "--branch BRANCH branches to trace: tensile, compressive or both"),
+    ):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert line in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(SystemExit):
+        cli.main(["trace-elastica", "--help"])
+    assert "--R-c R_C constraint circle radius" in " ".join(capsys.readouterr().out.split())

@@ -21,8 +21,6 @@ from arcstab.elastica import (
     solve_R,
     theta_at,
     trace_branch,
-    write_branch_csv,
-    write_shape_csv,
 )
 from arcstab.errors import ContinuationError, DegenerateGeometryError
 from arcstab.rodlinear import RodModel, critical_force, find_critical_loads
@@ -610,32 +608,3 @@ def test_dimensional_wrappers_scale_consistently():
     assert x1 == pytest.approx(3.0 * x1n, rel=1e-12)
     assert x2 == pytest.approx(3.0 * x2n, rel=1e-12)
 
-
-def test_branch_csv_round_trip(tmp_path, traced_tensile):
-    out = tmp_path / "branch.csv"
-    write_branch_csv(out, traced_tensile, tensile_problem())
-    text = out.read_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "theta0,R,F,phi,delta,normalized_F"
-    assert len(lines) == len(traced_tensile.points) + 1
-    first = lines[1].split(",")
-    assert len(first) == 6
-    p = traced_tensile.points[0]
-    assert float(first[1]) == p.R
-    assert float(first[5]) == pytest.approx(4.0 * p.F / math.pi**2, rel=1e-15)
-    # fixed format, byte-identical rewrite
-    assert first[1] == "%.16e" % p.R
-    write_branch_csv(tmp_path / "again.csv", traced_tensile, tensile_problem())
-    assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
-
-
-def test_shape_csv_round_trip(tmp_path):
-    st = solve_R(0.5, tensile_problem())
-    shape = shape_export(st, 50)
-    out = tmp_path / "shape.csv"
-    write_shape_csv(out, shape)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "s,x1,x2,theta"
-    assert len(lines) == 51
-    row = lines[7].split(",")
-    assert [float(c) for c in row] == list(shape[6])

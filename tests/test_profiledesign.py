@@ -162,12 +162,13 @@ def test_unreachable_tolerance_reported():
 def test_profile_csv_export(tmp_path):
     p = neutral_profile(-1.0)
     path = tmp_path / "profile.csv"
-    export_profile_csv(p, path, n=11, psi_max=0.9)
+    export_profile_csv(p, path, n=11)
     lines = path.read_text().splitlines()
     assert lines[0] == "psi,f"
     assert len(lines) == 12
+    assert p.domain == (0.0, 1.0)
     psi, f = lines[6].split(",")
-    assert abs(float(psi) - 0.45) < 1e-15
+    assert abs(float(psi) - 0.5) < 1e-15
     assert abs(float(f) - p.f(float(psi))) < 1e-16
     # fixed-width scientific format, 17 significant digits
     assert "e" in psi and len(psi.split("e")[0].split(".")[1]) == 16

@@ -17,7 +17,6 @@ from arcstab.rodlinear import (
     effective_length_factor,
     find_critical_loads,
     mode_shape,
-    write_table_csv,
 )
 
 # mpmath (40 digits) roots of the characteristic equation, B = l = 1
@@ -402,6 +401,14 @@ def test_max_modes_truncates():
     assert [m.mode_index for m in found] == [1, 2]
 
 
+@pytest.mark.parametrize("max_modes", [0, -1])
+def test_max_modes_below_one_raises(max_modes):
+    # a negative count used to slice off the last root: roots[:-1]
+    model = RodModel(B=1.0, l=1.0, k=0.0, chi_hat=-5.0)
+    with pytest.raises(ValueError, match="max_modes"):
+        find_critical_loads(model, "compression", max_modes=max_modes)
+
+
 def test_mode_shape_end_conditions():
     cases = [
         (RodModel(B=1.0, l=1.0, k=0.0, chi_hat=-5.0), "tension"),
@@ -485,22 +492,3 @@ def test_compression_always_bifurcates():
         assert len(found) >= 3
         assert time.perf_counter() - start < 1.0
 
-
-def test_table_csv_format(tmp_path):
-    path = tmp_path / "rod_table.csv"
-    models = [RodModel(B=1.0, l=1.0, k=0.0, chi_hat=chi) for chi in (-5.0, -1.25, 2.0)]
-    write_table_csv(path, models, alpha_l_max=6.0 * math.pi, max_modes=2)
-    text = path.read_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "chi_hat,sign,mode_index,alpha_l,Fcr_normalized,xi"
-    row = lines[1].split(",")
-    assert row[0] == "%.16e" % -5.0
-    assert row[1] == "tension"
-    assert row[2] == "1"
-    assert abs(float(row[3]) - ROLLER_TENSION[-5.0]) < 1e-12
-    mant = row[3].split("e")[0]
-    assert len(mant.split(".")[1]) == 16
-    # deterministic bytes on rerun
-    write_table_csv(tmp_path / "again.csv", models, alpha_l_max=6.0 * math.pi,
-                    max_modes=2)
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
