@@ -320,6 +320,18 @@ def _shift_report(path, problem, traces):
         fh.write("\n".join(lines) + "\n")
 
 
+def _branch_rows(problem, trace):
+    """Rows of a branch table: the traced points, with the load-sign event
+    inserted in theta0 order, and the load also normalized as
+    4 F l^2/(B pi^2)."""
+    norm = 4.0 * problem.l**2 / (problem.B * math.pi**2)
+    pts = list(trace.points)
+    ev = trace.events.get("load_sign_transition")
+    if ev is not None and all(abs(ev.theta0 - p.theta0) > 1e-12 for p in pts):
+        pts = sorted([*pts, ev], key=lambda p: p.theta0)
+    return [(p.theta0, p.R, p.F, p.phi, p.delta, p.F * norm) for p in pts]
+
+
 def cmd_trace_elastica(opts, out):
     problem = elastica.ElasticaProblem(B=opts.B, l=opts.l, k_r=opts.k_r, R_c=opts.R_c)
     branches = ("tensile", "compressive") if opts.branch == "both" else (opts.branch,)
@@ -330,20 +342,15 @@ def cmd_trace_elastica(opts, out):
         raise ConfigError(
             "elastica.shape_phi: values equal to 6 significant digits share a shape file"
         )
-    norm = 4.0 * problem.l**2 / (problem.B * math.pi**2)
 
     code = 0
     traces = {}
     for br in branches:
         trace = elastica.trace_branch(problem, schedule, br, seed=opts.seed)
-        pts = list(trace.points)
-        ev = trace.events.get("load_sign_transition")
-        if ev is not None and all(abs(ev.theta0 - p.theta0) > 1e-12 for p in pts):
-            pts = sorted([*pts, ev], key=lambda p: p.theta0)
         _write_rows(
             os.path.join(out, "elastica_%s.csv" % br),
             "theta0,R,F,phi,delta,normalized_F",
-            [(p.theta0, p.R, p.F, p.phi, p.delta, p.F * norm) for p in pts],
+            _branch_rows(problem, trace),
         )
         if not trace.complete:
             print("error: %s" % trace.diagnostic, file=sys.stderr)

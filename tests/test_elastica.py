@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from arcstab import elastica, elliptic
+from arcstab import cli, elastica, elliptic
 from arcstab.branch import BranchTrace
 from arcstab.elastica import (
     ElasticaProblem,
@@ -608,3 +608,36 @@ def test_dimensional_wrappers_scale_consistently():
     assert x1 == pytest.approx(3.0 * x1n, rel=1e-12)
     assert x2 == pytest.approx(3.0 * x2n, rel=1e-12)
 
+
+def test_branch_csv_round_trip(tmp_path, traced_tensile):
+    out = tmp_path / "branch.csv"
+    header = "theta0,R,F,phi,delta,normalized_F"
+    rows = cli._branch_rows(tensile_problem(), traced_tensile)
+    cli._write_rows(out, header, rows)
+    text = out.read_text()
+    lines = text.strip().split("\n")
+    assert lines[0] == header
+    assert len(lines) == len(rows) + 1
+    assert len(rows) >= len(traced_tensile.points)
+    first = lines[1].split(",")
+    assert len(first) == 6
+    p = traced_tensile.points[0]
+    assert float(first[1]) == p.R
+    assert float(first[5]) == pytest.approx(4.0 * p.F / math.pi**2, rel=1e-15)
+    # fixed format, byte-identical rewrite
+    assert first[1] == "%.16e" % p.R
+    cli._write_rows(tmp_path / "again.csv", header,
+                    cli._branch_rows(tensile_problem(), traced_tensile))
+    assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
+
+
+def test_shape_csv_round_trip(tmp_path):
+    st = solve_R(0.5, tensile_problem())
+    shape = shape_export(st, 50)
+    out = tmp_path / "shape.csv"
+    cli._write_rows(out, "s,x1,x2,theta", shape)
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "s,x1,x2,theta"
+    assert len(lines) == 51
+    row = lines[7].split(",")
+    assert [float(c) for c in row] == list(shape[6])

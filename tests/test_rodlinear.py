@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+from arcstab import cli
 from arcstab.rodlinear import (
     BucklingMode,
     RodModel,
@@ -492,3 +493,22 @@ def test_compression_always_bifurcates():
         assert len(found) >= 3
         assert time.perf_counter() - start < 1.0
 
+
+def test_table_csv_format(tmp_path):
+    args = ["critical-rod", "--chi-hat-grid=-5,-1.25,2",
+            "--alpha-l-max", repr(6.0 * math.pi), "--max-modes", "2"]
+    assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
+    path = tmp_path / "a" / "critical_rod_k0.csv"
+    text = path.read_text()
+    lines = text.strip().split("\n")
+    assert lines[0] == "chi_hat,sign,mode_index,alpha_l,Fcr_normalized,xi"
+    row = lines[1].split(",")
+    assert row[0] == "%.16e" % -5.0
+    assert row[1] == "tension"
+    assert row[2] == "1"
+    assert abs(float(row[3]) - ROLLER_TENSION[-5.0]) < 1e-12
+    mant = row[3].split("e")[0]
+    assert len(mant.split(".")[1]) == 16
+    # deterministic bytes on rerun
+    assert cli.main([*args, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "critical_rod_k0.csv").read_bytes() == path.read_bytes()
