@@ -1,9 +1,16 @@
-"""Shared container for traced equilibrium branches and the root scan rule."""
+"""Shared container for traced equilibrium branches and the root scan rule.
 
+Roots are refined by _brentq, a line-by-line port of scipy's brentq.c, so
+that importing the package does not load scipy.optimize: it returns the
+same root after the same number of calls of f.
+"""
+
+import math
 import sys
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
+_RTOL = 4.0 * sys.float_info.epsilon
+_MAXITER = 100
 
 
 @dataclass
@@ -38,6 +45,77 @@ def sign_changes(vals):
 
 def refine(f, xs, i, j, xtol):
     """Root of f on a bracket (i, j) of sign_changes over f at xs: xs[i]
-    itself when i == j, else brentq to xtol and scipy's default rtol, 4 eps."""
-    eps = sys.float_info.epsilon
-    return xs[i] if i == j else brentq(f, xs[i], xs[j], xtol=xtol, rtol=4.0 * eps)
+    itself when i == j, else Brent's method to xtol and rtol 4 eps."""
+    return xs[i] if i == j else _brentq(f, xs[i], xs[j], xtol)
+
+
+def _brentq(f, xa, xb, xtol):
+    """scipy.optimize.brentq(f, xa, xb, xtol, rtol=4 eps), ported from its C
+    code (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4).
+
+    Raises ValueError when f(xa) and f(xb) have the same sign or f returns
+    NaN, and RuntimeError after 100 iterations without convergence.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError("The function value at x=%r is NaN; solver cannot continue." % x)
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C gets an infinite or NaN step here, which always bisects
+                stry = math.inf
+            # min(b, a) is C's MIN(a, b) = a < b ? a : b, NaN included
+            if 2.0 * abs(stry) < min(3.0 * abs(sbis) - delta, abs(spre)):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        "Failed to converge after %d iterations, value is %f" % (_MAXITER, xcur)
+    )

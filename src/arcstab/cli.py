@@ -85,7 +85,7 @@ def _write_echo(command, raw, out):
 
 
 def _number(kind, least=None):
-    """Parser of one number of type kind, no smaller than least if given."""
+    """Parser of one finite number of type kind, no smaller than least if given."""
     noun = "an integer" if kind is int else "a number"
 
     def parse(raw):
@@ -93,6 +93,8 @@ def _number(kind, least=None):
             val = kind(raw)
         except ValueError:
             raise ValueError("not %s: %r" % (noun, raw.strip())) from None
+        if kind is float and not math.isfinite(val):
+            raise ValueError("need a finite number, got %s" % raw.strip())
         if least is not None and val < least:
             raise ValueError("need at least %g, got %s" % (least, raw.strip()))
         return val

@@ -90,7 +90,7 @@ class ElasticaProblem:
             raise ValueError("length l must be positive")
         if not self.R_c > 0.0:
             raise ValueError("constraint radius R_c must be positive")
-        if self.k_r < 0.0:
+        if not self.k_r >= 0.0:
             raise ValueError("spring stiffness k_r must be nonnegative")
         if self.half not in _HALVES:
             raise ValueError("half must be 'left' or 'right'")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 from .onedof import OneDofSystem, ProfileShape, equilibrium_force
@@ -116,6 +115,9 @@ def _design_fpp(law: TargetForceLaw, psi: float) -> float:
 
 def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
     """Profile producing the requested force law on the perfect system."""
+    # imported here, so that importing the package does not load scipy.integrate
+    from scipy.integrate import quad
+
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     # the design condition divides by beta: reject vanishing targets

@@ -45,7 +45,7 @@ class RodModel:
             raise ValueError("bending stiffness B must be positive")
         if not self.l > 0.0:
             raise ValueError("length l must be positive")
-        if self.k < 0.0:
+        if not self.k >= 0.0:
             raise ValueError("spring stiffness k must be nonnegative")
 
 
@@ -110,8 +110,8 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     x = 2 pi n without a sign change, so those roots are emitted analytically.
     """
     sgn = _load_sign(load_sign)
-    if not alpha_l_max > 0.0:
-        raise ValueError("alpha_l_max must be positive")
+    if not 0.0 < alpha_l_max < math.inf:
+        raise ValueError("alpha_l_max must be positive and finite")
     if max_modes is not None and max_modes < 1:
         raise ValueError("max_modes must be at least 1")
     if model.clamped and model.chi_hat == -1.0:

@@ -1,7 +1,12 @@
 """The sign-change rule that turns sampled values into root brackets, and
-the refiner that turns a bracket into a root."""
+the refiner that turns a bracket into a root: a port of scipy's brentq that
+must find the same root after the same calls of f."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,8 +51,102 @@ def test_refine_is_brentq_with_4_eps_rtol(xtol):
     assert abs(f(root)) < 1e-15
 
 
-def test_scipy_optimize_is_imported_only_by_branch():
-    # one root refiner: a port of brentq replaces one import
-    src = Path(branch.__file__).parent
-    users = sorted(p.name for p in src.glob("*.py") if "scipy.optimize" in p.read_text())
-    assert users == ["branch.py"]
+# families of f(x - r) with one root at d = x - r = 0: steep, flat (whose
+# products underflow, so Brent's extrapolation divides by zero), jumps,
+# and multiple or near-multiple roots
+_FAMILIES = {
+    "linear": lambda d: d,
+    "steep": lambda d: math.tanh(200.0 * d),
+    "jump": lambda d: math.atan(1e8 * d),
+    "step": lambda d: math.copysign(1.0, d),
+    "flat": lambda d: 1e-200 * d,
+    "flat-quintic": lambda d: 1e-160 * d**5,
+    "triple": lambda d: d**3,
+    "near-triple": lambda d: d * ((d - 1e-7) ** 2 + 1e-14),
+    "exponential": lambda d: math.expm1(d),
+    "wavy": lambda d: d + 0.9 * math.sin(d) ** 3,
+}
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
+def _outcome(solve, f):
+    """(root or exception type, calls of f) of one solve."""
+    g = _counted(f)
+    try:
+        return solve(g), g.calls
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), g.calls
+
+
+def _scipy(f, a, b, xtol):
+    return brentq(f, a, b, xtol=xtol, rtol=4.0 * 2.0**-52)
+
+
+def test_brentq_port_matches_scipy_on_random_brackets():
+    rng = random.Random(20120121)
+    names = sorted(_FAMILIES)
+    for _ in range(6000):
+        name = rng.choice(names)
+        r = rng.uniform(-3.0, 3.0)
+        scale = rng.choice([1e-6, 1e-3, 1.0, 100.0])
+        a = r - scale * rng.uniform(1e-9, 5.0)
+        b = r + scale * rng.uniform(1e-9, 5.0)
+        if rng.random() < 0.5:
+            a, b = b, a
+        xtol = rng.choice([1e-15, 1e-13, 1e-10, 1e-6])
+        f = lambda x, family=_FAMILIES[name], r=r: family(x - r)
+        want = _outcome(lambda g: _scipy(g, a, b, xtol), f)
+        got = _outcome(lambda g: branch._brentq(g, a, b, xtol), f)
+        assert got == want, (name, r, a, b, xtol)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, xtol",
+    [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 1e-12),
+        # end values whose product underflows to zero have the same sign too
+        (lambda x: 1e-200 * (x * x + 1.0), -1.0, 1.0, 1e-12),
+        (lambda x: math.nan, 0.0, 1.0, 1e-12),
+        # NaN at an iterate, not at an end
+        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, 1e-12),
+        # -0.0 is a zero, not a negative value
+        (lambda x: -0.0 if x == 0.0 else x + 1.0, 0.0, 1.0, 1e-12),
+        (lambda x: -0.0 if x == 1.0 else x + 1.0, 0.0, 1.0, 1e-12),
+        # bisection from 2e30 down to 4 eps * 1e-20 needs over 100 iterations
+        (lambda x: math.copysign(1.0, x - 1e-20), -1e30, 1e30, 1e-300),
+    ],
+    ids=["same-sign", "same-sign-tiny", "nan-end", "nan-iterate", "minus-zero-a", "minus-zero-b",
+         "no-convergence"],
+)
+def test_brentq_port_error_paths_match_scipy(f, a, b, xtol):
+    want = _outcome(lambda g: _scipy(g, a, b, xtol), f)
+    assert _outcome(lambda g: branch._brentq(g, a, b, xtol), f) == want
+
+
+def test_cli_runs_without_scipy_optimize_or_integrate(tmp_path):
+    # a fresh interpreter, so no other test has imported either module yet
+    script = (
+        "import sys\n"
+        "import arcstab\n"
+        "from arcstab import cli\n"
+        "out = sys.argv[1]\n"
+        "assert cli.main(['critical-rod', '--out', out]) == 0\n"
+        "assert cli.main(['trace-elastica', '--scenario', 'fig7', '--out', out]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.optimize', 'scipy.integrate'))))\n"
+    )
+    src = str(Path(branch.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

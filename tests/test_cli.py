@@ -123,9 +123,18 @@ def test_malformed_numeric_exits_2(tmp_path, capsys):
         (["critical-rod", "--spring-k", "-1"], "rodlinear.spring_k"),
         # a key the circular profile never reads is still parsed
         (["trace-1dof", "--profile", "circular", "--phi-start", "abc"], "onedof.phi_start"),
+        # NaN passes every range check and inf overflows the rod scan's grid size
+        (["critical-rod", "--spring-k", "nan"], "rodlinear.spring_k: need a finite number"),
+        (["critical-rod", "--alpha-l-max", "inf"],
+         "rodlinear.alpha_l_max: need a finite number"),
+        (["trace-elastica", "--shape-phi", "0.5, nan"],
+         "elastica.shape_phi: need a finite number"),
+        (["critical-1dof", "--chi-hat-grid", "-inf, 0"],
+         "onedof.chi_hat_grid: need a finite number"),
     ],
     ids=["max-modes", "n-validate", "n-samples", "shape-samples", "elastica-n-points",
-         "spring-k", "unused-phi-start"],
+         "spring-k", "unused-phi-start", "spring-k-nan", "alpha-l-max-inf", "shape-phi-nan",
+         "chi-hat-grid-inf"],
 )
 def test_bad_setting_exits_2_before_any_output(argv, key, tmp_path, capsys):
     assert run(argv, tmp_path) == 2

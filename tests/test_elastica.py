@@ -124,6 +124,8 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         ElasticaProblem(B=1.0, l=1.0, R_c=0.25, k_r=-0.1)
     with pytest.raises(ValueError):
+        ElasticaProblem(B=1.0, l=1.0, R_c=0.25, k_r=math.nan)
+    with pytest.raises(ValueError):
         ElasticaProblem(B=1.0, l=1.0, R_c=0.25, half="top")
 
 

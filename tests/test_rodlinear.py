@@ -157,6 +157,12 @@ def test_model_validation():
         RodModel(B=1.0, l=1.0, k=-0.1, chi_hat=1.0)
 
 
+def test_model_rejects_nan_spring():
+    # every comparison with NaN is false, so a k < 0 check let it through
+    with pytest.raises(ValueError, match="spring stiffness"):
+        RodModel(B=1.0, l=1.0, k=math.nan, chi_hat=1.0)
+
+
 def test_straight_limit_pinned_scan_oracle():
     # chi -> 0, k = 0: reduced equation is -x cos x = 0, roots pi/2 + n pi;
     # cross-check the module against a dense sign-change scan of that oracle
@@ -400,6 +406,14 @@ def test_max_modes_truncates():
                                 max_modes=2)
     assert len(found) == 2
     assert [m.mode_index for m in found] == [1, 2]
+
+
+@pytest.mark.parametrize("alpha_l_max", [math.inf, -math.inf, math.nan, 0.0])
+def test_alpha_l_max_must_be_positive_and_finite(alpha_l_max):
+    # inf used to overflow in the grid size, int(alpha_l_max / step)
+    model = RodModel(B=1.0, l=1.0, k=0.0, chi_hat=-5.0)
+    with pytest.raises(ValueError, match="alpha_l_max"):
+        find_critical_loads(model, "compression", alpha_l_max=alpha_l_max)
 
 
 @pytest.mark.parametrize("max_modes", [0, -1])
