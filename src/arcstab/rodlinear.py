@@ -5,8 +5,8 @@ B v'''' - F v'' = 0 with alpha^2 = |F|/B.  The sliding end follows a circular
 profile of signed dimensionless curvature chi_hat = +-l/R_c and carries a
 rotational spring k; chi_hat = 0 is the straight-constraint limit and k -> inf
 the clamped limit.  Critical loads are roots in x = alpha*l of a transcendental
-characteristic function, evaluated here in separately derived real forms for
-tension and compression.
+characteristic function, one real form for both load signs with
+(C, S) = (cosh, sinh) in tension and (cos, sin) in compression.
 """
 
 import math
@@ -28,6 +28,7 @@ __all__ = [
 
 _SIGNS = {"tension": 1.0, "compression": -1.0}
 _DEFAULT_STEP = math.pi / 50.0
+_XTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,8 @@ class RodModel:
             raise ValueError("length l must be positive")
         if not self.k >= 0.0:
             raise ValueError("spring stiffness k must be nonnegative")
+        if not math.isfinite(self.chi_hat):
+            raise ValueError("curvature chi_hat must be finite")
 
 
 @dataclass(frozen=True)
@@ -65,36 +68,33 @@ def _load_sign(load_sign):
         raise ValueError("load_sign must be 'tension' or 'compression'") from None
 
 
+def _cs(sgn, lib=math):
+    """(C, S) of a load sign: (cosh, sinh) in tension, (cos, sin) in compression."""
+    return (lib.cosh, lib.sinh) if sgn > 0.0 else (lib.cos, lib.sin)
+
+
 def characteristic(alpha_l, load_sign, model):
     """Characteristic function whose positive roots are the critical loads.
 
-    Tension keeps the hyperbolic form; compression uses the trigonometric
-    reduction (cosh(ix) = cos x, sinh(ix) = i sin x, the i factors cancel).
-    The clamped limit keeps only the spring bracket; chi_hat = 0 divides
-    through by the diverging 1/|chi_hat| factor first.
+    With sigma = +-1 the load sign, A = 1 + chi_hat and x = alpha_l,
+    first = sigma (A x C(x) - chi_hat S(x)) and
+    bracket = sigma A x S(x) + chi_hat (1 - C(x)); the function is bracket
+    for a clamped end, else first + (k l/(B x)) bracket.  This is the
+    printed condition (compression through cosh(ix) = cos x,
+    sinh(ix) = i sin x) times |chi_hat|, which keeps every root and sign and
+    stays regular at the straight-constraint limit chi_hat = 0.
     """
     sgn = _load_sign(load_sign)
     if not alpha_l > 0.0:
         raise ValueError("alpha_l must be positive")
-    x = alpha_l
-    chi = model.chi_hat
-    if chi == 0.0:
-        if sgn > 0.0:
-            first, bracket = x * math.cosh(x), x * math.sinh(x)
-        else:
-            first, bracket = -x * math.cos(x), -x * math.sin(x)
-    else:
-        s = math.copysign(1.0, chi)
-        a = 1.0 / abs(chi) + s
-        if sgn > 0.0:
-            first = a * x * math.cosh(x) - s * math.sinh(x)
-            bracket = a * x * math.sinh(x) + s * (1.0 - math.cosh(x))
-        else:
-            first = -a * x * math.cos(x) + s * math.sin(x)
-            bracket = -a * x * math.sin(x) + s * (1.0 - math.cos(x))
+    x, chi = alpha_l, model.chi_hat
+    C, S = _cs(sgn)
+    c, s = C(x), S(x)
+    a = 1.0 + chi
+    bracket = sgn * a * x * s + chi * (1.0 - c)
     if model.clamped:
         return bracket
-    return first + model.k * model.l / (model.B * x) * bracket
+    return sgn * (a * x * c - chi * s) + model.k * model.l / (model.B * x) * bracket
 
 
 def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
@@ -103,29 +103,34 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
 
     Sign changes on the grid step * (1e-3, 1, 2, ...), refined by brentq.
     Near zero the function is a power of x times a constant, e.g.
-    -x (1/|chi_hat| + (k l/B)(1/|chi_hat| + sgn(chi_hat)/2)) in compression,
-    so the first sample keeps a root below step.  The clamped
-    chi_hat = -1 case degenerates: 1/|chi_hat| + sgn(chi_hat) = 0 and the
-    compression equation collapses to -(1 - cos x), touching zero at
-    x = 2 pi n without a sign change, so those roots are emitted analytically.
+    -x (1 + (k l/B)(1 + chi_hat/2)) in compression, so the first sample
+    keeps a root below step.  The clamped bracket factors exactly as
+    2 sigma S(x/2) g(x), g(x) = A x C(x/2) - chi_hat S(x/2): the roots
+    x = 2 pi n of S(x/2) in compression are emitted analytically, and only g
+    is scanned.  Its roots solve tan(x/2) = A x/chi_hat, one per branch of
+    tan, so they never pair up within a step as the bracket's do next to
+    2 pi n for chi_hat just above -1.  A root of g within the refinement
+    tolerance of a 2 pi n (at A = 0) is emitted once.
     """
     sgn = _load_sign(load_sign)
     if not 0.0 < alpha_l_max < math.inf:
         raise ValueError("alpha_l_max must be positive and finite")
     if max_modes is not None and max_modes < 1:
         raise ValueError("max_modes must be at least 1")
-    if model.clamped and model.chi_hat == -1.0:
-        roots = []
-        if sgn < 0.0:
-            n = 1
-            while 2.0 * math.pi * n <= alpha_l_max * (1.0 + 1e-15):
-                roots.append(2.0 * math.pi * n)
-                n += 1
+    if model.clamped:
+        a, chi = 1.0 + model.chi_hat, model.chi_hat
+        C, S = _cs(sgn)
+        f = lambda x: a * x * C(0.5 * x) - chi * S(0.5 * x)
     else:
         f = lambda x: characteristic(x, load_sign, model)
-        count = int(alpha_l_max / step + 1e-9)
-        xs = step * np.concatenate(([1e-3], np.arange(1, count + 1)))
-        roots = [refine(f, xs, i, j, 1e-14) for i, j in sign_changes([f(x) for x in xs])]
+    count = int(alpha_l_max / step + 1e-9)
+    xs = step * np.concatenate(([1e-3], np.arange(1, count + 1)))
+    roots = [refine(f, xs, i, j, _XTOL) for i, j in sign_changes([f(x) for x in xs])]
+    if model.clamped and sgn < 0.0:
+        turn = 2.0 * math.pi
+        exact = [turn * n for n in range(1, int(alpha_l_max * (1.0 + 1e-15) / turn) + 1)]
+        roots = sorted(exact + [x for x in roots
+                                if abs(x - turn * round(x / turn)) > _XTOL * (1.0 + x)])
     if max_modes is not None:
         roots = roots[:max_modes]
     return [
@@ -149,21 +154,17 @@ def effective_length_factor(F_cr, model):
 
 
 def _bc_system(x, sgn, model):
-    # homogeneous system in (C1..C4, phi): v(0) = 0, v'(0) = 0, shear balance
-    # sgn F/alpha^2 v'''(l) = phi + v'(l) (via the first integral of the ODE it
-    # collapses to C3 = -phi, i.e. transverse end reaction = -F phi), moment
-    # balance -B v''(l) = k (phi + v'(l)) (clamped: phi + v'(l) = 0),
-    # compatibility phi = chi v(l)/l
+    # homogeneous system in (C1..C4, phi) of v = C1 C + C2 S + C3 z + C4:
+    # v(0) = v'(0) = 0, shear balance sgn F/alpha^2 v'''(l) = phi + v'(l) (via
+    # the first integral of the ODE it collapses to C3 = -phi, i.e. transverse
+    # end reaction = -F phi), moment balance -B v''(l) = k (phi + v'(l))
+    # (clamped: phi + v'(l) = 0), compatibility phi = chi v(l)/l
     B, l, k, chi = model.B, model.l, model.k, model.chi_hat
     alpha = x / l
-    if sgn > 0.0:
-        b1, b2 = math.cosh(x), math.sinh(x)
-        d1, d2 = alpha * math.sinh(x), alpha * math.cosh(x)
-        w1, w2 = B * alpha**2 * math.cosh(x), B * alpha**2 * math.sinh(x)
-    else:
-        b1, b2 = math.cos(x), math.sin(x)
-        d1, d2 = -alpha * math.sin(x), alpha * math.cos(x)
-        w1, w2 = -B * alpha**2 * math.cos(x), -B * alpha**2 * math.sin(x)
+    C, S = _cs(sgn)
+    c, s = C(x), S(x)
+    d1, d2 = sgn * alpha * s, alpha * c
+    w1, w2 = sgn * B * alpha**2 * c, sgn * B * alpha**2 * s
     rows = [
         [1.0, 0.0, 0.0, 1.0, 0.0],
         [0.0, alpha, 1.0, 0.0, 0.0],
@@ -173,7 +174,7 @@ def _bc_system(x, sgn, model):
         rows.append([d1, d2, 1.0, 0.0, 1.0])
     else:
         rows.append([-w1 - k * d1, -w2 - k * d2, -k, 0.0, -k])
-    rows.append([-(chi / l) * b1, -(chi / l) * b2, -chi, -chi / l, 1.0])
+    rows.append([-(chi / l) * c, -(chi / l) * s, -chi, -chi / l, 1.0])
     return np.array(rows)
 
 
@@ -191,12 +192,8 @@ def mode_shape(mode, model, n_samples=201):
     coeffs = vt[-1]
     alpha = mode.alpha_l / model.l
     z = np.linspace(0.0, model.l, n_samples)
-    if sgn > 0.0:
-        basis = np.stack([np.cosh(alpha * z), np.sinh(alpha * z), z,
-                          np.ones_like(z)])
-    else:
-        basis = np.stack([np.cos(alpha * z), np.sin(alpha * z), z,
-                          np.ones_like(z)])
+    C, S = _cs(sgn, np)
+    basis = np.stack([C(alpha * z), S(alpha * z), z, np.ones_like(z)])
     v = coeffs[:4] @ basis
     peak = v[np.argmax(np.abs(v))]
     return z, v / peak, coeffs[4] / peak

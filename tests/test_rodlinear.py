@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from arcstab import cli
+from arcstab.branch import sign_changes
 from arcstab.rodlinear import (
     BucklingMode,
     RodModel,
@@ -48,6 +49,11 @@ STRAIGHT_COMPRESSION_K1 = 2.0287578381104342
 # compression load passes through zero
 SMALL_SPRING_M29159_K21881 = 0.047492013042825283
 SMALL_CLAMPED_M20005702 = 0.058473000919645724
+# clamped compression roots just below 2 pi and 4 pi, tan(x/2) = (1 + chi) x/chi
+CLAMPED_PAIRS = {
+    -0.9991: (6.2718858632432047385, 12.543772446485363039),
+    -0.995: (6.2206862000130219059, 12.441493019716946446),
+}
 
 
 def characteristic_complex(x, sgn_f, chi, k, B=1.0, l=1.0):
@@ -83,46 +89,46 @@ def bc_matrix(x, sgn_f, model):
     # 5x5 homogeneous system in (C1..C4, phi): clamped-end rows, shear and
     # moment balance at the sliding end, kinematic compatibility phi = chi v(l)/l;
     # the shear condition sgn F/alpha^2 v'''(l) = phi + v'(l) reduces through
-    # the first integral of the field equation to C3 = -phi
+    # the first integral of the field equation to C3 = -phi.  An array x gives
+    # a stack of matrices, shape x.shape + (5, 5)
     B, l, k, chi = model.B, model.l, model.k, model.chi_hat
+    x = np.asarray(x, dtype=float)
     alpha = x / l
+    one, zero = np.ones_like(x), np.zeros_like(x)
     if sgn_f > 0:
-        b1, b2 = math.cosh(x), math.sinh(x)
-        d1, d2 = alpha * math.sinh(x), alpha * math.cosh(x)   # v' coefficients
-        w1, w2 = B * alpha**2 * math.cosh(x), B * alpha**2 * math.sinh(x)
+        b1, b2 = np.cosh(x), np.sinh(x)
+        d1, d2 = alpha * np.sinh(x), alpha * np.cosh(x)   # v' coefficients
+        w1, w2 = B * alpha**2 * np.cosh(x), B * alpha**2 * np.sinh(x)
     else:
-        b1, b2 = math.cos(x), math.sin(x)
-        d1, d2 = -alpha * math.sin(x), alpha * math.cos(x)
-        w1, w2 = -B * alpha**2 * math.cos(x), -B * alpha**2 * math.sin(x)
+        b1, b2 = np.cos(x), np.sin(x)
+        d1, d2 = -alpha * np.sin(x), alpha * np.cos(x)
+        w1, w2 = -B * alpha**2 * np.cos(x), -B * alpha**2 * np.sin(x)
     rows = [
-        [1.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, alpha, 1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0, -1.0],
+        [one, zero, zero, one, zero],
+        [zero, alpha, one, zero, zero],
+        [zero, zero, -one, zero, -one],
     ]
     if model.clamped:
-        rows.append([d1, d2, 1.0, 0.0, 1.0])
+        rows.append([d1, d2, one, zero, one])
     else:
-        rows.append([-w1 - k * d1, -w2 - k * d2, -k, 0.0, -k])
-    rows.append([-(chi / l) * b1, -(chi / l) * b2, -chi, -chi / l, 1.0])
-    return np.array(rows)
+        rows.append([-w1 - k * d1, -w2 - k * d2, -k * one, zero, -k * one])
+    rows.append([-(chi / l) * b1, -(chi / l) * b2, -chi * one, -chi / l * one, one])
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def test_characteristic_matches_complex_form_in_compression():
+    # characteristic is the printed condition times |chi|, regular at chi = 0
     rng = np.random.default_rng(7)
-    m = 0
-    while m < 100:
+    for _ in range(100):
         x = rng.uniform(0.1, 12.0)
         chi = rng.uniform(-5.0, 5.0)
-        if abs(chi) < 0.05:
-            continue
         k = rng.choice([0.0, rng.uniform(0.0, 2.0)])
         model = RodModel(B=1.0, l=1.0, k=float(k), chi_hat=float(chi))
         got = characteristic(x, "compression", model)
-        ref = characteristic_complex(x, -1.0, chi, float(k))
-        assert abs(ref.imag) < 1e-12 * local_scale(x, -1.0, chi, float(k))
-        assert np.isclose(got, ref.real, rtol=1e-12,
-                          atol=1e-12 * local_scale(x, -1.0, chi, float(k)))
-        m += 1
+        ref = abs(chi) * characteristic_complex(x, -1.0, chi, float(k))
+        scale = abs(chi) * local_scale(x, -1.0, chi, float(k))
+        assert abs(ref.imag) < 1e-12 * scale
+        assert np.isclose(got, ref.real, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_characteristic_matches_complex_form_in_tension():
@@ -133,9 +139,23 @@ def test_characteristic_matches_complex_form_in_tension():
         k = rng.uniform(0.0, 2.0)
         model = RodModel(B=1.0, l=1.0, k=float(k), chi_hat=float(chi))
         got = characteristic(x, "tension", model)
-        ref = characteristic_complex(x, 1.0, chi, float(k))
-        assert np.isclose(got, ref.real, rtol=1e-12,
-                          atol=1e-12 * local_scale(x, 1.0, chi, float(k)))
+        ref = abs(chi) * characteristic_complex(x, 1.0, chi, float(k))
+        scale = abs(chi) * local_scale(x, 1.0, chi, float(k))
+        assert np.isclose(got, ref.real, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_characteristic_continuous_at_straight_limit():
+    # the |chi| scaling leaves no 1/|chi| factor to diverge as chi -> 0
+    for clamped in (False, True):
+        for k in (0.0, 1.5):
+            straight = RodModel(B=1.0, l=1.0, k=k, chi_hat=0.0, clamped=clamped)
+            for chi in (1e-9, -1e-9):
+                model = RodModel(B=1.0, l=1.0, k=k, chi_hat=chi, clamped=clamped)
+                for sign in ("tension", "compression"):
+                    for x in (0.7, 2.3, 5.1):
+                        ref = characteristic(x, sign, straight)
+                        got = characteristic(x, sign, model)
+                        assert abs(got - ref) <= 1e-8 * abs(ref), (clamped, k, chi, sign, x)
 
 
 def test_characteristic_domain_errors():
@@ -161,6 +181,13 @@ def test_model_rejects_nan_spring():
     # every comparison with NaN is false, so a k < 0 check let it through
     with pytest.raises(ValueError, match="spring stiffness"):
         RodModel(B=1.0, l=1.0, k=math.nan, chi_hat=1.0)
+
+
+@pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_curvature(chi):
+    # NaN made every characteristic value NaN and the tables silently empty
+    with pytest.raises(ValueError, match="chi_hat"):
+        RodModel(B=1.0, l=1.0, k=0.0, chi_hat=chi)
 
 
 def test_straight_limit_pinned_scan_oracle():
@@ -273,6 +300,39 @@ def test_clamped_curvature_minus_one_double_roots():
     assert characteristic(2.0 * math.pi - 0.3, "compression", model) < 0.0
     assert characteristic(2.0 * math.pi + 0.3, "compression", model) < 0.0
     assert find_critical_loads(model, "tension", alpha_l_max=6.0 * math.pi) == []
+
+
+def test_clamped_close_pairs_next_to_two_pi_n():
+    # just above chi = -1 the clamped bracket has a root a little below each
+    # 2 pi n, closer to it than the scan step; both roots of a pair are listed
+    for chi, near in CLAMPED_PAIRS.items():
+        model = RodModel(B=1.0, l=1.0, chi_hat=chi, clamped=True)
+        found = [m.alpha_l for m in find_critical_loads(model, "compression")]
+        assert_allclose(found[:4], [near[0], 2.0 * math.pi, near[1], 4.0 * math.pi],
+                        rtol=0.0, atol=1e-14)
+
+
+def test_clamped_tables_match_determinant_scan_near_minus_one():
+    # pi/2000 sign scan of the boundary-value determinant, on a grid offset
+    # by half a step so that no sample lands on a root 2 pi n; at chi = -1
+    # the determinant only touches zero there, and the roots are 2 pi n
+    x_max = 6.0 * math.pi
+    step = math.pi / 2000.0
+    xs = step * (np.arange(int(x_max / step) + 1) + 0.5)
+    for i in range(-20, 21):
+        chi = -1.0 + i / 1000.0
+        model = RodModel(B=1.0, l=1.0, chi_hat=chi, clamped=True)
+        for sign, sgn_f in (("tension", 1.0), ("compression", -1.0)):
+            found = [m.alpha_l for m in find_critical_loads(model, sign, alpha_l_max=x_max)]
+            if chi == -1.0:
+                n = 3 if sign == "compression" else 0
+                assert found == [2.0 * math.pi * (j + 1) for j in range(n)]
+                continue
+            det = np.linalg.det(bc_matrix(xs, sgn_f, model))
+            cells = [(xs[a], xs[b]) for a, b in sign_changes(list(det))]
+            assert len(found) == len(cells), (chi, sign, found)
+            for x, (lo, hi) in zip(found, cells):
+                assert lo <= x <= hi, (chi, sign, x, lo, hi)
 
 
 def test_every_frozen_root_to_a_few_ulps():
