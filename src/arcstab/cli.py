@@ -11,7 +11,10 @@ are byte identical.
 
 Exit codes: 0 success, 2 invalid configuration, 3 singular configuration
 reached mid-run (partial output kept), 4 continuation failure (partial
-output kept).
+output kept).  A command and the library constructors it calls check some
+conditions only on the parsed values, before the command writes its first
+file; the echo is therefore written when the run ends with 0, 3 or 4, and
+exit 2 leaves --out empty.
 """
 
 import argparse
@@ -183,6 +186,9 @@ def cmd_trace_1dof(opts, out):
         # on a lobe flatter than the unit circle, and on the unit circle
         # the force is singular past t = pi/2
         t_stop = (math.pi if abs(chi) > 1.0 else math.asin(abs(chi))) - t_pad
+        if not t_pad > 0.0:
+            # t = 0 is the lobe joint, where the force is singular
+            raise ConfigError("onedof.t_pad: need a positive pin-angle margin")
         if not t_pad < t_stop:
             raise ConfigError("onedof.t_pad: no reachable pin angles left on the lobe")
         trace_fn = onedof.trace_branch_arc
@@ -231,7 +237,7 @@ def _tabulated_law(path):
 
 def cmd_design_profile(opts, out):
     if opts.law == "constant":
-        law = profiledesign.law_constant(opts.beta)
+        law = profiledesign.law_constant(opts.beta, psi_max=opts.psi_max)
     elif opts.law == "sinusoidal":
         law = profiledesign.law_sinusoidal(
             base=opts.base, amplitude=opts.amplitude, lobes=opts.lobes, psi_max=opts.psi_max
@@ -243,12 +249,17 @@ def cmd_design_profile(opts, out):
     else:
         law = _tabulated_law(opts.table)
 
+    phi_hi = math.asin(0.95 * law.psi_max)
+    if phi_hi < 0.05:
+        raise ConfigError(
+            "design limit psi_max=%g: the closed-loop check from phi = 0.05 needs "
+            "psi_max >= %.6g" % (law.psi_max, math.sin(0.05) / 0.95)
+        )
+    grid = np.linspace(0.05, phi_hi, opts.n_validate)
     profile = profiledesign.design_profile(law)
     profiledesign.export_profile_csv(
         profile, os.path.join(out, "profile.csv"), n=opts.n_samples
     )
-    phi_hi = math.asin(0.95 * law.psi_max)
-    grid = np.linspace(0.05, phi_hi, opts.n_validate)
     worst = profiledesign.closed_loop_validate(profile, law, grid)
     line = "closed_loop_max_error = %.3e over %d phi points in [%.6g, %.6g]" % (
         worst,
@@ -530,17 +541,18 @@ def main(argv=None):
         raw = _resolve_config(args.command, args)
         opts = _parse_settings(spec, raw)
         os.makedirs(args.out, exist_ok=True)
-        _write_echo(args.command, raw, args.out)
-        return spec.run(opts, args.out)
+        code = spec.run(opts, args.out)
     except (ConfigError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (SingularConfigurationError, DegenerateGeometryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 3
+        code = 3
     except ContinuationError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 4
+        code = 4
+    _write_echo(args.command, raw, args.out)
+    return code
 
 
 if __name__ == "__main__":

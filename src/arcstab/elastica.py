@@ -255,21 +255,12 @@ def compatibility_residual(R, theta0, problem):
     return _state_and_defect(theta0, R, problem)[1]
 
 
-def _nd_problem(problem):
-    return ElasticaProblem(
-        B=1.0,
-        l=1.0,
-        k_r=problem.k_r * problem.l / problem.B,
-        R_c=problem.R_c / problem.l,
-        half=problem.half,
-    )
-
-
-def _default_seed(ndp):
+def _default_seed(problem):
     # linearized critical load of the matching sliding-rod model
-    chi_hat = -1.0 / ndp.R_c if ndp.half == "left" else 1.0 / ndp.R_c
-    model = RodModel(B=1.0, l=1.0, k=ndp.k_r, chi_hat=chi_hat)
-    load_sign = "tension" if ndp.half == "left" else "compression"
+    left = problem.half == "left"
+    chi_hat = (-problem.l if left else problem.l) / problem.R_c
+    model = RodModel(B=problem.B, l=problem.l, k=problem.k_r, chi_hat=chi_hat)
+    load_sign = "tension" if left else "compression"
     modes = find_critical_loads(model, load_sign)
     if not modes:
         raise ValueError(
@@ -278,7 +269,7 @@ def _default_seed(ndp):
     return critical_force(modes[0], model)
 
 
-def _nearest_root(f, seed):
+def _nearest_root(f, seed, xtol):
     """Root of f nearest to seed in ratio, or None past seed*[1/5, 5].
 
     Samples seed, then seed/r and seed*r for r = 1.02, 1.02**1.6, ...,
@@ -291,7 +282,7 @@ def _nearest_root(f, seed):
         brackets = list(sign_changes(fs))
         if brackets:
             i, j = min(brackets, key=lambda b: (max(c - b[0], b[1] - c), b[0]))
-            return refine(f, xs, i, j, 1e-15)
+            return refine(f, xs, i, j, xtol)
         if r >= _WARM_MAX_RATIO:
             return None
         r = _WARM_FIRST_RATIO if r == 1.0 else min(r**_WARM_GROWTH, _WARM_MAX_RATIO)
@@ -311,24 +302,21 @@ def solve_R(theta0, problem, seed=None):
     window seed*[0.2, 5] is scanned at 200 points, and a
     MultipleRootWarning marks a window holding several roots, of which
     the smallest in magnitude is kept.  Either way a ContinuationError
-    names the window seed*[0.2, 5] when it holds no sign change.  The
-    solve runs on the unit-B, unit-l problem and rescales at the boundary.
+    names the window seed*[0.2, 5] when it holds no sign change.
     """
     if not theta0 > 0.0:
         raise ValueError("theta0 must be positive")
-    ndp = _nd_problem(problem)
-    scale = problem.B / problem.l**2
-    f = lambda R: compatibility_residual(R, theta0, ndp)
+    xtol = 1e-15 * problem.B / problem.l**2
+    f = lambda R: compatibility_residual(R, theta0, problem)
     if seed is not None:
-        seed_nd = seed / scale
-        root = _nearest_root(f, seed_nd)
+        root = _nearest_root(f, seed, xtol)
         roots = [] if root is None else [root]
     else:
-        seed_nd = _default_seed(ndp)
-        grid = seed_nd * np.geomspace(0.2, 5.0, _SCAN_POINTS)
-        roots = [refine(f, grid, i, j, 1e-15) for i, j in sign_changes([f(R) for R in grid])]
+        seed = _default_seed(problem)
+        grid = seed * np.geomspace(0.2, 5.0, _SCAN_POINTS)
+        roots = [refine(f, grid, i, j, xtol) for i, j in sign_changes([f(R) for R in grid])]
     if not roots:
-        lo, hi = sorted((0.2 * seed_nd * scale, 5.0 * seed_nd * scale))
+        lo, hi = sorted((0.2 * seed, 5.0 * seed))
         raise ContinuationError(
             "no sign change of the compatibility residual in the reaction window "
             f"[{lo:.6g}, {hi:.6g}] at theta0={theta0:.6g}"
@@ -340,7 +328,7 @@ def solve_R(theta0, problem, seed=None):
             MultipleRootWarning,
             stacklevel=2,
         )
-    return make_state(theta0, min(roots, key=abs) * scale, problem)
+    return make_state(theta0, min(roots, key=abs), problem)
 
 
 def _branch_problem(problem, branch):

@@ -9,6 +9,15 @@ load -k/(l*(1 + f''(0))): curvature below -1 turns the buckling load
 tensile, and an S-shaped profile with a curvature jump at psi = 0 gives
 one tensile and one compressive buckling load.
 
+The axial force, the energy's second derivative in phi and the end
+displacement are each written once, in phi and the profile's height f,
+slope f' and curvature f'' under the pin.  trace_branch takes these from
+the profile graph; trace_branch_arc takes them from a circular lobe at
+pin angle t, which past the vertical tangent (cos t < 0) is the lobe's
+far branch, another graph of psi, so the same formulas carry the force
+through zero there.  At an equilibrium the second derivative in t is the
+one in phi times (dphi/dt)^2, so both traces label stability alike.
+
 Forces are positive in tension, displacements positive when the system
 lengthens, angles in radians.
 """
@@ -138,16 +147,20 @@ def profile_s_shaped(chi_hat_magnitude: float) -> ProfileShape:
     return _two_lobe_profile(-mag, mag)
 
 
-def equilibrium_force(phi: float, sys: OneDofSystem) -> float:
-    """Axial force balancing the bar at rotation phi, positive in tension."""
+def _force(phi: float, fp: float, sys: OneDofSystem) -> float:
+    # virtual work of spring and load at profile slope fp under the pin
     num = -sys.k * (phi - sys.phi0)
-    sp = math.sin(phi)
-    den = sys.l * (sp + math.cos(phi) * sys.profile.fp(sp))
+    den = sys.l * (math.sin(phi) + math.cos(phi) * fp)
     if math.isnan(den) or abs(den) < 1e-15 * sys.l:
         raise SingularConfigurationError(
             "load path tangent vertical at phi=%r" % (phi,), phi=phi
         )
     return num / den
+
+
+def equilibrium_force(phi: float, sys: OneDofSystem) -> float:
+    """Axial force balancing the bar at rotation phi, positive in tension."""
+    return _force(phi, sys.profile.fp(math.sin(phi)), sys)
 
 
 def _critical_for(chi: float, sys: OneDofSystem) -> float:
@@ -175,11 +188,11 @@ def critical_loads_s_shaped(sys: OneDofSystem) -> Tuple[float, float]:
     return _critical_for(p.curvature_right_at_0, sys), _critical_for(p.curvature_left_at_0, sys)
 
 
-def stability_of(phi: float, F: float, sys: OneDofSystem) -> str:
-    """Classify an equilibrium by the sign of the second energy derivative."""
+def _stability(phi: float, F: float, fp: float, fpp: float, sys: OneDofSystem) -> str:
+    # sign of the energy's second derivative in phi at profile slope fp
+    # and curvature fpp under the pin
     sp, cp = math.sin(phi), math.cos(phi)
-    p = sys.profile
-    d2 = sys.k + F * sys.l * (cp - p.fp(sp) * sp + p.fpp(sp) * cp * cp)
+    d2 = sys.k + F * sys.l * (cp - fp * sp + fpp * cp * cp)
     if math.isnan(d2):
         raise SingularConfigurationError(
             "stability undefined at phi=%r" % (phi,), phi=phi
@@ -189,15 +202,22 @@ def stability_of(phi: float, F: float, sys: OneDofSystem) -> str:
     return "stable" if d2 > 0.0 else "unstable"
 
 
+def stability_of(phi: float, F: float, sys: OneDofSystem) -> str:
+    """Classify an equilibrium by the sign of the second energy derivative."""
+    sp, p = math.sin(phi), sys.profile
+    return _stability(phi, F, p.fp(sp), p.fpp(sp), sys)
+
+
+def _elongation(phi: float, f: float, sys: OneDofSystem) -> float:
+    # end displacement with the pin at profile height f
+    return sys.l * (
+        math.cos(phi) - math.cos(sys.phi0) - f + sys.profile.f(math.sin(sys.phi0))
+    )
+
+
 def elongation(phi: float, sys: OneDofSystem) -> float:
     """End displacement at rotation phi, positive when the system lengthens."""
-    p = sys.profile
-    return sys.l * (
-        math.cos(phi)
-        - math.cos(sys.phi0)
-        - p.f(math.sin(phi))
-        + p.f(math.sin(sys.phi0))
-    )
+    return _elongation(phi, sys.profile.f(math.sin(phi)), sys)
 
 
 def _trace(point_of, grid, label):
@@ -233,65 +253,32 @@ def trace_branch(
     return _trace(lambda phi: _phi_point(phi, sys), phi_grid, label)
 
 
-def _arc_angles(t: float, sys: OneDofSystem) -> Tuple[float, float, float]:
-    """(lobe curvature, sin phi, phi) of the pin at angle t."""
-    chi = (
-        sys.profile.curvature_right_at_0
-        if t >= 0.0
-        else sys.profile.curvature_left_at_0
-    )
+def _arc_graph(t: float, sys: OneDofSystem) -> Tuple[float, float, float, float]:
+    """(phi, f, f', f'') of the pin at angle t on its circular lobe; past the
+    vertical tangent, f' and f'' pass through infinity and change sign."""
+    p = sys.profile
+    chi = p.curvature_right_at_0 if t >= 0.0 else p.curvature_left_at_0
     if chi == 0.0:
         raise ValueError("arc tracing needs a curved constraint")
     sphi = math.sin(t) / abs(chi)
     if abs(sphi) > 1.0:
         raise ValueError("pin angle %r leaves the reachable arc" % (t,))
-    return chi, sphi, math.asin(sphi)
-
-
-def _arc_force(t: float, sys: OneDofSystem) -> float:
-    # force along the lobe by pin angle, regular through the fold of the
-    # phi parameterization (vertical profile tangent)
-    chi, sphi, phi = _arc_angles(t, sys)
-    st, ct = math.sin(t), math.cos(t)
-    sg = math.copysign(1.0, chi)
-    den = sys.l * (sphi * ct + math.cos(phi) * sg * st)
-    # on a unit circle den vanishes identically where sg cos t < 0, since
-    # cos^2 t - (chi^2 - sin^2 t) = 1 - chi^2; rounding leaves ~1e-15 there
-    if abs(den) < 1e-15 * sys.l or (abs(chi) == 1.0 and ct * sg < 0.0):
+    phi, ct, sg = math.asin(sphi), math.cos(t), math.copysign(1.0, chi)
+    # sin phi + cos phi f' = sin t (cos t + sg sqrt(chi^2 - sin^2 t)) /
+    # (|chi| cos t), which on a unit circle vanishes wherever sg cos t < 0;
+    # rounding hides that from the force's 1e-15 l test
+    if abs(chi) == 1.0 and sg * ct < 0.0:
         raise SingularConfigurationError(
             "load path tangent vertical at pin angle %r" % (t,), phi=phi
         )
-    return -sys.k * (phi - sys.phi0) * ct / den
-
-
-def _arc_stability(t: float, phi: float, F: float, chi: float, sys: OneDofSystem) -> str:
-    # second derivative of the energy in the pin angle, valid on both
-    # sides of the fold where phi is no longer a coordinate
-    st, ct = math.sin(t), math.cos(t)
-    q = math.sqrt(chi * chi - st * st)
-    if q < 1e-12:
-        raise SingularConfigurationError(
-            "stability undefined at pin angle %r" % (t,), phi=phi
-        )
-    dphi = ct / q
-    ddphi = -st * (chi * chi - 1.0) / q**3
-    ddf = ct / chi
-    d2 = sys.k * dphi * dphi + sys.k * (phi - sys.phi0) * ddphi
-    d2 -= F * sys.l * (-math.cos(phi) * dphi * dphi - math.sin(phi) * ddphi - ddf)
-    if abs(d2) < _STAB_BAND * sys.k:
-        return "critical"
-    return "stable" if d2 > 0.0 else "unstable"
+    return phi, (1.0 - ct) / chi, sg * math.tan(t), chi / ct**3
 
 
 def _arc_point(t: float, sys: OneDofSystem) -> EquilibriumPoint:
-    chi, _, phi = _arc_angles(t, sys)
-    F = _arc_force(t, sys)
-    fval = (1.0 - math.cos(t)) / chi
-    f0 = sys.profile.f(math.sin(sys.phi0))
-    delta = sys.l * (math.cos(phi) - math.cos(sys.phi0) - fval + f0)
-    return EquilibriumPoint(
-        phi=phi, F=F, delta=delta, stability=_arc_stability(t, phi, F, chi, sys)
-    )
+    phi, f, fp, fpp = _arc_graph(t, sys)
+    F = _force(phi, fp, sys)
+    stab = _stability(phi, F, fp, fpp, sys)
+    return EquilibriumPoint(phi=phi, F=F, delta=_elongation(phi, f, sys), stability=stab)
 
 
 def trace_branch_arc(
@@ -309,7 +296,11 @@ def trace_branch_arc(
     """
     ts = [float(t) for t in t_grid]
     trace = _trace(lambda t: _arc_point(t, sys), ts, label)
-    force = lambda t: _arc_force(t, sys)
+
+    def force(t):
+        phi, _, fp, _ = _arc_graph(t, sys)
+        return _force(phi, fp, sys)
+
     for i, j in sign_changes([p.F for p in trace.points]):
         try:
             tz = refine(force, ts, i, j, 1e-14)

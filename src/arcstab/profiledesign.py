@@ -38,12 +38,16 @@ class TargetForceLaw:
     psi_max: float = 0.99
     dbeta: Optional[Callable[[float], float]] = None
 
+    def __post_init__(self):
+        if not 0.0 < self.psi_max <= 1.0:
+            raise ValueError("design limit psi_max must lie in (0, 1], got %r" % self.psi_max)
 
-def law_constant(beta: float = -1.0) -> TargetForceLaw:
+
+def law_constant(beta: float = -1.0, psi_max: float = 0.99) -> TargetForceLaw:
     b = float(beta)
     if b == 0.0:
         raise ValueError("zero target force")
-    return TargetForceLaw(beta=lambda psi: b, psi_max=0.99, dbeta=lambda psi: 0.0)
+    return TargetForceLaw(beta=lambda psi: b, psi_max=psi_max, dbeta=lambda psi: 0.0)
 
 
 def law_sinusoidal(
@@ -81,9 +85,11 @@ def law_circular(
         a = math.asin(psi)
         return a / (math.sqrt(radius * radius - a * a) * math.sqrt(1.0 - psi * psi))
 
+    # built first, so that a psi_max outside (0, 1] is refused before asin sees it
+    law = TargetForceLaw(beta=beta, psi_max=psi_max, dbeta=dbeta)
     if radius * radius <= math.asin(psi_max) ** 2:
         raise ValueError("radius too small for the requested psi range")
-    return TargetForceLaw(beta=beta, psi_max=psi_max, dbeta=dbeta)
+    return law
 
 
 def _dbeta(law: TargetForceLaw, psi: float) -> float:

@@ -112,7 +112,7 @@ def test_malformed_numeric_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, key",
+    "argv, message",
     [
         (["critical-rod", "--max-modes", "-1"], "rodlinear.max_modes"),
         (["design-profile", "--n-validate", "0"], "profiledesign.n_validate"),
@@ -131,14 +131,36 @@ def test_malformed_numeric_exits_2(tmp_path, capsys):
          "elastica.shape_phi: need a finite number"),
         (["critical-1dof", "--chi-hat-grid", "-inf, 0"],
          "onedof.chi_hat_grid: need a finite number"),
+        # checked after parsing, by the command or by a library constructor,
+        # whose message names the quantity
+        (["trace-1dof", "--k", "0"], "spring stiffness k"),
+        (["critical-1dof", "--l", "-1"], "bar length l"),
+        (["critical-rod", "--B", "0"], "bending stiffness B"),
+        (["critical-rod", "--alpha-l-max", "-1"], "alpha_l_max"),
+        (["trace-elastica", "--R-c", "0"], "constraint radius R_c"),
+        (["trace-elastica", "--theta0-min", "3"], "elastica.theta0_min"),
+        (["trace-1dof", "--profile", "circular", "--chi-hat", "0"], "onedof.chi_hat"),
+        (["design-profile", "--beta", "0"], "zero target force"),
+        # a margin of 0 starts at the lobe joint, a negative one on the other lobe
+        (["trace-1dof", "--t-pad", "0"], "onedof.t_pad: need a positive"),
+        (["trace-1dof", "--t-pad=-0.1"], "onedof.t_pad: need a positive"),
+        (["design-profile", "--law", "constant", "--psi-max", "0"], "psi_max"),
+        (["design-profile", "--law", "constant", "--psi-max", "2"], "psi_max"),
+        (["design-profile", "--law", "sinusoidal", "--psi-max", "0"], "psi_max"),
+        (["design-profile", "--law", "sinusoidal", "--psi-max", "2"], "psi_max"),
+        # the closed-loop check starts at phi = 0.05, past this design limit
+        (["design-profile", "--law", "constant", "--psi-max", "0.04"], "psi_max=0.04"),
     ],
     ids=["max-modes", "n-validate", "n-samples", "shape-samples", "elastica-n-points",
          "spring-k", "unused-phi-start", "spring-k-nan", "alpha-l-max-inf", "shape-phi-nan",
-         "chi-hat-grid-inf"],
+         "chi-hat-grid-inf", "bar-k", "bar-l", "rod-B", "alpha-l-max-negative", "R-c",
+         "theta0-min", "chi-hat-zero", "beta-zero", "t-pad-zero", "t-pad-negative",
+         "constant-psi-max-0", "constant-psi-max-2", "sinusoidal-psi-max-0",
+         "sinusoidal-psi-max-2", "psi-max-below-check"],
 )
-def test_bad_setting_exits_2_before_any_output(argv, key, tmp_path, capsys):
+def test_bad_setting_exits_2_before_any_output(argv, message, tmp_path, capsys):
     assert run(argv, tmp_path) == 2
-    assert key in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -249,6 +271,15 @@ def test_design_profile_sinusoidal_roundtrip(tmp_path):
     assert run(["design-profile", "--law", "sinusoidal"], tmp_path) == 0
     err = float((tmp_path / "design_report.txt").read_text().split("=")[1].split()[0])
     assert err < 1e-6
+
+
+def test_design_profile_constant_law_reads_psi_max(tmp_path):
+    assert run(["design-profile", "--law", "constant", "--psi-max", "0.5"], tmp_path) == 0
+    _, rows = read_csv(tmp_path / "profile.csv")
+    assert float(rows[-1][0]) == 0.5
+    report = (tmp_path / "design_report.txt").read_text()
+    assert report.split(", ")[-1].strip() == "%.6g]" % math.asin(0.95 * 0.5)
+    assert float(report.split("=")[1].split()[0]) < 1e-6
 
 
 def test_design_profile_zero_target_exits_2(tmp_path):

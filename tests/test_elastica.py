@@ -603,6 +603,9 @@ def test_dimensional_wrappers_scale_consistently():
     assert dim.delta == pytest.approx(nd.delta * 3.0, rel=1e-12)
     assert dim.modulus == pytest.approx(nd.modulus, rel=1e-12)
     assert dim.alpha_tilde == pytest.approx(nd.alpha_tilde / 3.0, rel=1e-12)
+    # a warm solve in the same units lands on the same root
+    warm = solve_R(0.5, tensile_problem(Rc=0.75, B=2.0, l=3.0), seed=1.1 * dim.R)
+    assert warm.R == pytest.approx(dim.R, rel=1e-12)
     th = theta_at(1.5, dim)
     assert th == pytest.approx(theta_at(0.5, nd), rel=1e-12)
     x1, x2 = coordinates_at(3.0, dim)

@@ -38,6 +38,25 @@ def energy(phi, F, sys):
     )
 
 
+def energy_in_pin_angle(t, F, chi, sys):
+    # spring energy minus load work with the pin at angle t on a lobe of
+    # curvature chi, on either side of its vertical tangent
+    phi = np.arcsin(np.sin(t) / abs(chi))
+    f0 = sys.profile.f(np.sin(sys.phi0))
+    delta = np.cos(phi) - np.cos(sys.phi0) - (1.0 - np.cos(t)) / chi + f0
+    return 0.5 * sys.k * (phi - sys.phi0) ** 2 - F * sys.l * delta
+
+
+def energy_label(t, F, chi, sys, h=1e-4):
+    """Stability by a central second difference of the energy in t, or
+    None where the difference is too small to tell."""
+    e = [energy_in_pin_angle(t + d, F, chi, sys) for d in (-h, 0.0, h)]
+    d2 = (e[0] - 2.0 * e[1] + e[2]) / (h * h)
+    if abs(d2) <= 1e-5:
+        return None
+    return "stable" if d2 > 0.0 else "unstable"
+
+
 def system(profile, k=1.0, l=1.0, phi0=0.0):
     return OneDofSystem(k=k, l=l, phi0=phi0, profile=profile)
 
@@ -341,11 +360,41 @@ def test_branch_shift_property():
 
 
 def test_arc_stability_consistent_with_angle_form():
+    # both sides of the fold, against the energy in the pin angle
     sys = system(profile_s_shaped(4.0))
-    ts = np.linspace(0.05, 1.45, 20)
+    ts = np.linspace(0.05, np.pi - 0.05, 60)
     tr = trace_branch_arc(sys, ts)
+    assert len(tr.points) == len(ts)
+    checked = 0
     for t, pt in zip(ts, tr.points):
-        assert pt.stability == stability_of(pt.phi, pt.F, sys)
+        want = energy_label(t, pt.F, -4.0, sys)
+        if want is not None:
+            assert pt.stability == want
+            checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("chi", [1.25, -1.25, 2.0, -2.0, 4.0, -4.0])
+@pytest.mark.parametrize("phi0", [0.0, 0.01, -0.01])
+def test_arc_trace_past_vertical_tangent_matches_pin_angle_forms(chi, phi0):
+    # on the lobe's far branch (cos t < 0): force by virtual work in t and
+    # stability by the energy's second difference in t
+    sys = system(profile_circular(chi), phi0=phi0)
+    ts = np.linspace(np.pi / 2 + 0.02, np.pi - 0.02, 40)
+    tr = trace_branch_arc(sys, ts)
+    assert tr.complete and len(tr.points) == len(ts)
+    sg = np.sign(chi)
+    labelled = 0
+    for t, pt in zip(ts, tr.points):
+        assert np.cos(t) < 0.0
+        phi = pt.phi
+        want = (phi - phi0) * np.cos(t) / -(np.sin(phi) * np.cos(t) + sg * np.sin(t) * np.cos(phi))
+        assert abs(pt.F - want) <= 1e-12 * max(1.0, abs(want))
+        label = energy_label(t, pt.F, chi, sys)
+        if label is not None:
+            assert pt.stability == label
+            labelled += 1
+    assert labelled > 30
 
 
 def test_imperfection_sign_asymmetry():

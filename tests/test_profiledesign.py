@@ -150,6 +150,20 @@ def test_vanishing_target_rejected():
         design_profile(tiny, tol=1e-10)
 
 
+def test_design_limit_outside_unit_interval_rejected():
+    for psi_max in (0.0, -0.5, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="psi_max"):
+            TargetForceLaw(beta=lambda s: -1.0, psi_max=psi_max)
+        with pytest.raises(ValueError, match="psi_max"):
+            law_constant(-1.0, psi_max=psi_max)
+        with pytest.raises(ValueError, match="psi_max"):
+            law_sinusoidal(psi_max=psi_max)
+    # the closed interval's end is a valid design limit
+    assert law_constant(-1.0, psi_max=1.0).psi_max == 1.0
+    assert law_constant(-1.0, psi_max=0.5).psi_max == 0.5
+    assert law_constant(-1.0).psi_max == 0.99
+
+
 def test_unreachable_tolerance_reported():
     wild = TargetForceLaw(
         beta=lambda s: -1.5 + 0.4999 * np.sin(5000.0 * np.arcsin(s)), psi_max=0.99
