@@ -18,11 +18,13 @@ clamp (the assembly that buckles under tension when R_c < l), half =
 
 Accuracy note: tensile states (R > 0) push the modulus toward 1 as
 theta0 -> 0 like k - 1 ~ theta0^2/8.  The turning point quantities stay
-conditioned in the Carlson forms, so the remaining floor is the m -> 1
-Jacobi series inside scipy's ellipj: residuals are clean to ~5e-12 at
-theta0 = 1e-4 and degrade to ~2e-10 by 1e-6.  Continuation schedules
-start at 1e-4, where solved reactions are good to ~2e-7 absolute.
-Compressive states keep a large modulus and stay clean at any theta0.
+conditioned in the Carlson forms, and the Jacobi functions take the
+complement 1 - 1/k^2 = sin^2(theta0/2) - (theta0 k_r/B)^2/(4R/B) in
+closed form, so the floor left is rounding: about 2e-16 absolute in the
+residual, whose slope in R falls like theta0.  For B = l = 1 and
+R_c = 1/4, cold solves return R within 1.1e-11 of a 30-digit reference at
+theta0 = 1e-4, 4.6e-11 at 1e-5 and 7.7e-10 at 1e-6.  Compressive states
+keep a large modulus and stay clean at any theta0.
 """
 
 import math
@@ -32,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .branch import BranchTrace, refine, sign_changes
-from .elliptic import _E_sym, _F_sym, _jacobi, ellint_F
+from .elliptic import _FE_sym, _jacobi, ellint_F
 # unused here; the benchmark tracer (bench/tracing.py) wraps them under this module's name
 from .elliptic import jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
 from .errors import ContinuationError, DegenerateGeometryError
@@ -105,7 +107,9 @@ class ElasticaState:
     compatibility condition.  u0 and angle_offset are the elliptic origin
     shift F(beta0, k) and the H(R) pi branch offset of the rotation field;
     eps0 and dn0 cache epsilon(u0) and dn(u0) from the well conditioned
-    turning point form for use in the coordinate quadratures.
+    turning point form for use in the coordinate quadratures.  mc is the
+    complement 1 - 1/k^2 of the Jacobi parameter in closed form when
+    k > 1, and None otherwise.
     """
 
     theta0: float
@@ -121,6 +125,7 @@ class ElasticaState:
     angle_offset: float
     eps0: float
     dn0: float
+    mc: float | None
 
 
 @dataclass(frozen=True)
@@ -158,10 +163,10 @@ def modulus_from(theta0, R, k_r=0.0, B=1.0):
     return 2.0 * math.sqrt(at2) / math.sqrt(den)
 
 
-def _rod_point(s, k, at, R, u0, eps0, dn0, offset):
+def _rod_point(s, k, at, R, u0, eps0, dn0, offset, mc):
     """(theta, x1, x2) at arclength s from one Jacobi evaluation at s alpha/k + u0."""
     u = s * at / k
-    am, dn, eps = _jacobi(u + u0, k)
+    am, dn, eps = _jacobi(u + u0, k, mc)
     pref = math.copysign(1.0, R) * 2.0 / (k * at)
     return (
         2.0 * am + offset,
@@ -173,6 +178,8 @@ def _rod_point(s, k, at, R, u0, eps0, dn0, offset):
 def _state_and_defect(theta0, R, problem):
     """The rod at a trial reaction R and its closure defect
     [x1(l) - c] sin phi - x2(l) cos phi, c = +-R_c."""
+    # pure-Python arithmetic on numpy scalars is several times slower
+    theta0, R = float(theta0), float(R)
     if theta0 < 0.0:
         raise ValueError("theta0 must be nonnegative; mirror states negate x2 and phi")
     den, spring, half_trig, at2 = _rotation_denominator(theta0, R, problem.k_r, problem.B)
@@ -183,18 +190,26 @@ def _state_and_defect(theta0, R, problem):
     if k > 1.0:
         # turning point at the pin: sin(gamma) = k sin(beta0), and the
         # complement cos^2(gamma) = (theta0 k_r/B)^2/den is kept in closed
-        # form; squaring an arcsin here would cost sqrt(eps) of phase
+        # form; squaring an arcsin here would cost sqrt(eps) of phase.  The
+        # Jacobi complement mc = 1 - m1 is kept in closed form too,
+        # sin^2(theta0/2) - spring^2/(4 at2) for R > 0 (cos^2 for R < 0),
+        # where 1 - m1 would cancel as theta0 -> 0
         m1 = den / (4.0 * at2)
+        other_trig = math.sin(theta0 / 2.0) if R > 0.0 else math.cos(theta0 / 2.0)
+        mc = other_trig * other_trig - spring * spring / (4.0 * at2)
+        if not mc > 0.0:  # rounding next to k = 1 with a spring
+            mc = (k - 1.0) * (k + 1.0) * m1
         sg = math.copysign(2.0 * at * half_trig / math.sqrt(den), beta0)
         c2 = spring * spring / den
-        w = (1.0 - m1) + m1 * c2
-        u0 = _F_sym(sg, c2, w) / k
-        eps0 = (_E_sym(sg, c2, w, m1) - (1.0 - m1) * k * u0) / (k * m1)
+        f, e = _FE_sym(sg, c2, mc + m1 * c2, m1)
+        u0 = f / k
+        eps0 = (e - mc * k * u0) / (k * m1)
         dn0 = math.sqrt(c2)
     else:
+        mc = None
         u0 = ellint_F(beta0, k)
         _, dn0, eps0 = _jacobi(u0, k)
-    phi, x1, x2 = _rod_point(problem.l, k, at, R, u0, eps0, dn0, offset)
+    phi, x1, x2 = _rod_point(problem.l, k, at, R, u0, eps0, dn0, offset, mc)
     c = problem.R_c if problem.half == "left" else -problem.R_c
     if abs(math.cos(phi)) >= abs(math.sin(phi)):
         lam = (x1 - c) / math.cos(phi)
@@ -214,6 +229,7 @@ def _state_and_defect(theta0, R, problem):
         angle_offset=offset,
         eps0=eps0,
         dn0=dn0,
+        mc=mc,
     )
     return state, (x1 - c) * math.sin(phi) - x2 * math.cos(phi)
 
@@ -230,7 +246,7 @@ def _state_point(s, state):
         raise ValueError("arclength s must lie in [0, l]")
     return _rod_point(
         s, state.modulus, state.alpha_tilde, state.R, state.u0, state.eps0, state.dn0,
-        state.angle_offset,
+        state.angle_offset, state.mc,
     )
 
 

@@ -132,16 +132,18 @@ def test_brentq_port_error_paths_match_scipy(f, a, b, xtol):
 
 
 def test_cli_runs_without_scipy_optimize_or_integrate(tmp_path):
-    # a fresh interpreter, so no other test has imported either module yet
+    # a fresh interpreter, so no other test has imported scipy yet; neither
+    # the import nor these two commands load any scipy module
     script = (
         "import sys\n"
         "import arcstab\n"
         "from arcstab import cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert loaded() == [], loaded()\n"
         "out = sys.argv[1]\n"
         "assert cli.main(['critical-rod', '--out', out]) == 0\n"
         "assert cli.main(['trace-elastica', '--scenario', 'fig7', '--out', out]) == 0\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('scipy.optimize', 'scipy.integrate'))))\n"
+        "print(loaded())\n"
     )
     src = str(Path(branch.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

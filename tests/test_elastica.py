@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from arcstab import cli, elastica, elliptic
@@ -295,15 +296,15 @@ def test_residual_sign_flip_across_root():
 
 @pytest.fixture
 def ellipj_calls(monkeypatch):
-    # arguments of every scipy ellipj call the elliptic kernels make
+    # arguments of every call of the sn/cn/dn kernel the elliptic layer makes
     calls = []
-    ellipj = elliptic.special.ellipj
+    ellipj = elliptic._ellipj_reduced
 
     def counting(*args):
         calls.append(args)
         return ellipj(*args)
 
-    monkeypatch.setattr(elliptic.special, "ellipj", counting)
+    monkeypatch.setattr(elliptic, "_ellipj_reduced", counting)
     return calls
 
 
@@ -360,6 +361,57 @@ def test_small_rotation_matches_linearized_loads(Rc):
     assert st.F == pytest.approx(linearized_load(Rc, "tension"), rel=1e-3)
     st = solve_R(1e-4, compressive_problem(Rc))
     assert st.F == pytest.approx(linearized_load(Rc, "compression"), rel=1e-3)
+
+
+def integrated_clamp(theta0, R, k_r=0.0):
+    # (theta(l), x1(l), x2(l)) by DOP853 from the pin, B = l = 1
+    sol = solve_ivp(lambda s, y: [y[1], R * math.sin(y[0]), math.cos(y[0]), math.sin(y[0])],
+                    (0.0, 1.0), [theta0, theta0 * k_r, 0.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-15 * theta0)
+    th, _, x1, x2 = sol.y[:, -1]
+    return th, x1, x2
+
+
+def assert_integrated_equilibrium(theta0, R, phi, Rc=0.25):
+    # the integrated clamp angle is phi, and the clamp sits on the
+    # horizontal through the circle center
+    th, x1, x2 = integrated_clamp(theta0, R)
+    assert abs(th - phi) <= 1e-10, (theta0, R)
+    assert abs((x1 - Rc) * math.sin(phi) - x2 * math.cos(phi)) <= 1e-10, (theta0, R)
+
+
+@pytest.mark.parametrize("theta0", [1e-5, 1e-6])
+def test_cold_solve_at_tiny_rotation_keeps_first_mode(theta0):
+    # 1 - 1/k^2 = sin^2(theta0/2) is below 3e-11 here; formed as 1 - m1 it
+    # lost its digits and the cold solve landed at R = 1.0969 (theta(l) - phi
+    # off by 9.6e-8 at theta0 = 1e-5).  R tends to the linearized load as
+    # theta0^2
+    st = solve_R(theta0, tensile_problem())
+    assert abs(st.R / linearized_load(0.25, "tension") - 1.0) < 1e-8
+    assert_integrated_equilibrium(theta0, st.R, st.phi)
+
+
+def test_residual_where_spring_puts_modulus_next_to_one():
+    # k = 1 + 2.2e-16, while the closed form of 1 - 1/k^2 rounds to -1.1e-16:
+    # the Jacobi complement then comes from k, and the residual is the
+    # closure defect of the integrated rod
+    th0, k_r, R = 1.54, 1.98, 4.796501602842921
+    assert modulus_from(th0, R, k_r) > 1.0
+    res = compatibility_residual(R, th0, tensile_problem(k_r=k_r))
+    th, x1, x2 = integrated_clamp(th0, R, k_r)
+    assert abs(res - ((x1 - 0.25) * math.sin(th) - x2 * math.cos(th))) < 1e-9
+
+
+def test_cli_tensile_trace_from_tiny_rotation(tmp_path):
+    args = ["trace-elastica", "--R-c", "0.25", "--branch", "tensile", "--theta0-min", "1e-5",
+            "--theta0-max", "1e-3", "--n-points", "5", "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    rows = np.loadtxt(tmp_path / "elastica_tensile.csv", delimiter=",", skiprows=1)
+    assert len(rows) == 5
+    R_lin = linearized_load(0.25, "tension")
+    for th0, R, _, phi, _, _ in rows:
+        assert abs(R / R_lin - 1.0) < 1e-6
+        assert_integrated_equilibrium(th0, R, phi)
 
 
 def test_solve_rejects_bad_rotation():

@@ -2,26 +2,32 @@
 
 Reference routes are kept independent of the production code: adaptive
 quadrature of the defining integrals (with a substitution that removes the
-square-root endpoint singularity for modulus > 1) and a few values frozen
+square-root endpoint singularity for modulus > 1), 40-digit mpmath values
+of the Carlson integrals and the Jacobi functions, and a few values frozen
 from 40-digit arithmetic.
 """
 
+import math
+import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from arcstab import elliptic
 from arcstab.elliptic import (
     ellint_F,
     ellint_E,
     jacobi_am,
     jacobi_dn,
     jacobi_epsilon,
-    _am_agm,
 )
+
+EPS = 2.0**-52
 
 
 def oracle_F(beta, k):
@@ -77,6 +83,33 @@ DN_05_06 = 0.9588523450594626              # dn(0.5, k=0.6)
 EPS_11_06 = 0.9810043879852557             # int_0^1.1 dn(w, k=0.6)^2 dw
 
 
+def _mp_am_eps(v, m):
+    # continued amplitude atan2(sn, cn) + 2 pi j, with j from am ~ pi v / (2 K)
+    sn, cn = mpmath.ellipfun("sn", v, m=m), mpmath.ellipfun("cn", v, m=m)
+    a0 = mpmath.atan2(sn, cn)
+    am = a0 + 2 * mpmath.pi * mpmath.nint((v * mpmath.pi / (2 * mpmath.ellipk(m)) - a0) / (2 * mpmath.pi))
+    return am, mpmath.ellipe(am, m)
+
+
+def mp_jacobi(u, k):
+    """40-digit (am, dn, eps) in the conventions of jacobi_*: for k > 1 the
+    reflective amplitude arcsin(sn(u, k)), the signed dn(u, k) = cn(k u, 1/k)
+    and the epsilon continued through the formula of jacobi_epsilon."""
+    with mpmath.workdps(40):
+        u, k = mpmath.mpf(u), mpmath.mpf(k)
+        if k == 0:
+            return u, mpmath.mpf(1), u
+        if k == 1:
+            return mpmath.asin(mpmath.tanh(u)), mpmath.sech(u), mpmath.tanh(u)
+        if k < 1:
+            am, eps = _mp_am_eps(u, k * k)
+            return am, mpmath.ellipfun("dn", u, m=k * k), eps
+        m1 = 1 / (k * k)
+        _, eps1 = _mp_am_eps(k * u, m1)
+        return (mpmath.asin(mpmath.ellipfun("sn", u, m=k * k)), mpmath.ellipfun("dn", u, m=k * k),
+                (eps1 - (1 - m1) * k * u) / (k * m1))
+
+
 def admissible_betas(k, n=200):
     if k <= 1.0:
         return np.linspace(-1.5, 1.5, n)
@@ -106,7 +139,6 @@ def test_frozen_values():
 @pytest.mark.parametrize("beta", [3.0, -5.0, 10.0])
 def test_E_at_unit_modulus_past_quarter_turn(beta):
     # E(1) = 1 closes the half-period reduction; its Carlson form is inf - inf
-    mpmath = pytest.importorskip("mpmath")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = ellint_E(beta, 1.0)
@@ -158,9 +190,9 @@ def test_integrable_endpoint(k):
 
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99])
-def test_am_agrees_with_agm_route(k):
-    for u in np.linspace(-8.0, 8.0, 161):
-        assert abs(jacobi_am(u, k) - _am_agm(u, k)) < 1e-10
+def test_am_agrees_with_mpmath(k):
+    for u in np.linspace(-8.0, 8.0, 41):
+        assert abs(jacobi_am(u, k) - float(mp_jacobi(u, k)[0])) <= 4 * EPS * max(1.0, abs(u))
 
 
 def test_am_k_gt_1_agrees_with_direct_inversion():
@@ -239,3 +271,101 @@ def test_property_roundtrip_and_identity(beta, k):
     assert abs(am - beta) < 1e-10
     dn = jacobi_dn(u, k)
     assert abs(dn * dn + (k * np.sin(am)) ** 2 - 1.0) < 1e-10
+
+
+def test_carlson_kernel_matches_mpmath():
+    # R_F and R_D from the one duplication loop, arguments log-uniform over
+    # 15 decades, a fifth of them with x = 0
+    rng = random.Random(20261018)
+    for _ in range(400):
+        x, y, z = (10.0 ** rng.uniform(-12.0, 3.0) for _ in range(3))
+        if rng.random() < 0.2:
+            x = 0.0
+        rf, rd = elliptic._rf_rd(x, y, z)
+        with mpmath.workdps(40):
+            want_f, want_d = mpmath.elliprf(x, y, z), mpmath.elliprd(x, y, z)
+        assert abs(rf - want_f) <= 4 * EPS * want_f, (x, y, z)
+        assert abs(rd - want_d) <= 4 * EPS * want_d, (x, y, z)
+
+
+@pytest.mark.parametrize(
+    "k", [0.0, 2.6e-129, 1e-20, 3e-5, 0.3, 0.6, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-10]
+)
+def test_ellipj_kernel_matches_mpmath(k):
+    # sn, cn, dn, continued amplitude and epsilon of the AGM kernel, with
+    # the complement 1 - k^2 formed without cancellation; near m = 1 the
+    # functions follow mc, not the rounded k*k, so the reference runs at 1 - mc
+    m, mc = k * k, (1.0 - k) * (1.0 + k)
+    for w in np.linspace(-9.3, 9.3, 31):
+        got = elliptic._ellipj_reduced(w, m, mc)
+        with mpmath.workdps(40):
+            m_ref = 1 - mpmath.mpf(mc)
+            am, eps = _mp_am_eps(mpmath.mpf(w), m_ref)
+            want = [mpmath.ellipfun(f, w, m=m_ref) for f in ("sn", "cn", "dn")] + [am, eps]
+        for name, g, x in zip(("sn", "cn", "dn", "am", "eps"), got, want):
+            assert abs(g - x) <= 4 * EPS * max(1.0, abs(w)), (name, w)
+
+
+def assert_jacobi_matches_mpmath(u, k):
+    for name, fn, want in zip(("am", "dn", "eps"), (jacobi_am, jacobi_dn, jacobi_epsilon),
+                              mp_jacobi(u, k)):
+        assert abs(fn(u, k) - want) <= 16 * EPS * max(1.0, k * abs(u)), (name, k, u)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.4, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.3, 2.5, 5.0])
+def test_jacobi_matches_mpmath(k):
+    for u in np.linspace(-6.1, 6.1, 25):
+        assert_jacobi_matches_mpmath(u, k)
+
+
+def test_jacobi_matches_mpmath_on_random_moduli():
+    rng = random.Random(11)
+    for _ in range(60):
+        assert_jacobi_matches_mpmath(rng.uniform(-10.0, 10.0), rng.uniform(0.0, 5.0))
+
+
+@pytest.mark.parametrize("k", [2.6e-129, 1e-12, 3e-5])
+def test_small_modulus_keeps_dn_at_most_one(k):
+    # m < 1e-9: one AGM level or none; dn = sqrt(1 - m sn^2) <= 1 to the ulp,
+    # and am(u) = u - m (u - sin u cos u) / 4 + O(m^2)
+    for u in (-7.0, 0.3, 1.6, 40.0):
+        dn = jacobi_dn(u, k)
+        assert 1.0 - k * k - EPS <= dn <= 1.0
+        assert abs(jacobi_am(u, k) - u) <= k * k * (abs(u) + 1.0) / 4.0 + 4 * EPS * abs(u)
+
+
+@pytest.mark.parametrize("k", [0.5, 0.9, 1.0 - 1e-10])
+def test_dn_at_reduced_argument_plus_minus_K(k):
+    # u = K, -K and 3K reduce to the end r = -K of [-K, K), or to r = K
+    # by rounding; cn vanishes there and dn is the complementary modulus
+    K = float(mpmath.ellipk(k * k))
+    kc = math.sqrt((1.0 - k) * (1.0 + k))
+    for u in (K, -K, 3.0 * K):
+        assert abs(jacobi_dn(u, k) - kc) <= 8 * EPS * kc + 4 * EPS * abs(u) * kc * k
+
+
+@pytest.mark.parametrize("k", [1.0 + 1e-10, 1.2, 3.0])
+def test_signed_dn_vanishes_at_turning_point(k):
+    ustar = float(mpmath.ellipk(1 / mpmath.mpf(k) ** 2)) / k
+    assert abs(jacobi_dn(ustar, k)) <= 8 * EPS
+    assert abs(jacobi_am(ustar, k) - math.asin(1.0 / k)) <= 4 * EPS
+
+
+def test_dn_near_unit_parameter_against_mpmath():
+    # m = k^2 within 2e-8 of 1, where dn ~ sech(u): at these points scipy's
+    # ellipj is off the 40-digit value by up to 1.7e-12 (k = 1 - 1e-8,
+    # u = 14), while the AGM kernel, given 1 - k^2 without cancellation,
+    # stays within 2 ulp of 1
+    for k in (1.0 - 1e-10, 1.0 - 1e-9, 1.0 - 1e-8):
+        for u in (0.5, 2.0, 5.0, 8.0, 11.0, 14.0):
+            assert abs(jacobi_dn(u, k) - mp_jacobi(u, k)[1]) <= 2 * EPS, (k, u)
+
+
+def test_unit_modulus_far_out_without_overflow():
+    # cosh and sinh overflow past |u| = 710; gd(u) and sech(u) do not need them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (800.0, -800.0):
+            assert jacobi_am(u, 1.0) == math.copysign(math.pi / 2, u)
+            assert 0.0 <= jacobi_dn(u, 1.0) < 1e-300
+            assert jacobi_epsilon(u, 1.0) == math.copysign(1.0, u)
