@@ -11,10 +11,12 @@ are byte identical.
 
 Exit codes: 0 success, 2 invalid configuration, 3 singular configuration
 reached mid-run (partial output kept), 4 continuation failure (partial
+output kept), 5 a profile height missed its quadrature tolerance (partial
 output kept).  A command and the library constructors it calls check some
 conditions only on the parsed values, before the command writes its first
-file; the echo is therefore written when the run ends with 0, 3 or 4, and
-exit 2 leaves --out empty.
+file; the echo is therefore written when the run ends with 0, 3, 4 or 5,
+and exit 2 leaves --out empty.  A setting the command replaces by the
+value it used (psi_max of a tabulated law) is echoed with that value.
 """
 
 import argparse
@@ -32,15 +34,18 @@ from .errors import (
     ConfigError,
     ContinuationError,
     DegenerateGeometryError,
+    QuadratureError,
     SingularConfigurationError,
 )
 
 # ------------------------------------------------------------- configuration
 
 def _resolve_config(command, args):
-    """The command's settings as text, keyed by name."""
+    """The command's settings as text, keyed by name, and the names of the
+    settings a scenario, the config file or a flag gave."""
     spec = _COMMANDS[command]
     raw = {key: default for key, (default, _, _) in spec.keys.items()}
+    given = set()
     if args.scenario is not None:
         owner = next((c for c, s in _COMMANDS.items() if args.scenario in s.scenarios), None)
         if owner is None:
@@ -52,6 +57,7 @@ def _resolve_config(command, args):
                 "scenario %r belongs to command %r" % (args.scenario, owner)
             )
         raw.update(spec.scenarios[args.scenario])
+        given.update(spec.scenarios[args.scenario])
     if args.config is not None:
         cp = configparser.ConfigParser(interpolation=None)
         cp.optionxform = str
@@ -71,11 +77,13 @@ def _resolve_config(command, args):
                 if key not in raw:
                     raise ConfigError("unknown config key %s.%s" % (sec, key))
                 raw[key] = val
+                given.add(key)
     for key in raw:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
-    return raw
+            given.add(key)
+    return raw, given
 
 
 def _write_echo(command, raw, out):
@@ -216,6 +224,8 @@ def cmd_trace_1dof(opts, out):
 # ------------------------------------------------------------ design-profile
 
 def _tabulated_law(path):
+    """The law of a psi,beta table: linear between the rows, constant below
+    the first, ending at the last psi; every row's psi is a break."""
     if not path:
         raise ConfigError("profiledesign.table: tabulated law needs a table file")
     try:
@@ -232,6 +242,7 @@ def _tabulated_law(path):
     return profiledesign.TargetForceLaw(
         beta=lambda p: float(np.interp(p, psis, betas)),
         psi_max=float(psis[-1]),
+        breaks=tuple(float(p) for p in psis[:-1]),
     )
 
 
@@ -248,6 +259,12 @@ def cmd_design_profile(opts, out):
         )
     else:
         law = _tabulated_law(opts.table)
+        if "psi_max" in opts.given and opts.psi_max != law.psi_max:
+            raise ConfigError(
+                "profiledesign.psi_max: a tabulated law ends at its last psi, "
+                "%r, not at psi_max=%r" % (law.psi_max, opts.psi_max)
+            )
+        opts.echo["psi_max"] = repr(law.psi_max)
 
     phi_hi = math.asin(0.95 * law.psi_max)
     if phi_hi < 0.05:
@@ -398,7 +415,10 @@ class _Command:
     keys maps each setting, in config echo order, to (default, parser,
     help); a parser turns the setting's text into its value or raises
     ValueError.  scenarios maps preset names to overrides of some keys.
-    run(opts, out) receives every parsed setting as an attribute of opts.
+    run(opts, out) receives every parsed setting as an attribute of opts,
+    with opts.given, the names of the settings a scenario, the config file
+    or a flag gave, and opts.echo, the settings as text that the echo file
+    will hold.
     """
 
     run: Callable
@@ -538,8 +558,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     spec = _COMMANDS[args.command]
     try:
-        raw = _resolve_config(args.command, args)
+        raw, given = _resolve_config(args.command, args)
         opts = _parse_settings(spec, raw)
+        opts.given, opts.echo = given, raw
         os.makedirs(args.out, exist_ok=True)
         code = spec.run(opts, args.out)
     except (ConfigError, ValueError) as exc:
@@ -551,6 +572,9 @@ def main(argv=None):
     except ContinuationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         code = 4
+    except QuadratureError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        code = 5
     _write_echo(args.command, raw, args.out)
     return code
 

@@ -133,7 +133,20 @@ def test_brentq_port_error_paths_match_scipy(f, a, b, xtol):
 
 def test_cli_runs_without_scipy_optimize_or_integrate(tmp_path):
     # a fresh interpreter, so no other test has imported scipy yet; neither
-    # the import nor these two commands load any scipy module
+    # the import nor any command, design-profile with each of its laws
+    # included, loads any scipy module
+    table = tmp_path / "law.csv"
+    table.write_text("psi,beta\n0,-1\n0.4,-1.3\n0.9,-0.8\n")
+    commands = [
+        ["critical-1dof"],
+        ["trace-1dof"],
+        ["design-profile", "--law", "constant"],
+        ["design-profile", "--law", "sinusoidal"],
+        ["design-profile", "--law", "circular"],
+        ["design-profile", "--law", "tabulated", "--table", str(table)],
+        ["critical-rod"],
+        ["trace-elastica", "--scenario", "fig7"],
+    ]
     script = (
         "import sys\n"
         "import arcstab\n"
@@ -141,14 +154,15 @@ def test_cli_runs_without_scipy_optimize_or_integrate(tmp_path):
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert loaded() == [], loaded()\n"
         "out = sys.argv[1]\n"
-        "assert cli.main(['critical-rod', '--out', out]) == 0\n"
-        "assert cli.main(['trace-elastica', '--scenario', 'fig7', '--out', out]) == 0\n"
-        "print(loaded())\n"
+        "for argv in %r:\n"
+        "    assert cli.main([*argv, '--out', out]) == 0, argv\n"
+        "print(loaded())\n" % (commands,)
     )
     src = str(Path(branch.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    # design-profile prints its report line first
+    assert run.stdout.splitlines()[-1] == "[]"

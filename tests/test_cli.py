@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from arcstab import cli, elastica
+from arcstab import cli, elastica, profiledesign
+from arcstab.errors import QuadratureError
 from arcstab.profiledesign import neutral_profile
 
 
@@ -308,6 +309,53 @@ def test_design_profile_tabulated_zero_crossing_exits_2(tmp_path):
     )
     assert run(["design-profile", "--law", "tabulated", "--table", str(tab)],
                tmp_path / "bad") == 2
+
+
+def _short_table(tmp_path):
+    tab = tmp_path / "law.csv"
+    tab.write_text("psi,beta\n0,-1\n0.3,-1.2\n")
+    return tab
+
+
+def test_design_profile_tabulated_refuses_other_psi_max(tmp_path, capsys):
+    # the table ends at psi = 0.3; a psi_max of 0.9 by flag or config used
+    # to be dropped without a word, while the echo still said 0.9
+    tab = _short_table(tmp_path)
+    argv = ["design-profile", "--law", "tabulated", "--table", str(tab)]
+    assert run([*argv, "--psi-max", "0.9"], tmp_path / "flag") == 2
+    assert "psi_max" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "flag") == []
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[profiledesign]\npsi_max = 0.9\n")
+    assert run([*argv, "--config", str(cfg)], tmp_path / "config") == 2
+    assert os.listdir(tmp_path / "config") == []
+
+
+def test_design_profile_tabulated_echoes_psi_max_used(tmp_path):
+    tab = _short_table(tmp_path)
+    argv = ["design-profile", "--law", "tabulated", "--table", str(tab)]
+    assert run(argv, tmp_path / "a") == 0
+    echo = tmp_path / "a" / "design_profile_config.ini"
+    assert "psi_max = 0.3\n" in echo.read_text()
+    _, rows = read_csv(tmp_path / "a" / "profile.csv")
+    assert float(rows[-1][0]) == 0.3
+    # the echo reruns as it stands, and a flag equal to the table's end is kept
+    assert run(["design-profile", "--config", str(echo)], tmp_path / "b") == 0
+    assert run([*argv, "--psi-max", "0.3"], tmp_path / "c") == 0
+    for name in ("profile.csv", "design_report.txt", "design_profile_config.ini"):
+        want = (tmp_path / "a" / name).read_bytes()
+        assert (tmp_path / "b" / name).read_bytes() == want
+        assert (tmp_path / "c" / name).read_bytes() == want
+
+
+def test_design_profile_quadrature_failure_exits_5(tmp_path, monkeypatch, capsys):
+    def unreachable(law):
+        raise QuadratureError("requested tolerance 1e-10 unreachable")
+
+    monkeypatch.setattr(profiledesign, "design_profile", unreachable)
+    assert run(["design-profile"], tmp_path) == 5
+    assert "error: requested tolerance" in capsys.readouterr().err
+    assert (tmp_path / "design_profile_config.ini").exists()
 
 
 # ---------------------------------------------------------------- critical-rod

@@ -1,3 +1,7 @@
+import csv
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,6 +10,7 @@ from arcstab.errors import QuadratureError
 from arcstab.onedof import OneDofSystem, ProfileShape, elongation, equilibrium_force
 from arcstab.profiledesign import (
     TargetForceLaw,
+    _gk15,
     closed_loop_validate,
     design_profile,
     export_profile_csv,
@@ -148,6 +153,13 @@ def test_vanishing_target_rejected():
     tiny = TargetForceLaw(beta=lambda s: 1e-14, psi_max=0.99)
     with pytest.raises(ValueError):
         design_profile(tiny, tol=1e-10)
+    # a table whose sign flips between two probes of the uniform grid: the
+    # breaks are probed too
+    nodes, betas = [0.0, 0.5, 0.5001, 0.5002, 0.99], [-1.0, -1.0, 1.0, -1.0, -1.0]
+    spike = TargetForceLaw(beta=lambda s: float(np.interp(s, nodes, betas)),
+                           psi_max=0.99, breaks=tuple(nodes[1:-1]))
+    with pytest.raises(ValueError, match="vanishes"):
+        design_profile(spike, tol=1e-10)
 
 
 def test_design_limit_outside_unit_interval_rejected():
@@ -171,6 +183,80 @@ def test_unreachable_tolerance_reported():
     p = design_profile(wild, tol=1e-13)
     with pytest.raises(QuadratureError):
         p.f(0.9)
+
+
+def test_tolerance_below_rounding_reported():
+    # the error estimate never falls below 50 eps times the integral of |g|
+    p = design_profile(law_sinusoidal(), tol=1e-20)
+    assert p.f(0.0) == 1.0
+    with pytest.raises(QuadratureError, match="unreachable"):
+        p.f(0.5)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+def test_nonpositive_tolerance_rejected(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        design_profile(law_constant(-1.0), tol=tol)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.7, 1.3), (0.4, 0.1)])
+def test_gk15_integrates_polynomials_to_degree_22(a, b):
+    for degree in range(23):
+        coef = [(-1.0) ** k * (k + 1.0) / 3.0 for k in range(degree + 1)]
+        poly = np.polynomial.Polynomial(coef)
+        anti = poly.integ()
+        want = anti(b) - anti(a)
+        got, err = _gk15(lambda x: float(poly(x)), a, b)
+        scale = float(np.polynomial.Polynomial(np.abs(coef)).integ()(max(abs(a), abs(b))))
+        assert abs(got - want) <= 8e-16 * max(1.0, scale), degree
+        if degree <= 13:
+            # the embedded 7-point Gauss sum is exact too, so the error
+            # estimate sits at its rounding floor
+            assert err <= 1e-13 * max(1.0, scale), degree
+    # one degree higher, the Kronrod sum is no longer exact
+    got, _ = _gk15(lambda x: x**24, -1.0, 1.0)
+    assert abs(got - 2.0 / 25.0) > 1e-10
+
+
+def test_tabulated_law_with_kinks_matches_split_reference():
+    nodes = [0.0, 0.15, 0.4, 0.55, 0.7, 0.85, 0.95]
+    betas = [-1.0, -1.4, -0.6, -1.1, -0.8, -1.5, -0.9]
+    law = TargetForceLaw(beta=lambda s: float(np.interp(s, nodes, betas)),
+                         psi_max=nodes[-1], breaks=tuple(nodes[1:-1]))
+    p = design_profile(law, tol=1e-12)
+    mp_nodes = [mpmath.mpf(v) for v in nodes]
+
+    def beta(tau):
+        s = mpmath.sin(tau)
+        i = max(i for i in range(len(nodes) - 1) if mp_nodes[i] <= s)
+        w = (s - mp_nodes[i]) / (mp_nodes[i + 1] - mp_nodes[i])
+        return (1 - w) * betas[i] + w * betas[i + 1]
+
+    for psi in (0.1, 0.15, 0.3, 0.4, 0.62, 0.8, 0.9, 0.95):
+        with mpmath.workdps(30):
+            tau = mpmath.asin(mpmath.mpf(psi))
+            cuts = [0, *(mpmath.asin(v) for v in mp_nodes[1:] if v < psi), tau]
+            want = mpmath.sqrt(1 - mpmath.mpf(psi) ** 2) - mpmath.quad(
+                lambda t: t / beta(t), cuts)
+        assert abs(p.f(psi) - float(want)) < 1e-12, psi
+
+
+def test_heights_match_frozen_quad_heights():
+    # heights of scipy.integrate.quad (epsabs = epsrel = 1e-10, limit 200,
+    # one integral from 0 per height) at default tol, on the 601-point grid
+    # of the profile export and at 40 random points off it
+    laws = {"constant": law_constant(-1.0), "sinusoidal": law_sinusoidal(),
+            "circular": law_circular()}
+    profiles = {name: design_profile(law) for name, law in laws.items()}
+    with open(Path(__file__).parent / "data" / "quad_heights.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * (601 + 40)
+    for name, law in laws.items():
+        grid = [float(r["psi"]) for r in rows if r["law"] == name][:601]
+        assert grid == [float(v) for v in np.linspace(0.0, law.psi_max, 601)]
+    for r in rows:
+        psi = float(r["psi"])
+        assert abs(profiles[r["law"]].f(psi) - float(r["f"])) <= 1e-14, (r["law"], psi)
 
 
 def test_profile_csv_export(tmp_path):
