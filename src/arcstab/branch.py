@@ -36,10 +36,11 @@ def sign_changes(vals):
     """Root brackets of sampled values in order: (i, i) where vals[i] is
     zero, (i, i + 1) where vals[i] * vals[i + 1] < 0.  A zero sample is
     never also a bracket end, and NaN brackets nothing."""
-    for i, v in enumerate(vals):
+    # the last sample pairs with a NaN, which brackets nothing
+    for i, (v, w) in enumerate(zip(vals, [*vals[1:], math.nan])):
         if v == 0.0:
             yield i, i
-        elif i + 1 < len(vals) and v * vals[i + 1] < 0.0:
+        elif v * w < 0.0:
             yield i, i + 1
 
 

@@ -176,8 +176,10 @@ def _rod_point(s, k, at, R, u0, eps0, dn0, offset, mc):
 
 
 def _state_and_defect(theta0, R, problem):
-    """The rod at a trial reaction R and its closure defect
-    [x1(l) - c] sin phi - x2(l) cos phi, c = +-R_c."""
+    """The fields of the rod's ElasticaState at a trial reaction R, as a
+    tuple in field order, and its closure defect
+    [x1(l) - c] sin phi - x2(l) cos phi, c = +-R_c; a residual builds no
+    state."""
     # pure-Python arithmetic on numpy scalars is several times slower
     theta0, R = float(theta0), float(R)
     if theta0 < 0.0:
@@ -215,28 +217,14 @@ def _state_and_defect(theta0, R, problem):
         lam = (x1 - c) / math.cos(phi)
     else:
         lam = x2 / math.sin(phi)
-    state = ElasticaState(
-        theta0=theta0,
-        R=R,
-        modulus=k,
-        alpha_tilde=at,
-        beta0=beta0,
-        phi=phi,
-        F=R * math.cos(phi),
-        delta=lam + c - problem.l,
-        problem=problem,
-        u0=u0,
-        angle_offset=offset,
-        eps0=eps0,
-        dn0=dn0,
-        mc=mc,
-    )
-    return state, (x1 - c) * math.sin(phi) - x2 * math.cos(phi)
+    fields = (theta0, R, k, at, beta0, phi, R * math.cos(phi), lam + c - problem.l, problem,
+              u0, offset, eps0, dn0, mc)
+    return fields, (x1 - c) * math.sin(phi) - x2 * math.cos(phi)
 
 
 def make_state(theta0, R, problem):
     """Build the elliptic representation of the rod at a trial reaction R."""
-    return _state_and_defect(theta0, R, problem)[0]
+    return ElasticaState(*_state_and_defect(theta0, R, problem)[0])
 
 
 def _state_point(s, state):
@@ -329,7 +317,7 @@ def solve_R(theta0, problem, seed=None):
         roots = [] if root is None else [root]
     else:
         seed = _default_seed(problem)
-        grid = seed * np.geomspace(0.2, 5.0, _SCAN_POINTS)
+        grid = (seed * np.geomspace(0.2, 5.0, _SCAN_POINTS)).tolist()
         roots = [refine(f, grid, i, j, xtol) for i, j in sign_changes([f(R) for R in grid])]
     if not roots:
         lo, hi = sorted((0.2 * seed, 5.0 * seed))

@@ -29,6 +29,8 @@ __all__ = [
 _SIGNS = {"tension": 1.0, "compression": -1.0}
 _DEFAULT_STEP = math.pi / 50.0
 _XTOL = 1e-14
+# largest alpha_l_max of a root scan: cosh(700) = 5e303
+_ALPHA_L_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,26 @@ def _cs(sgn, lib=math):
     return (lib.cosh, lib.sinh) if sgn > 0.0 else (lib.cos, lib.sin)
 
 
+def _characteristic_in_x(model, sgn, factored=False):
+    """The characteristic of a load sign as a function of x = alpha_l
+    alone; for a clamped end the bracket, or with factored its factor g.
+    The model constants, the sign and (C, S) are bound once."""
+    chi, a = model.chi_hat, 1.0 + model.chi_hat
+    C, S = _cs(sgn)
+    if model.clamped:
+        if factored:
+            return lambda x: a * x * C(0.5 * x) - chi * S(0.5 * x)
+        return lambda x: sgn * a * x * S(x) + chi * (1.0 - C(x))
+    # kl / (B x) as written; (kl / B) / x rounds differently
+    kl, B = model.k * model.l, model.B
+
+    def f(x):
+        c, s = C(x), S(x)
+        return sgn * (a * x * c - chi * s) + kl / (B * x) * (sgn * a * x * s + chi * (1.0 - c))
+
+    return f
+
+
 def characteristic(alpha_l, load_sign, model):
     """Characteristic function whose positive roots are the critical loads.
 
@@ -85,16 +107,11 @@ def characteristic(alpha_l, load_sign, model):
     stays regular at the straight-constraint limit chi_hat = 0.
     """
     sgn = _load_sign(load_sign)
-    if not alpha_l > 0.0:
+    # pure-Python arithmetic on numpy scalars is several times slower
+    x = float(alpha_l)
+    if not x > 0.0:
         raise ValueError("alpha_l must be positive")
-    x, chi = alpha_l, model.chi_hat
-    C, S = _cs(sgn)
-    c, s = C(x), S(x)
-    a = 1.0 + chi
-    bracket = sgn * a * x * s + chi * (1.0 - c)
-    if model.clamped:
-        return bracket
-    return sgn * (a * x * c - chi * s) + model.k * model.l / (model.B * x) * bracket
+    return _characteristic_in_x(model, sgn)(x)
 
 
 def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
@@ -102,6 +119,8 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     """All characteristic roots in (0, alpha_l_max], sorted, as BucklingMode.
 
     Sign changes on the grid step * (1e-3, 1, 2, ...), refined by brentq.
+    alpha_l_max is capped at 700, where cosh in the tension characteristic
+    is still a factor 3e4 below overflow.
     Near zero the function is a power of x times a constant, e.g.
     -x (1 + (k l/B)(1 + chi_hat/2)) in compression, so the first sample
     keeps a root below step.  The clamped bracket factors exactly as
@@ -115,16 +134,16 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     sgn = _load_sign(load_sign)
     if not 0.0 < alpha_l_max < math.inf:
         raise ValueError("alpha_l_max must be positive and finite")
+    if alpha_l_max > _ALPHA_L_LIMIT:
+        raise ValueError(
+            "alpha_l_max=%.17g exceeds the scan limit %g, past which cosh in the "
+            "tension characteristic overflows" % (alpha_l_max, _ALPHA_L_LIMIT)
+        )
     if max_modes is not None and max_modes < 1:
         raise ValueError("max_modes must be at least 1")
-    if model.clamped:
-        a, chi = 1.0 + model.chi_hat, model.chi_hat
-        C, S = _cs(sgn)
-        f = lambda x: a * x * C(0.5 * x) - chi * S(0.5 * x)
-    else:
-        f = lambda x: characteristic(x, load_sign, model)
+    f = _characteristic_in_x(model, sgn, factored=True)
     count = int(alpha_l_max / step + 1e-9)
-    xs = step * np.concatenate(([1e-3], np.arange(1, count + 1)))
+    xs = (step * np.concatenate(([1e-3], np.arange(1, count + 1)))).tolist()
     roots = [refine(f, xs, i, j, _XTOL) for i, j in sign_changes([f(x) for x in xs])]
     if model.clamped and sgn < 0.0:
         turn = 2.0 * math.pi

@@ -138,6 +138,11 @@ def test_malformed_numeric_exits_2(tmp_path, capsys):
         (["critical-1dof", "--l", "-1"], "bar length l"),
         (["critical-rod", "--B", "0"], "bending stiffness B"),
         (["critical-rod", "--alpha-l-max", "-1"], "alpha_l_max"),
+        # past the rod scan's limit cosh overflows, and 1e12 asks for a huge grid
+        (["critical-rod", "--alpha-l-max", "800", "--chi-hat-grid=0.5"],
+         "alpha_l_max=800 exceeds the scan limit 700"),
+        (["critical-rod", "--alpha-l-max", "1e12"],
+         "alpha_l_max=1000000000000 exceeds the scan limit 700"),
         (["trace-elastica", "--R-c", "0"], "constraint radius R_c"),
         (["trace-elastica", "--theta0-min", "3"], "elastica.theta0_min"),
         (["trace-1dof", "--profile", "circular", "--chi-hat", "0"], "onedof.chi_hat"),
@@ -154,7 +159,8 @@ def test_malformed_numeric_exits_2(tmp_path, capsys):
     ],
     ids=["max-modes", "n-validate", "n-samples", "shape-samples", "elastica-n-points",
          "spring-k", "unused-phi-start", "spring-k-nan", "alpha-l-max-inf", "shape-phi-nan",
-         "chi-hat-grid-inf", "bar-k", "bar-l", "rod-B", "alpha-l-max-negative", "R-c",
+         "chi-hat-grid-inf", "bar-k", "bar-l", "rod-B", "alpha-l-max-negative",
+         "alpha-l-max-800", "alpha-l-max-1e12", "R-c",
          "theta0-min", "chi-hat-zero", "beta-zero", "t-pad-zero", "t-pad-negative",
          "constant-psi-max-0", "constant-psi-max-2", "sinusoidal-psi-max-0",
          "sinusoidal-psi-max-2", "psi-max-below-check"],

@@ -324,6 +324,32 @@ def test_shape_export_one_jacobi_evaluation_per_sample(ellipj_calls):
     assert len(ellipj_calls) == 9
 
 
+@pytest.fixture
+def states_built(monkeypatch):
+    # one entry per ElasticaState the elastica module constructs
+    built = []
+    state = elastica.ElasticaState
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return state(*args, **kwargs)
+
+    monkeypatch.setattr(elastica, "ElasticaState", counting)
+    return built
+
+
+@pytest.mark.parametrize("problem", [tensile_problem(), compressive_problem(k_r=0.5)])
+def test_one_state_per_solve(states_built, problem):
+    # residuals build no state; a cold and a warm solve build one, of the root
+    compatibility_residual(1.3, 0.8, problem)
+    assert states_built == []
+    cold = solve_R(0.5, problem)
+    assert len(states_built) == 1
+    warm = solve_R(0.55, problem, seed=cold.R)
+    assert len(states_built) == 2
+    assert isinstance(cold, ElasticaState) and isinstance(warm, ElasticaState)
+
+
 @pytest.mark.parametrize("half", ["left", "right"])
 @pytest.mark.parametrize("key", sorted(EVAL_STATES))
 def test_residual_is_closure_defect_of_state(half, key):

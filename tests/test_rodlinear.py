@@ -3,13 +3,15 @@
 import cmath
 import math
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from arcstab import cli
+from arcstab import cli, rodlinear
 from arcstab.branch import sign_changes
 from arcstab.rodlinear import (
     BucklingMode,
@@ -166,6 +168,18 @@ def test_characteristic_domain_errors():
         characteristic(-1.0, "tension", model)
     with pytest.raises(ValueError):
         characteristic(1.0, "shear", model)
+
+
+def test_characteristic_of_numpy_scalar_is_float():
+    # alpha_l is coerced like the elastica residual's arguments, and the
+    # value is the scan's at that x
+    for clamped in (False, True):
+        model = RodModel(B=1.3, l=0.7, k=0.4, chi_hat=-2.5, clamped=clamped)
+        for sgn, sign in ((1.0, "tension"), (-1.0, "compression")):
+            got = characteristic(np.float64(2.0), sign, model)
+            assert type(got) is float
+            scan = rodlinear._characteristic_in_x(model, sgn)
+            assert got == characteristic(2.0, sign, model) == scan(2.0)
 
 
 def test_model_validation():
@@ -357,6 +371,38 @@ def test_every_frozen_root_to_a_few_ulps():
             assert abs(got.alpha_l - ref) < 5e-15, (model, sign, ref)
 
 
+ROD_SWEEP_ROOTS = Path(__file__).parent / "data" / "rod_sweep_roots.txt"
+
+
+def rod_sweep(draws=200, seed=2013):
+    """Seeded (model, load sign) pairs of the frozen-root sweep: per draw
+    one curvature in [-6, 6], stiffness and length in [1/e, e], the ends
+    free, spring (k in [0, 5] and in [0, 5000]) and clamped, both signs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        chi, B, l, k_small, k_large = rng.uniform(
+            [-6.0, -1.0, -1.0, 0.0, 0.0], [6.0, 1.0, 1.0, 5.0, 5000.0]).tolist()
+        B, l = math.exp(B), math.exp(l)
+        for k, clamped in ((0.0, False), (k_small, False), (k_large, False), (0.0, True)):
+            for sign in ("tension", "compression"):
+                yield RodModel(B=B, l=l, k=k, chi_hat=chi, clamped=clamped), sign
+
+
+def rod_sweep_line(model, sign):
+    """The repr of every root of one table (alpha_l_max = 6 pi), space separated."""
+    return " ".join(repr(float(m.alpha_l)) for m in find_critical_loads(model, sign))
+
+
+def test_rod_sweep_roots_frozen_bit_for_bit():
+    # one line per rod_sweep table, written by rod_sweep_line when the scan
+    # still ran over numpy samples with a per-call characteristic
+    want = ROD_SWEEP_ROOTS.read_text().split("\n")[:-1]
+    cases = list(rod_sweep())
+    assert len(want) == len(cases) == 1600
+    for (model, sign), line in zip(cases, want):
+        assert rod_sweep_line(model, sign) == line, (model, sign)
+
+
 def test_roots_below_first_scan_step():
     # the first sample at step/1000 keeps a root in (0, step); the
     # characteristic cancels to O(x^3) there, so the root is good to ~1e-12
@@ -474,6 +520,34 @@ def test_alpha_l_max_must_be_positive_and_finite(alpha_l_max):
     model = RodModel(B=1.0, l=1.0, k=0.0, chi_hat=-5.0)
     with pytest.raises(ValueError, match="alpha_l_max"):
         find_critical_loads(model, "compression", alpha_l_max=alpha_l_max)
+
+
+@pytest.mark.parametrize("alpha_l_max", [700.0 * (1.0 + 2.0**-52), 800.0, 1e12, 1e300])
+def test_alpha_l_max_past_scan_limit_raises_before_the_grid(alpha_l_max):
+    # math.cosh overflows in the tension scan past about 710, and 1e12
+    # would ask for a grid of 1.6e13 samples
+    model = RodModel(B=1.0, l=1.0, k=0.0, chi_hat=0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="alpha_l_max=.* exceeds the scan limit 700"):
+            find_critical_loads(model, "tension", alpha_l_max=alpha_l_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_alpha_l_max_at_scan_limit():
+    # the scan stays finite up to the limit; the 6 pi tables are its prefix
+    for clamped in (False, True):
+        model = RodModel(B=1.0, l=1.0, k=1.0, chi_hat=-4.0, clamped=clamped)
+        for sign in ("tension", "compression"):
+            assert math.isfinite(characteristic(700.0, sign, model))
+            short = find_critical_loads(model, sign)
+            full = find_critical_loads(model, sign, alpha_l_max=700.0)
+            assert full[:len(short)] == short
+            if sign == "compression":
+                assert len(full) > 200
 
 
 @pytest.mark.parametrize("max_modes", [0, -1])
