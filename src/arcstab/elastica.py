@@ -17,14 +17,20 @@ clamp (the assembly that buckles under tension when R_c < l), half =
 "right" places it beyond the pin (the compressive assembly).
 
 Accuracy note: tensile states (R > 0) push the modulus toward 1 as
-theta0 -> 0 like k - 1 ~ theta0^2/8.  The turning point quantities stay
-conditioned in the Carlson forms, and the Jacobi functions take the
-complement 1 - 1/k^2 = sin^2(theta0/2) - (theta0 k_r/B)^2/(4R/B) in
-closed form, so the floor left is rounding: about 2e-16 absolute in the
+theta0 -> 0 like k - 1 ~ theta0^2/8.  For k > 1 the pin's Jacobi
+functions come from the half-angle identities in closed form, the rod
+point's from one AGM at s alpha, whose complement
+1 - 1/k^2 = sin^2(theta0/2) - (theta0 k_r/B)^2/(4R/B) is in closed form
+too, and the addition theorems join the two; no integral is taken at the
+pin.  The floor left is rounding: at most about 2e-16 absolute in the
 residual, whose slope in R falls like theta0.  For B = l = 1 and
-R_c = 1/4, cold solves return R within 1.1e-11 of a 30-digit reference at
-theta0 = 1e-4, 4.6e-11 at 1e-5 and 7.7e-10 at 1e-6.  Compressive states
-keep a large modulus and stay clean at any theta0.
+R_c = 1/4, cold solves return R within 6.3e-13 of a 40-digit reference at
+theta0 = 1e-3, 6.7e-13 at 1e-4, 1.0e-11 at 1e-5 and 1.4e-10 at 1e-6.
+A spring stiffer than the reaction puts small tensile rotations just
+below k = 1; there 1 - k^2 = ((theta0 k_r/B)^2 - 4 (R/B) sin^2(theta0/2))/den
+is kept in closed form as well, and R_c = 0.333, k_r = 0.894 at
+theta0 = 1e-4 (k = 1 - 9e-11) solves to 9e-12 of its reference.
+Compressive states keep a large modulus and stay clean at any theta0.
 """
 
 import math
@@ -34,9 +40,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .branch import BranchTrace, refine, sign_changes
-from .elliptic import _FE_sym, _jacobi, ellint_F
+from . import elliptic
 # unused here; the benchmark tracer (bench/tracing.py) wraps them under this module's name
-from .elliptic import jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
+from .elliptic import ellint_F, jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
 from .errors import ContinuationError, DegenerateGeometryError
 from .rodlinear import RodModel, critical_force, find_critical_loads
 
@@ -104,12 +110,16 @@ class ElasticaState:
 
     delta is the clamp displacement along the load axis, zero at the
     undeformed assembly; it is physically meaningful once R solves the
-    compatibility condition.  u0 and angle_offset are the elliptic origin
-    shift F(beta0, k) and the H(R) pi branch offset of the rotation field;
-    eps0 and dn0 cache epsilon(u0) and dn(u0) from the well conditioned
-    turning point form for use in the coordinate quadratures.  mc is the
-    complement 1 - 1/k^2 of the Jacobi parameter in closed form when
-    k > 1, and None otherwise.
+    compatibility condition.  angle_offset is the H(R) pi branch offset
+    of the rotation field.  mc is the complement of the Jacobi parameter
+    the rod points are evaluated at, in closed form: 1 - m1 with
+    m1 = 1/k^2 for k > 1, and 1 - k^2 for k <= 1.
+    pin holds what every rod point takes from the pin, s = 0.  For k > 1
+    it is (sn, cn, dn) at parameter m1 of the pin's argument F(gamma, 1/k),
+    sin(gamma) = k sin(beta0), which are sin(gamma), cos(gamma) and
+    sqrt(1 - m1 sin(gamma)^2), all in closed form.  For k <= 1 it is
+    (u0, eps0, dn0): the elliptic origin shift F(beta0, k), E(beta0, k)
+    and dn(u0) = cos(gamma).
     """
 
     theta0: float
@@ -121,11 +131,9 @@ class ElasticaState:
     F: float
     delta: float
     problem: ElasticaProblem
-    u0: float
     angle_offset: float
-    eps0: float
-    dn0: float
-    mc: float | None
+    mc: float
+    pin: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -163,15 +171,42 @@ def modulus_from(theta0, R, k_r=0.0, B=1.0):
     return 2.0 * math.sqrt(at2) / math.sqrt(den)
 
 
-def _rod_point(s, k, at, R, u0, eps0, dn0, offset, mc):
-    """(theta, x1, x2) at arclength s from one Jacobi evaluation at s alpha/k + u0."""
-    u = s * at / k
-    am, dn, eps = _jacobi(u + u0, k, mc)
-    pref = math.copysign(1.0, R) * 2.0 / (k * at)
+def _rod_point(s, k, at, R, offset, mc, pin):
+    """(theta, x1, x2) at arclength s from one Jacobi evaluation.
+
+    k > 1: the Jacobi functions at v = s alpha and parameter m1 = 1/k^2,
+    with the pin's (sn, cn, dn) at w0 = F(gamma, 1/k), give those at v + w0
+    by the addition theorems (DLMF 22.8.1-3): D sn = S, D cn = C and
+    D dn = Delta with D = 1 - m1 sn(v)^2 sin(gamma)^2 > 0, and
+    eps(v + w0) - eps(w0) = eps(v) - m1 sn(v) sin(gamma) sn(v + w0)
+    (DLMF 22.16.27).  k <= 1: the Jacobi functions at s alpha/k + u0.
+    """
+    if k <= 1.0:
+        u0, eps0, dn0 = pin
+        u = s * at / k
+        am, dn, eps = elliptic._jacobi(u + u0, k, mc)
+        pref = math.copysign(1.0, R) * 2.0 / (k * at)
+        return (
+            2.0 * am + offset,
+            pref * ((1.0 - 0.5 * k * k) * u + eps0 - eps),
+            pref * (dn - dn0),
+        )
+    sg, cg, dg = pin
+    v = s * at
+    m1 = k ** -2
+    sn, cn, dn, _, eps = elliptic._ellipj_reduced(v, m1, mc)
+    # 1 - m1 sn^2 sg^2 without cancellation, as sg^2 = 1 - cg^2
+    D = dn * dn + m1 * sn * sn * cg * cg
+    S = sn * cg * dg + sg * cn * dn
+    C = cn * cg - sn * sg * dn * dg
+    Delta = dn * dg - m1 * sn * sg * cn * cg
+    pref = math.copysign(2.0, R) / at
+    # x1 = pref ((1 - k^2/2) m1 v + mc v + eps(w0) - eps(v + w0)), and
+    # (1 - k^2/2) m1 + mc = 1/2
     return (
-        2.0 * am + offset,
-        pref * ((1.0 - 0.5 * k * k) * u + eps0 - eps),
-        pref * (dn - dn0),
+        2.0 * math.atan2(S / k, Delta) + offset,
+        pref * (0.5 * v - eps + m1 * sn * sg * S / D),
+        pref / k * (C / D - cg),
     )
 
 
@@ -189,36 +224,36 @@ def _state_and_defect(theta0, R, problem):
     k = 2.0 * at / math.sqrt(den)
     offset = math.pi if R > 0.0 else 0.0
     beta0 = (theta0 - offset) / 2.0
+    # the pin's angle gamma, sin(gamma) = k sin(beta0), has
+    # cos^2(gamma) = 1 - k^2 sin^2(beta0) = (theta0 k_r/B)^2/den in closed
+    # form; squaring an arcsin here would cost sqrt(eps) of phase.  The
+    # Jacobi complement mc is kept in closed form too, from
+    # other_trig^2 = sin^2(theta0/2) for R > 0 (cos^2 for R < 0), where
+    # 1 - m would cancel next to k = 1
+    c2 = spring * spring / den
+    other_trig = math.sin(theta0 / 2.0) if R > 0.0 else math.cos(theta0 / 2.0)
     if k > 1.0:
-        # turning point at the pin: sin(gamma) = k sin(beta0), and the
-        # complement cos^2(gamma) = (theta0 k_r/B)^2/den is kept in closed
-        # form; squaring an arcsin here would cost sqrt(eps) of phase.  The
-        # Jacobi complement mc = 1 - m1 is kept in closed form too,
-        # sin^2(theta0/2) - spring^2/(4 at2) for R > 0 (cos^2 for R < 0),
-        # where 1 - m1 would cancel as theta0 -> 0
+        # the turning point at the pin is in closed form
         m1 = den / (4.0 * at2)
-        other_trig = math.sin(theta0 / 2.0) if R > 0.0 else math.cos(theta0 / 2.0)
         mc = other_trig * other_trig - spring * spring / (4.0 * at2)
         if not mc > 0.0:  # rounding next to k = 1 with a spring
             mc = (k - 1.0) * (k + 1.0) * m1
         sg = math.copysign(2.0 * at * half_trig / math.sqrt(den), beta0)
-        c2 = spring * spring / den
-        f, e = _FE_sym(sg, c2, mc + m1 * c2, m1)
-        u0 = f / k
-        eps0 = (e - mc * k * u0) / (k * m1)
-        dn0 = math.sqrt(c2)
+        pin = (sg, math.sqrt(c2), math.sqrt(mc + m1 * c2))
     else:
-        mc = None
-        u0 = ellint_F(beta0, k)
-        _, dn0, eps0 = _jacobi(u0, k)
-    phi, x1, x2 = _rod_point(problem.l, k, at, R, u0, eps0, dn0, offset, mc)
+        mc = (spring * spring - 4.0 * at2 * other_trig * other_trig) / den
+        if not mc > 0.0:  # rounding next to k = 1
+            mc = (1.0 - k) * (1.0 + k)
+        # c2 is also dn(u0)^2 and the complement F and E take
+        pin = (*elliptic._FE_reduced(beta0, k * k, c2), math.sqrt(c2))
+    phi, x1, x2 = _rod_point(problem.l, k, at, R, offset, mc, pin)
     c = problem.R_c if problem.half == "left" else -problem.R_c
     if abs(math.cos(phi)) >= abs(math.sin(phi)):
         lam = (x1 - c) / math.cos(phi)
     else:
         lam = x2 / math.sin(phi)
     fields = (theta0, R, k, at, beta0, phi, R * math.cos(phi), lam + c - problem.l, problem,
-              u0, offset, eps0, dn0, mc)
+              offset, mc, pin)
     return fields, (x1 - c) * math.sin(phi) - x2 * math.cos(phi)
 
 
@@ -229,12 +264,12 @@ def make_state(theta0, R, problem):
 
 def _state_point(s, state):
     """_rod_point of a state at arclength s in [0, l]."""
-    l = state.problem.l
+    # pure-Python arithmetic on numpy scalars is several times slower
+    s, l = float(s), state.problem.l
     if s < -1e-9 * l or s > l * (1.0 + 1e-9):
         raise ValueError("arclength s must lie in [0, l]")
     return _rod_point(
-        s, state.modulus, state.alpha_tilde, state.R, state.u0, state.eps0, state.dn0,
-        state.angle_offset, state.mc,
+        s, state.modulus, state.alpha_tilde, state.R, state.angle_offset, state.mc, state.pin
     )
 
 
@@ -265,7 +300,7 @@ def _default_seed(problem):
     chi_hat = (-problem.l if left else problem.l) / problem.R_c
     model = RodModel(B=problem.B, l=problem.l, k=problem.k_r, chi_hat=chi_hat)
     load_sign = "tension" if left else "compression"
-    modes = find_critical_loads(model, load_sign)
+    modes = find_critical_loads(model, load_sign, max_modes=1)
     if not modes:
         raise ValueError(
             "no linearized critical load exists for this geometry; pass a seed reaction"

@@ -14,7 +14,7 @@ Two scalar kernels in plain `math` do all the work:
   loop (Carlson 1995, Numer. Algorithms 10:13; DLMF 19.36.1).  The Legendre
   forms F and E come from them, and stay conditioned at the turning points
   as long as the complement 1 - k^2 sin^2(beta) is formed without
-  cancellation; the internal _FE_sym entry point takes that complement
+  cancellation; the internal _FE_reduced entry point takes that complement
   directly, for callers that know it in closed form.
 - _ellipj_reduced: the descending Landen / AGM scheme (DLMF 22.20.1;
   Abramowitz & Stegun 16.4, 17.6).  One AGM sequence gives the quarter
@@ -120,28 +120,36 @@ def _half_reduce(beta):
     return beta - math.pi * n, n
 
 
-def _carlson_args(beta, k):
-    """(s, c2, w, m, n): the Carlson arguments of F and E at (beta, k).
+def _FE_reduced(beta, m, w=None):
+    """(F, E) at amplitude beta and parameter m in [0, 1] from one
+    duplication loop.
 
-    k <= 1: beta = beta_r + n pi with |beta_r| <= pi/2, s = sin(beta_r)
-    and m = k^2.  k > 1: the reciprocal-modulus angle gamma with
-    s = sin(gamma) = k sin(beta), m = 1/k^2 and n = 0.  c2 is cos^2 of
-    that angle and w = 1 - m s^2 the complement.
+    beta = beta_r + n pi with |beta_r| <= pi/2; n != 0 adds 2 n K and
+    2 n E from a second loop.  w is the complement 1 - m sin(beta)^2;
+    callers that know it in closed form pass it, and it is formed as
+    cos^2 + (1 - m) sin^2 otherwise, which has no cancellation either.
     """
-    beta = float(beta)
-    _check(beta, k)
-    if k <= 1.0:
-        m = k * k
-        br, n = _half_reduce(beta)
-        s = math.sin(br)
-        c = math.cos(br)
-        c2 = c * c
-    else:
-        s = _unit_clamped(k * math.sin(beta))
-        m = k ** -2
-        c2 = (1.0 - s) * (1.0 + s)
-        n = 0
-    return s, c2, c2 + (1.0 - m) * s * s, m, n
+    br, n = _half_reduce(beta)
+    s = math.sin(br)
+    c = math.cos(br)
+    c2 = c * c
+    if w is None:
+        w = c2 + (1.0 - m) * s * s
+    f, e = _FE_sym(s, c2, w, m)
+    if n == 0:
+        return f, e
+    K, E = _comp_KE(m)
+    return f + 2.0 * n * K, e + 2.0 * n * E
+
+
+def _reciprocal_args(beta, k):
+    """(s, c2, w, m) of F and E at (beta, k > 1) under the reciprocal
+    modulus: the angle gamma with s = sin(gamma) = k sin(beta), c2 its
+    cos^2, m = 1/k^2 and w = 1 - m s^2."""
+    s = _unit_clamped(k * math.sin(beta))
+    m = k ** -2
+    c2 = (1.0 - s) * (1.0 + s)
+    return s, c2, c2 + (1.0 - m) * s * s, m
 
 
 def ellint_F(beta, k):
@@ -152,12 +160,11 @@ def ellint_F(beta, k):
     k sin(beta) = 1 is an integrable square-root singularity and evaluates
     to the finite limit.
     """
-    k = float(k)
-    s, c2, w, m, n = _carlson_args(beta, k)
-    f = _FE_sym(s, c2, w, m)[0]
-    if k > 1.0:
-        return f / k
-    return f if n == 0 else f + 2.0 * n * _comp_KE(m)[0]
+    beta, k = float(beta), float(k)
+    _check(beta, k)
+    if k <= 1.0:
+        return _FE_reduced(beta, k * k)[0]
+    return _FE_sym(*_reciprocal_args(beta, k))[0] / k
 
 
 def ellint_E(beta, k):
@@ -166,12 +173,12 @@ def ellint_E(beta, k):
     Reciprocal-modulus transform for k > 1:
     E(beta, k) = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k).
     """
-    k = float(k)
-    s, c2, w, m, n = _carlson_args(beta, k)
-    f, e = _FE_sym(s, c2, w, m)
-    if k > 1.0:
-        return k * e - (k - 1.0 / k) * f
-    return e if n == 0 else e + 2.0 * n * _comp_KE(m)[1]
+    beta, k = float(beta), float(k)
+    _check(beta, k)
+    if k <= 1.0:
+        return _FE_reduced(beta, k * k)[1]
+    f, e = _FE_sym(*_reciprocal_args(beta, k))
+    return k * e - (k - 1.0 / k) * f
 
 
 def _ellipj_reduced(w, m, mc):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import refine, sign_changes
+from .branch import refine
 
 __all__ = [
     "RodModel",
@@ -31,6 +31,8 @@ _DEFAULT_STEP = math.pi / 50.0
 _XTOL = 1e-14
 # largest alpha_l_max of a root scan: cosh(700) = 5e303
 _ALPHA_L_LIMIT = 700.0
+# most samples of a root scan, alpha_l_max / step
+_MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -116,11 +118,15 @@ def characteristic(alpha_l, load_sign, model):
 
 def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
                         max_modes=None, step=_DEFAULT_STEP):
-    """All characteristic roots in (0, alpha_l_max], sorted, as BucklingMode.
+    """All characteristic roots in (0, alpha_l_max], sorted, as BucklingMode,
+    or the first max_modes of them.
 
-    Sign changes on the grid step * (1e-3, 1, 2, ...), refined by brentq.
-    alpha_l_max is capped at 700, where cosh in the tension characteristic
-    is still a factor 3e4 below overflow.
+    Sign changes on the grid step * (1e-3, 1, 2, ...), refined by brentq
+    as the scan finds them; with max_modes the scan stops once it holds
+    that many roots.  alpha_l_max is capped at 700, where cosh in the
+    tension characteristic is still a factor 3e4 below overflow, and the
+    grid at 1e6 samples: step must be positive and at least
+    alpha_l_max / 1e6.
     Near zero the function is a power of x times a constant, e.g.
     -x (1 + (k l/B)(1 + chi_hat/2)) in compression, so the first sample
     keeps a root below step.  The clamped bracket factors exactly as
@@ -129,7 +135,8 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     is scanned.  Its roots solve tan(x/2) = A x/chi_hat, one per branch of
     tan, so they never pair up within a step as the bracket's do next to
     2 pi n for chi_hat just above -1.  A root of g within the refinement
-    tolerance of a 2 pi n (at A = 0) is emitted once.
+    tolerance of a 2 pi n (at A = 0) is emitted once, and a root counts
+    toward max_modes only after that merge.
     """
     sgn = _load_sign(load_sign)
     if not 0.0 < alpha_l_max < math.inf:
@@ -139,24 +146,40 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
             "alpha_l_max=%.17g exceeds the scan limit %g, past which cosh in the "
             "tension characteristic overflows" % (alpha_l_max, _ALPHA_L_LIMIT)
         )
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
+    if alpha_l_max / step > _MAX_SAMPLES:
+        raise ValueError(
+            "step=%.17g asks for more than %d samples up to alpha_l_max=%.17g"
+            % (step, _MAX_SAMPLES, alpha_l_max)
+        )
     if max_modes is not None and max_modes < 1:
         raise ValueError("max_modes must be at least 1")
     f = _characteristic_in_x(model, sgn, factored=True)
     count = int(alpha_l_max / step + 1e-9)
     xs = (step * np.concatenate(([1e-3], np.arange(1, count + 1)))).tolist()
-    roots = [refine(f, xs, i, j, _XTOL) for i, j in sign_changes([f(x) for x in xs])]
+    turn = 2.0 * math.pi
+    exact = []
     if model.clamped and sgn < 0.0:
-        turn = 2.0 * math.pi
         exact = [turn * n for n in range(1, int(alpha_l_max * (1.0 + 1e-15) / turn) + 1)]
-        roots = sorted(exact + [x for x in roots
-                                if abs(x - turn * round(x / turn)) > _XTOL * (1.0 + x)])
-    if max_modes is not None:
-        roots = roots[:max_modes]
+    roots, below, prev = [], 0, math.nan  # below: the exact roots up to the sample
+    for j, x in enumerate(xs):
+        fx = f(x)
+        if fx == 0.0 or prev * fx < 0.0:
+            root = refine(f, xs, j if fx == 0.0 else j - 1, j, _XTOL)
+            if not exact or abs(root - turn * round(root / turn)) > _XTOL * (1.0 + root):
+                roots.append(root)
+        prev = fx
+        if max_modes is not None:
+            while below < len(exact) and exact[below] <= x:
+                below += 1
+            if len(roots) + below >= max_modes:
+                break
     return [
         BucklingMode(load_sign=load_sign, alpha_l=x,
                      F_cr_normalized=sgn * x**2 / math.pi**2, xi=math.pi / x,
                      mode_index=i)
-        for i, x in enumerate(roots, start=1)
+        for i, x in enumerate(sorted(exact + roots)[:max_modes], start=1)
     ]
 
 

@@ -308,11 +308,12 @@ def ellipj_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("k_r, R, calls", [(0.0, 1.3, 1), (5.0, 0.5, 2)])
+@pytest.mark.parametrize("k_r, R, calls", [(0.0, 1.3, 1), (5.0, 0.5, 1)])
 def test_residual_makes_one_jacobi_evaluation_per_rod_point(ellipj_calls, k_r, R, calls):
-    # k > 1 takes the pin's turning point in closed form, so only the clamp
-    # needs Jacobi functions; k < 1 evaluates them at the pin and the clamp
-    assert (modulus_from(0.8, R, k_r) > 1.0) == (calls == 1)
+    # only the clamp needs Jacobi functions: k > 1 adds the pin's, known in
+    # closed form, through the addition theorems, and k < 1 takes the pin's
+    # F, E and dn from one Carlson loop and the closed-form complement
+    assert (modulus_from(0.8, R, k_r) > 1.0) == (k_r == 0.0)
     compatibility_residual(R, 0.8, tensile_problem(k_r=k_r))
     assert len(ellipj_calls) == calls
 
@@ -322,6 +323,37 @@ def test_shape_export_one_jacobi_evaluation_per_sample(ellipj_calls):
     ellipj_calls.clear()
     shape_export(st, 9)
     assert len(ellipj_calls) == 9
+
+
+@pytest.fixture
+def carlson_calls(monkeypatch):
+    # arguments of every call of the Carlson duplication loop
+    calls = []
+    rf_rd = elliptic._rf_rd
+
+    def counting(*args):
+        calls.append(args)
+        return rf_rd(*args)
+
+    monkeypatch.setattr(elliptic, "_rf_rd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k_r, R", [(0.0, 1.3), (0.0, -1.3), (0.7, 1.1), (1.0, -1.0)])
+def test_no_carlson_integral_where_modulus_above_one(carlson_calls, k_r, R):
+    # the addition theorems take the pin's Jacobi functions in closed form,
+    # so neither a residual nor a shape export needs F or E at the pin
+    assert modulus_from(0.8, R, k_r) > 1.0
+    problem = tensile_problem(k_r=k_r)
+    compatibility_residual(R, 0.8, problem)
+    shape_export(make_state(0.8, R, problem), 9)
+    assert carlson_calls == []
+
+
+def test_carlson_integral_at_the_pin_where_modulus_below_one(carlson_calls):
+    assert modulus_from(0.8, 0.5, 5.0) < 1.0
+    compatibility_residual(0.5, 0.8, tensile_problem(k_r=5.0))
+    assert len(carlson_calls) == 1
 
 
 @pytest.fixture
@@ -415,6 +447,35 @@ def test_cold_solve_at_tiny_rotation_keeps_first_mode(theta0):
     st = solve_R(theta0, tensile_problem())
     assert abs(st.R / linearized_load(0.25, "tension") - 1.0) < 1e-8
     assert_integrated_equilibrium(theta0, st.R, st.phi)
+
+
+# Tensile roots on the R_c = l/4 circle with roller ends, B = l = 1, from a
+# 40-digit solve of the compatibility condition on the integrated rod:
+# theta0 -> (R, bound).  The bounds are the errors of the earlier form,
+# which took F and E at the pin from Carlson integrals; k - 1 ~ theta0^2/8
+# here, and the residual's slope in R falls like theta0
+TINY_TENSILE_ROOTS = {
+    1e-6: (1.0692009832004969, 8e-10),
+    1e-5: (1.0692009831661602, 5e-11),
+    1e-4: (1.0692009797324804, 1.2e-11),
+    1e-3: (1.0692006363647386, 1e-12),
+}
+
+
+@pytest.mark.parametrize("theta0", sorted(TINY_TENSILE_ROOTS))
+def test_cold_solve_at_tiny_rotation_against_reference(theta0):
+    R, bound = TINY_TENSILE_ROOTS[theta0]
+    assert abs(solve_R(theta0, tensile_problem()).R - R) <= bound
+
+
+def test_spring_tensile_solve_just_below_modulus_one():
+    # k = 1 - 9.2e-11: 1 - k^2 formed from k kept 6 digits and put R 4e-9
+    # off; in closed form the solve is good to about 1e-11.  Reference: a
+    # 40-digit root on the integrated rod
+    problem = tensile_problem(Rc=0.333, k_r=0.894)
+    st = solve_R(1e-4, problem)
+    assert -1e-10 < st.modulus - 1.0 < 0.0
+    assert abs(st.R - 0.74465226497386224) < 1e-10
 
 
 def test_residual_where_spring_puts_modulus_next_to_one():

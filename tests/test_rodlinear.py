@@ -550,6 +550,66 @@ def test_alpha_l_max_at_scan_limit():
                 assert len(full) > 200
 
 
+def test_max_modes_is_the_table_prefix():
+    # the scan stops at the last kept root; the clamped 2 pi n join the
+    # scanned roots before they count, and at chi_hat = -1 (A = 0) every
+    # root of g is a 2 pi n, kept once
+    cases = list(rod_sweep(draws=50, seed=7))
+    cases += [(RodModel(B=1.0, l=1.0, chi_hat=chi, clamped=True), "compression")
+              for chi in (-1.0, -1.5, *CLAMPED_PAIRS)]
+    for model, sign in cases:
+        full = find_critical_loads(model, sign)
+        for max_modes in (1, 2, 3):
+            assert find_critical_loads(model, sign, max_modes=max_modes) == full[:max_modes]
+
+
+@pytest.mark.parametrize("chi, clamped, last_root", [
+    (-5.0, False, ROLLER_COMPRESSION[-5.0]),
+    (-1.5, True, CLAMPED_COMPRESSION_M15),
+    (-1.0, True, (2.0 * math.pi, 4.0 * math.pi, 6.0 * math.pi)),
+])
+def test_max_modes_stops_the_scan(monkeypatch, chi, clamped, last_root):
+    # the largest alpha_l sampled lies within a step of the last mode kept
+    sampled = []
+    in_x = rodlinear._characteristic_in_x
+
+    def recording(*args, **kwargs):
+        f = in_x(*args, **kwargs)
+        return lambda x: sampled.append(x) or f(x)
+
+    monkeypatch.setattr(rodlinear, "_characteristic_in_x", recording)
+    model = RodModel(B=1.0, l=1.0, chi_hat=chi, clamped=clamped)
+    for max_modes, root in enumerate(last_root, start=1):
+        sampled.clear()
+        found = find_critical_loads(model, "compression", max_modes=max_modes)
+        assert found[-1].alpha_l == pytest.approx(root, abs=1e-12)
+        assert root <= max(sampled) < root + math.pi / 50.0
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, -0.1, math.nan, math.inf, 1e-13, 5e-324])
+def test_bad_step_raises_before_the_grid(step):
+    # 0 divided by zero, a negative step returned an empty table (this
+    # model has a root at 1.034) and 1e-13 asked for 1.9e14 samples
+    model = RodModel(B=1.0, l=1.0, k=0.0, chi_hat=-4.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="step"):
+            find_critical_loads(model, "tension", step=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_step_at_sample_cap():
+    model = RodModel(B=1.0, l=1.0, k=0.0, chi_hat=-5.0)
+    step = 6.0 * math.pi / 1e6
+    found = find_critical_loads(model, "tension", max_modes=1, step=step)
+    assert abs(found[0].alpha_l - ROLLER_TENSION[-5.0]) < 1e-12
+    with pytest.raises(ValueError, match="samples"):
+        find_critical_loads(model, "tension", step=step * (1.0 - 1e-15))
+
+
 @pytest.mark.parametrize("max_modes", [0, -1])
 def test_max_modes_below_one_raises(max_modes):
     # a negative count used to slice off the last root: roots[:-1]
