@@ -24,7 +24,7 @@ point's from one AGM at s alpha, whose complement
 too, and the addition theorems join the two; no integral is taken at the
 pin.  The floor left is rounding: at most about 2e-16 absolute in the
 residual, whose slope in R falls like theta0.  For B = l = 1 and
-R_c = 1/4, cold solves return R within 6.3e-13 of a 40-digit reference at
+R_c = 1/4, cold solves return R within 1.2e-13 of a 40-digit reference at
 theta0 = 1e-3, 6.7e-13 at 1e-4, 1.0e-11 at 1e-5 and 1.4e-10 at 1e-6.
 A spring stiffer than the reaction puts small tensile rotations just
 below k = 1; there 1 - k^2 = ((theta0 k_r/B)^2 - 4 (R/B) sin^2(theta0/2))/den
@@ -34,7 +34,6 @@ Compressive states keep a large modulus and stay clean at any theta0.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +62,10 @@ __all__ = [
 ]
 
 _HALVES = ("left", "right")
-_SCAN_POINTS = 200
+# cold solves: the rotation the branch is entered at, and the halvings of
+# theta0 below which a step ends following it
+_THETA_START = 1e-3
+_FOLLOW_HALVINGS = 12
 # warm solves: first ratio off the seed, its growth exponent, and the last ratio
 _WARM_FIRST_RATIO = 1.02
 _WARM_GROWTH = 1.6
@@ -77,8 +79,12 @@ _GUARD_HALVINGS = 6
 
 
 class MultipleRootWarning(UserWarning):
-    """A cold solve's reaction scan window bracketed more than one root
-    (higher modes)."""
+    """A reaction scan bracketed more than one root (higher modes).
+
+    solve_R no longer emits it: a cold solve follows the bifurcating
+    branch and takes one root.  The benchmark still imports and counts
+    it, so it goes when the benchmark does.
+    """
 
 
 @dataclass(frozen=True)
@@ -329,45 +335,97 @@ def _nearest_root(f, seed, xtol):
         fs = [f(xs[0]), *fs, f(xs[-1])]
 
 
+def _warm_fields(theta0, problem, seed):
+    """State fields (as _state_and_defect gives them) at the reaction root
+    nearest seed, or ContinuationError naming the window seed*[0.2, 5]."""
+    xtol = 1e-15 * problem.B / problem.l**2
+    root = _nearest_root(lambda R: compatibility_residual(R, theta0, problem), seed, xtol)
+    if root is None:
+        lo, hi = sorted((0.2 * seed, 5.0 * seed))
+        raise ContinuationError(
+            "no sign change of the compatibility residual in the reaction window "
+            f"[{lo:.6g}, {hi:.6g}] at theta0={theta0:.6g}"
+        )
+    return _state_and_defect(theta0, root, problem)[0]
+
+
+def _follow_branch(theta0, problem):
+    """State fields at theta0 on the branch that bifurcates at the
+    linearized load R_cr.
+
+    The branch is entered by a warm solve at _THETA_START seeded with
+    R_cr, which fixes Koiter's coefficient R2 in R = R_cr + R2 theta0^2.
+    Below _THETA_START that law seeds the one solve at theta0.  Above it,
+    steps toward theta0 are seeded by the secant in theta0^2 through the
+    last two accepted points, the first being (0, R_cr), and phi by the
+    secant in theta0 from phi = 0 there.  A step is accepted within the
+    continuity bounds of trace_branch and then doubled; it is halved when
+    its solve fails or breaks the bounds, or, without a solve, when the
+    prediction already breaks them.  Following stops once a step falls
+    below theta0/2**_FOLLOW_HALVINGS.
+    """
+    R_cr = _default_seed(problem)
+    last = _warm_fields(_THETA_START, problem, R_cr)
+    if theta0 <= _THETA_START:
+        if theta0 == _THETA_START:
+            return last
+        R2 = (last[1] - R_cr) / _THETA_START**2
+        return _warm_fields(theta0, problem, R_cr + R2 * theta0 * theta0)
+    # fields are (theta0, R, ...) with phi at index 5; the point before
+    # the first accepted one is the bifurcation (0, R_cr, phi = 0)
+    prev = (0.0, R_cr, 0.0)
+    step, min_step = theta0 - _THETA_START, theta0 / 2**_FOLLOW_HALVINGS
+    while True:
+        th = min(last[0] + step, theta0)
+        u = last[0] * last[0]
+        seed = last[1] + (last[1] - prev[1]) * (th * th - u) / (u - prev[0] * prev[0])
+        phi = last[5] + (last[5] - prev[2]) * (th - last[0]) / (last[0] - prev[0])
+        why = _guard_rejection(seed, phi, last[1], last[5])
+        if why:
+            why = "predicted " + why
+        else:
+            try:
+                fields = _warm_fields(th, problem, seed)
+            except (ContinuationError, DegenerateGeometryError) as exc:
+                why = str(exc)
+            else:
+                why = _guard_rejection(fields[1], fields[5], last[1], last[5])
+                if not why:
+                    if th == theta0:
+                        return fields
+                    prev, last = (last[0], last[1], last[5]), fields
+                    step *= 2.0
+                    continue
+        step /= 2.0
+        if step < min_step:
+            raise ContinuationError(
+                f"stopped at theta0={th:.6g} with steps below theta0/2**{_FOLLOW_HALVINGS} "
+                f"past the last accepted theta0={last[0]:.6g}: {why}"
+            )
+
+
 def solve_R(theta0, problem, seed=None):
     """Solve the compatibility condition for the constraint reaction.
 
     With a seed (a warm start), the search widens from it in ratio:
     residuals at seed/r and seed*r for r = 1.02, then r**1.6, up to 5,
     and brentq refines the first sign change between neighbouring
-    samples, so the root nearest the seed wins and a nearby higher mode
-    raises no warning.  Without a seed (a cold start), the seed is the
-    linearized critical load of the matching sliding-rod model, the whole
-    window seed*[0.2, 5] is scanned at 200 points, and a
-    MultipleRootWarning marks a window holding several roots, of which
-    the smallest in magnitude is kept.  Either way a ContinuationError
-    names the window seed*[0.2, 5] when it holds no sign change.
+    samples, so the root nearest the seed wins; a ContinuationError names
+    the window seed*[0.2, 5] when it holds no sign change.  Without a
+    seed (a cold start), the root is followed along the branch that
+    bifurcates at the linearized critical load R_cr of the matching
+    sliding-rod model: a warm solve at theta0 = 1e-3 seeded with R_cr,
+    Koiter's law R = R_cr + R2 theta0^2 below that, and secant-predicted
+    warm steps in theta0^2 above it, each kept within the continuity
+    bounds of trace_branch.  When following stops, the ContinuationError
+    names the theta0 it stopped at, the last accepted theta0 and the
+    rejected (R, phi) or the solve failure.
     """
     if not theta0 > 0.0:
         raise ValueError("theta0 must be positive")
-    xtol = 1e-15 * problem.B / problem.l**2
-    f = lambda R: compatibility_residual(R, theta0, problem)
-    if seed is not None:
-        root = _nearest_root(f, seed, xtol)
-        roots = [] if root is None else [root]
-    else:
-        seed = _default_seed(problem)
-        grid = (seed * np.geomspace(0.2, 5.0, _SCAN_POINTS)).tolist()
-        roots = [refine(f, grid, i, j, xtol) for i, j in sign_changes([f(R) for R in grid])]
-    if not roots:
-        lo, hi = sorted((0.2 * seed, 5.0 * seed))
-        raise ContinuationError(
-            "no sign change of the compatibility residual in the reaction window "
-            f"[{lo:.6g}, {hi:.6g}] at theta0={theta0:.6g}"
-        )
-    if len(roots) > 1:
-        warnings.warn(
-            f"{len(roots)} reaction roots in the scan window at theta0={theta0:.6g}; "
-            "keeping the smallest in magnitude",
-            MultipleRootWarning,
-            stacklevel=2,
-        )
-    return make_state(theta0, min(roots, key=abs), problem)
+    if seed is None:
+        return ElasticaState(*_follow_branch(theta0, problem))
+    return ElasticaState(*_warm_fields(theta0, problem, seed))
 
 
 def _branch_problem(problem, branch):
@@ -378,14 +436,14 @@ def _branch_problem(problem, branch):
     raise ValueError("branch must be 'tensile' or 'compressive'")
 
 
-def _guard_rejection(st, prev):
-    """Why the state st breaks the continuity bounds against the accepted
-    state prev, or "" when it keeps them."""
-    dR, dphi = abs(st.R / prev.R - 1.0), abs(st.phi - prev.phi)
+def _guard_rejection(R, phi, R_prev, phi_prev):
+    """Why the state (R, phi) breaks the continuity bounds against the
+    accepted state (R_prev, phi_prev), or "" when it keeps them."""
+    dR, dphi = abs(R / R_prev - 1.0), abs(phi - phi_prev)
     if dR <= _GUARD_R_RATIO and dphi <= _GUARD_PHI:
         return ""
     return (
-        f"rejected R={st.R:.6g}, phi={st.phi:.6g} with |R/R_prev - 1|={dR:.3g} "
+        f"rejected R={R:.6g}, phi={phi:.6g} with |R/R_prev - 1|={dR:.3g} "
         f"and |phi - phi_prev|={dphi:.3g} (bounds {_GUARD_R_RATIO:g} and {_GUARD_PHI:g} rad)"
     )
 
@@ -409,7 +467,7 @@ def _guarded_step(problem, start, theta0):
         except (ContinuationError, DegenerateGeometryError) as exc:
             why = str(exc)
         else:
-            why = _guard_rejection(st, last)
+            why = _guard_rejection(st.R, st.phi, last.R, last.phi)
             if not why:
                 if nxt == n:
                     return st, ""

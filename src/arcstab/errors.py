@@ -26,7 +26,7 @@ class DegenerateGeometryError(ArcstabError):
 
 class ContinuationError(ArcstabError):
     """Root bracketing or branch continuation failed; message records the
-    scanned window."""
+    scanned window, or where following a branch stopped."""
 
 
 class QuadratureError(ArcstabError):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -508,13 +509,70 @@ def test_solve_rejects_bad_rotation():
         solve_R(-0.2, tensile_problem())
 
 
-def test_solve_reports_multiple_roots():
-    # the cold scan window around the linearized seed also brackets a
-    # higher mode at theta0 = 1.5; the smaller reaction is kept
+def test_cold_solve_takes_one_root_without_warning():
+    # a 200-point scan of the window seed*[0.2, 5] around the linearized
+    # load also bracketed a higher mode at theta0 = 1.5 and warned; the
+    # branch follower meets one root, the smaller reaction
     pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.6, half="left")
-    with pytest.warns(MultipleRootWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         st = solve_R(1.5, pr)
-    assert st.R == pytest.approx(1.519, rel=1e-3)
+    assert st.R == pytest.approx(1.518790597515453, rel=1e-13)
+
+
+# Tensile problems (theta0, R_c, k_r), B = l = 1, whose branch root left the
+# window seed*[0.2, 5] of the linearized load, so the window scan returned a
+# root of another family
+OFF_WINDOW_ROOTS = [
+    (0.5095776685937039, 0.7994155293943626, 0.13107339809499474),
+    (0.5351349311966491, 0.7840761648598478, 0.14920061150843783),
+    (0.50160738992129, 0.7801831436999447, 0.15975472303918598),
+    (0.5786695624554797, 0.7644359750977971, 0.324577670405393),
+]
+
+
+def test_cold_solve_stays_on_softening_branch():
+    # a strongly softening tensile branch: its root at theta0 = 0.51 lies
+    # below the window seed*[0.2, 5] = [4.97, 124] around the linearized
+    # load, and the window scan returned R = 66.436 (phi = 3.551), a root
+    # of another family
+    theta0, Rc, k_r = OFF_WINDOW_ROOTS[0]
+    st = solve_R(theta0, tensile_problem(Rc=Rc, k_r=k_r))
+    assert st.R == pytest.approx(4.158705495683579, rel=1e-13)
+    assert st.phi == pytest.approx(1.903, abs=1e-3)
+
+
+@pytest.mark.parametrize("theta0, Rc, k_r", OFF_WINDOW_ROOTS)
+def test_cold_solve_agrees_with_trace(theta0, Rc, k_r):
+    pr = tensile_problem(Rc=Rc, k_r=k_r)
+    tr = trace_branch(pr, np.linspace(1e-3, theta0, 200), "tensile")
+    assert tr.complete
+    assert solve_R(theta0, pr).R == pytest.approx(tr.points[-1].R, rel=1e-12)
+
+
+def test_cold_solve_follows_branch_out_of_the_window():
+    # a stiff spring: R = -31.85 lies far below the window seed*[0.2, 5] =
+    # [-13.76, -0.55] of the linearized load, where the window scan raised
+    pr = compressive_problem(k_r=2.0)
+    st = solve_R(2.3, pr)
+    assert st.R == pytest.approx(-31.85030868469067, rel=1e-13)
+    tr = trace_branch(pr, np.linspace(1e-4, 2.3, 400), "compressive")
+    assert tr.complete
+    assert st.R == pytest.approx(tr.points[-1].R, rel=1e-12)
+
+
+def test_cold_solve_names_where_following_stopped():
+    # past theta0 ~ 2.464 the nearest root jumps phi by 3.7 rad, and a fine
+    # trace stops there too
+    pr = compressive_problem(k_r=2.0)
+    stopped = r"stopped at theta0=(\S+) .*past the last accepted theta0=(\S+): rejected R="
+    with pytest.raises(ContinuationError, match=stopped) as err:
+        solve_R(2.6, pr)
+    at, last = map(float, re.search(stopped, str(err.value)).groups())
+    tr = trace_branch(pr, np.linspace(1e-4, 2.6, 400), "compressive")
+    assert not tr.complete
+    trace_at = float(re.search(stopped, tr.diagnostic).group(1))
+    assert last < at and abs(at - trace_at) < 0.005
 
 
 def test_warm_solve_takes_nearest_root_without_warning():
@@ -558,6 +616,14 @@ def test_warm_solve_residual_budget(residual_calls, half, theta0, offset):
     st = solve_R(theta0, problem, seed=offset * root.R)
     assert len(residual_calls) <= 24
     assert st.R == pytest.approx(root.R, rel=1e-13)
+
+
+@pytest.mark.parametrize("problem, budget", [(tensile_problem(), 60),
+                                             (compressive_problem(k_r=0.5), 30)])
+def test_cold_solve_residual_budget(residual_calls, problem, budget):
+    # the window scan made 207 residuals per cold solve
+    solve_R(0.5, problem)
+    assert len(residual_calls) <= budget
 
 
 def test_solve_without_bracket_reports_interval():
