@@ -33,6 +33,7 @@ theta0 = 1e-4 (k = 1 - 9e-11) solves to 9e-12 of its reference.
 Compressive states keep a large modulus and stay clean at any theta0.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -319,8 +320,10 @@ def _nearest_root(f, seed, xtol):
 
     Samples seed, then seed/r and seed*r for r = 1.02, 1.02**1.6, ...,
     capped at 5, and refines the first bracket that appears; when both
-    sides bracket at the same r, the smaller magnitude side wins.
+    sides bracket at the same r, the smaller magnitude side wins.  f is
+    evaluated once per abscissa: brentq re-reads the bracket ends.
     """
+    f = functools.cache(f)
     xs, fs, r = [seed], [f(seed)], 1.0
     while True:
         c = len(xs) // 2
@@ -356,9 +359,11 @@ def _follow_branch(theta0, problem):
     The branch is entered by a warm solve at _THETA_START seeded with
     R_cr, which fixes Koiter's coefficient R2 in R = R_cr + R2 theta0^2.
     Below _THETA_START that law seeds the one solve at theta0.  Above it,
-    steps toward theta0 are seeded by the secant in theta0^2 through the
-    last two accepted points, the first being (0, R_cr), and phi by the
-    secant in theta0 from phi = 0 there.  A step is accepted within the
+    steps toward theta0 are seeded by that law for the first step, and
+    then by the quadratic in theta0 through ln|R| at the last three
+    accepted points, (0, R_cr) being the oldest until displaced, with the
+    sign of the last R; phi is seeded by the secant in theta0 through the
+    last two, from phi = 0 at the bifurcation.  A step is accepted within the
     continuity bounds of trace_branch and then doubled; it is halved when
     its solve fails or breaks the bounds, or, without a solve, when the
     prediction already breaks them.  Following stops once a step falls
@@ -371,16 +376,24 @@ def _follow_branch(theta0, problem):
             return last
         R2 = (last[1] - R_cr) / _THETA_START**2
         return _warm_fields(theta0, problem, R_cr + R2 * theta0 * theta0)
-    # fields are (theta0, R, ...) with phi at index 5; the point before
-    # the first accepted one is the bifurcation (0, R_cr, phi = 0)
-    prev = (0.0, R_cr, 0.0)
+    # accepted points (theta0, R, phi), oldest first, from fields, which
+    # are (theta0, R, ...) with phi at index 5; the bifurcation
+    # (0, R_cr, phi = 0) is the oldest until a third point displaces it
+    pts = [(0.0, R_cr, 0.0), (last[0], last[1], last[5])]
     step, min_step = theta0 - _THETA_START, theta0 / 2**_FOLLOW_HALVINGS
     while True:
-        th = min(last[0] + step, theta0)
-        u = last[0] * last[0]
-        seed = last[1] + (last[1] - prev[1]) * (th * th - u) / (u - prev[0] * prev[0])
-        phi = last[5] + (last[5] - prev[2]) * (th - last[0]) / (last[0] - prev[0])
-        why = _guard_rejection(seed, phi, last[1], last[5])
+        (t1, r1, phi1), (t2, r2, phi2) = pts[-2:]
+        th = min(t2 + step, theta0)
+        if len(pts) == 2:
+            seed = r2 + (r2 - r1) * (th * th - t2 * t2) / (t2 * t2 - t1 * t1)
+        else:
+            # Newton form of the quadratic in theta0 through ln|R| at pts
+            t0, y0 = pts[0][0], math.log(abs(pts[0][1]))
+            y1, y2 = math.log(abs(r1)), math.log(abs(r2))
+            d0, d1 = (y1 - y0) / (t1 - t0), (y2 - y1) / (t2 - t1)
+            seed = r2 * math.exp((th - t2) * (d1 + (d1 - d0) / (t2 - t0) * (th - t1)))
+        phi = phi2 + (phi2 - phi1) * (th - t2) / (t2 - t1)
+        why = _guard_rejection(seed, phi, r2, phi2)
         if why:
             why = "predicted " + why
         else:
@@ -389,18 +402,18 @@ def _follow_branch(theta0, problem):
             except (ContinuationError, DegenerateGeometryError) as exc:
                 why = str(exc)
             else:
-                why = _guard_rejection(fields[1], fields[5], last[1], last[5])
+                why = _guard_rejection(fields[1], fields[5], r2, phi2)
                 if not why:
                     if th == theta0:
                         return fields
-                    prev, last = (last[0], last[1], last[5]), fields
+                    pts = [*pts[-2:], (fields[0], fields[1], fields[5])]
                     step *= 2.0
                     continue
         step /= 2.0
         if step < min_step:
             raise ContinuationError(
                 f"stopped at theta0={th:.6g} with steps below theta0/2**{_FOLLOW_HALVINGS} "
-                f"past the last accepted theta0={last[0]:.6g}: {why}"
+                f"past the last accepted theta0={t2:.6g}: {why}"
             )
 
 
@@ -415,9 +428,11 @@ def solve_R(theta0, problem, seed=None):
     seed (a cold start), the root is followed along the branch that
     bifurcates at the linearized critical load R_cr of the matching
     sliding-rod model: a warm solve at theta0 = 1e-3 seeded with R_cr,
-    Koiter's law R = R_cr + R2 theta0^2 below that, and secant-predicted
-    warm steps in theta0^2 above it, each kept within the continuity
-    bounds of trace_branch.  When following stops, the ContinuationError
+    Koiter's law R = R_cr + R2 theta0^2 below that, and warm steps above
+    it, the first seeded by Koiter's law and the later ones by quadratic
+    extrapolation of ln|R| in theta0, each kept within the continuity
+    bounds of trace_branch.  A solve evaluates the residual once per
+    reaction it tries.  When following stops, the ContinuationError
     names the theta0 it stopped at, the last accepted theta0 and the
     rejected (R, phi) or the solve failure.
     """
@@ -535,7 +550,8 @@ def refine_on_trace(problem, trace, value, target):
     The first sign change of value - target over the trace points is
     refined by brentq in theta0, each trial solve warm started from the
     reaction interpolated between the pair; a point on target is solved
-    again in place.  value must accept both trace points and states (both
+    again in place.  Each theta0 is solved once: the root returned is one
+    of the trials.  value must accept both trace points and states (both
     carry theta0, R, F, phi and delta).  trace.label selects the assembly
     as in trace_branch.  Returns None when nothing brackets target.
     """
@@ -545,6 +561,7 @@ def refine_on_trace(problem, trace, value, target):
     for i, j in sign_changes([value(p) - target for p in pts]):
         a, b = pts[i], pts[j]
 
+        @functools.cache
         def solve(th0):
             w = (th0 - a.theta0) / (b.theta0 - a.theta0) if i != j else 0.0
             return solve_R(th0, pr, seed=a.R + w * (b.R - a.R))

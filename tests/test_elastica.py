@@ -615,15 +615,48 @@ def test_warm_solve_residual_budget(residual_calls, half, theta0, offset):
     residual_calls.clear()
     st = solve_R(theta0, problem, seed=offset * root.R)
     assert len(residual_calls) <= 24
+    # brentq re-reads the bracket ends the widening search sampled: each
+    # reaction is evaluated once
+    assert len(residual_calls) == len(set(residual_calls))
     assert st.R == pytest.approx(root.R, rel=1e-13)
 
 
-@pytest.mark.parametrize("problem, budget", [(tensile_problem(), 60),
-                                             (compressive_problem(k_r=0.5), 30)])
-def test_cold_solve_residual_budget(residual_calls, problem, budget):
-    # the window scan made 207 residuals per cold solve
-    solve_R(0.5, problem)
+@pytest.mark.parametrize(
+    "theta0, problem, budget",
+    [
+        (0.5, tensile_problem(), 40),
+        (0.5, compressive_problem(k_r=0.5), 14),
+        (OFF_WINDOW_ROOTS[0][0], tensile_problem(*OFF_WINDOW_ROOTS[0][1:]), 250),
+        (2.3, compressive_problem(k_r=2.0), 150),
+    ],
+    ids=["tensile", "compressive", "softening", "stiff-spring"],
+)
+def test_cold_solve_residual_budget(residual_calls, theta0, problem, budget):
+    # the window scan made 207 residuals per cold solve, and steps seeded
+    # by the secant in theta0^2 made 38, 16, 329 and 251 here: on the
+    # softening branch it predicted R 5-10 % low at each step
+    solve_R(theta0, problem)
     assert len(residual_calls) <= budget
+
+
+# Wide-sweep draws (theta0, R_c, k_r, branch), B = l = 1, beyond the
+# benchmark's theta0 <= 0.6 and k_r <= 0.5, where the ln R predictor's steps
+# differ most from those of the theta0^2 secant
+FAR_DRAWS = [
+    (0.9263614316950102, 0.8703989534079591, 1.3038651298125947, "tensile"),
+    (1.566640152437627, 0.7266818316890227, 0.5798991379315948, "tensile"),
+    (0.956289091518668, 0.8641289426880493, 0.9967255378829694, "tensile"),
+    (1.6948484482648933, 0.6959014745965266, 1.949540114489485, "compressive"),
+]
+
+
+@pytest.mark.parametrize("theta0, Rc, k_r, branch", FAR_DRAWS)
+def test_cold_solve_agrees_with_trace_far_out(theta0, Rc, k_r, branch):
+    pr = tensile_problem(Rc=Rc, k_r=k_r)
+    tr = trace_branch(pr, np.linspace(1e-4, theta0, 400), branch)
+    assert tr.complete
+    st = solve_R(theta0, elastica._branch_problem(pr, branch))
+    assert st.R == pytest.approx(tr.points[-1].R, rel=1e-11)
 
 
 def test_solve_without_bracket_reports_interval():
@@ -698,6 +731,23 @@ def test_refine_on_trace_matches_local_bisection(traced_tensile, traced_compress
         st = refine_on_trace(tensile_problem(), tr, lambda p: p.phi, math.pi / 4)
         assert st == solve_at_phi(pr, tr, math.pi / 4)
         assert refine_on_trace(pr, tr, lambda p: p.F, 1e6) is None
+
+
+def test_refine_on_trace_solves_each_theta0_once(monkeypatch, traced_tensile):
+    # the refined theta0 is one of brentq's trials, so its state is not
+    # solved again
+    thetas = []
+    solve = elastica.solve_R
+
+    def counting(theta0, problem, seed=None):
+        thetas.append(theta0)
+        return solve(theta0, problem, seed)
+
+    monkeypatch.setattr(elastica, "solve_R", counting)
+    st = refine_on_trace(tensile_problem(), traced_tensile, lambda p: p.phi, math.pi / 4)
+    assert st.phi == pytest.approx(math.pi / 4, abs=1e-12)
+    assert st.theta0 in thetas
+    assert len(thetas) == len(set(thetas))
 
 
 def test_trace_is_deterministic(traced_tensile):
