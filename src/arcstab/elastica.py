@@ -63,20 +63,18 @@ __all__ = [
 ]
 
 _HALVES = ("left", "right")
-# cold solves: the rotation the branch is entered at, and the halvings of
-# theta0 below which a step ends following it
+# the rotation a cold solve enters the branch at, and the halvings of
+# theta0 below which a step ends following the branch
 _THETA_START = 1e-3
 _FOLLOW_HALVINGS = 12
 # warm solves: first ratio off the seed, its growth exponent, and the last ratio
 _WARM_FIRST_RATIO = 1.02
 _WARM_GROWTH = 1.6
 _WARM_MAX_RATIO = 5.0
-# continuity guard of trace_branch: the largest |R/R_prev - 1| and
-# |phi - phi_prev| (rad) of an accepted step, and the halvings of a
-# rejected theta0 step before the trace stops
+# continuity guard of the branch follower: the largest |R/R_prev - 1| and
+# |phi - phi_prev| (rad) of an accepted step
 _GUARD_R_RATIO = 0.25
 _GUARD_PHI = 0.5
-_GUARD_HALVINGS = 6
 
 
 class MultipleRootWarning(UserWarning):
@@ -117,8 +115,9 @@ class ElasticaState:
 
     delta is the clamp displacement along the load axis, zero at the
     undeformed assembly; it is physically meaningful once R solves the
-    compatibility condition.  angle_offset is the H(R) pi branch offset
-    of the rotation field.  mc is the complement of the Jacobi parameter
+    compatibility condition.  angle_offset is the angle the rotation
+    oscillates about: pi for R > 0, and 0 for R < 0 or 2 pi there once
+    theta0 > pi.  mc is the complement of the Jacobi parameter
     the rod points are evaluated at, in closed form: 1 - m1 with
     m1 = 1/k^2 for k > 1, and 1 - k^2 for k <= 1.
     pin holds what every rod point takes from the pin, s = 0.  For k > 1
@@ -229,7 +228,8 @@ def _state_and_defect(theta0, R, problem):
     den, spring, half_trig, at2 = _rotation_denominator(theta0, R, problem.k_r, problem.B)
     at = math.sqrt(at2)
     k = 2.0 * at / math.sqrt(den)
-    offset = math.pi if R > 0.0 else 0.0
+    # beta0 is measured from the angle the rotation oscillates about
+    offset = math.pi if R > 0.0 else (2.0 * math.pi if theta0 > math.pi else 0.0)
     beta0 = (theta0 - offset) / 2.0
     # the pin's angle gamma, sin(gamma) = k sin(beta0), has
     # cos^2(gamma) = 1 - k^2 sin^2(beta0) = (theta0 k_r/B)^2/den in closed
@@ -352,48 +352,42 @@ def _warm_fields(theta0, problem, seed):
     return _state_and_defect(theta0, root, problem)[0]
 
 
-def _follow_branch(theta0, problem):
-    """State fields at theta0 on the branch that bifurcates at the
-    linearized load R_cr.
+def _advance(problem, pts, theta0, step=math.inf):
+    """(fields at theta0, pts, step): the branch continued to theta0 from
+    its accepted points pts, (theta0, R, phi) oldest first, at most three.
 
-    The branch is entered by a warm solve at _THETA_START seeded with
-    R_cr, which fixes Koiter's coefficient R2 in R = R_cr + R2 theta0^2.
-    Below _THETA_START that law seeds the one solve at theta0.  Above it,
-    steps toward theta0 are seeded by that law for the first step, and
-    then by the quadratic in theta0 through ln|R| at the last three
-    accepted points, (0, R_cr) being the oldest until displaced, with the
-    sign of the last R; phi is seeded by the secant in theta0 through the
-    last two, from phi = 0 at the bifurcation.  A step is accepted within the
-    continuity bounds of trace_branch and then doubled; it is halved when
-    its solve fails or breaks the bounds, or, without a solve, when the
-    prediction already breaks them.  Following stops once a step falls
-    below theta0/2**_FOLLOW_HALVINGS.
+    The first step is step, or the whole way when that is shorter.  pts
+    predict the end of a step: one point predicts itself; two give R by
+    the secant in theta0^2 (Koiter's law when the older is the
+    bifurcation (0, R_cr, phi = 0)), and three by the quadratic in theta0
+    through ln|R|, with the sign of the last R; phi comes from the secant
+    in theta0 through the last two.  A step solved from the predicted R is
+    accepted within the bounds of _guard_rejection and doubled; it is
+    halved when its solve fails or breaks the bounds, or, without a
+    solve, when the prediction breaks them.  The step returned is the
+    doubled last one.  Once a step falls below theta0/2**_FOLLOW_HALVINGS,
+    a ContinuationError names the theta0 it stopped at, the last accepted
+    theta0 and the rejected (R, phi) or the solve failure.
     """
-    R_cr = _default_seed(problem)
-    last = _warm_fields(_THETA_START, problem, R_cr)
-    if theta0 <= _THETA_START:
-        if theta0 == _THETA_START:
-            return last
-        R2 = (last[1] - R_cr) / _THETA_START**2
-        return _warm_fields(theta0, problem, R_cr + R2 * theta0 * theta0)
-    # accepted points (theta0, R, phi), oldest first, from fields, which
-    # are (theta0, R, ...) with phi at index 5; the bifurcation
-    # (0, R_cr, phi = 0) is the oldest until a third point displaces it
-    pts = [(0.0, R_cr, 0.0), (last[0], last[1], last[5])]
-    step, min_step = theta0 - _THETA_START, theta0 / 2**_FOLLOW_HALVINGS
+    step = min(step, theta0 - pts[-1][0])
+    min_step = theta0 / 2**_FOLLOW_HALVINGS
     while True:
-        (t1, r1, phi1), (t2, r2, phi2) = pts[-2:]
+        t2, r2, phi2 = pts[-1]
         th = min(t2 + step, theta0)
-        if len(pts) == 2:
-            seed = r2 + (r2 - r1) * (th * th - t2 * t2) / (t2 * t2 - t1 * t1)
+        if len(pts) == 1:
+            seed, phi, why = r2, phi2, ""
         else:
-            # Newton form of the quadratic in theta0 through ln|R| at pts
-            t0, y0 = pts[0][0], math.log(abs(pts[0][1]))
-            y1, y2 = math.log(abs(r1)), math.log(abs(r2))
-            d0, d1 = (y1 - y0) / (t1 - t0), (y2 - y1) / (t2 - t1)
-            seed = r2 * math.exp((th - t2) * (d1 + (d1 - d0) / (t2 - t0) * (th - t1)))
-        phi = phi2 + (phi2 - phi1) * (th - t2) / (t2 - t1)
-        why = _guard_rejection(seed, phi, r2, phi2)
+            t1, r1, phi1 = pts[-2]
+            if len(pts) == 2:
+                seed = r2 + (r2 - r1) * (th * th - t2 * t2) / (t2 * t2 - t1 * t1)
+            else:
+                # Newton form of the quadratic in theta0 through ln|R| at pts
+                t0, y0 = pts[0][0], math.log(abs(pts[0][1]))
+                y1, y2 = math.log(abs(r1)), math.log(abs(r2))
+                d0, d1 = (y1 - y0) / (t1 - t0), (y2 - y1) / (t2 - t1)
+                seed = r2 * math.exp((th - t2) * (d1 + (d1 - d0) / (t2 - t0) * (th - t1)))
+            phi = phi2 + (phi2 - phi1) * (th - t2) / (t2 - t1)
+            why = _guard_rejection(seed, phi, r2, phi2)
         if why:
             why = "predicted " + why
         else:
@@ -404,17 +398,37 @@ def _follow_branch(theta0, problem):
             else:
                 why = _guard_rejection(fields[1], fields[5], r2, phi2)
                 if not why:
-                    if th == theta0:
-                        return fields
                     pts = [*pts[-2:], (fields[0], fields[1], fields[5])]
                     step *= 2.0
+                    if th == theta0:
+                        return fields, pts, step
                     continue
         step /= 2.0
         if step < min_step:
             raise ContinuationError(
-                f"stopped at theta0={th:.6g} with steps below theta0/2**{_FOLLOW_HALVINGS} "
-                f"past the last accepted theta0={t2:.6g}: {why}"
+                f"stopped at theta0={th:.6g} after step halvings below "
+                f"theta0/2**{_FOLLOW_HALVINGS} past the last accepted theta0={t2:.6g}: {why}"
             )
+
+
+def _follow_branch(theta0, problem):
+    """(fields at theta0, pts, step), as _advance returns them, on the
+    branch that bifurcates at the linearized load R_cr.
+
+    The branch is entered by a warm solve at _THETA_START seeded with R_cr,
+    which fixes Koiter's coefficient R2 in R = R_cr + R2 theta0^2.  Below
+    _THETA_START that law seeds the one solve at theta0; above it, _advance
+    goes on from the bifurcation (0, R_cr, phi = 0) and the entry point.
+    """
+    R_cr = _default_seed(problem)
+    fields = _warm_fields(_THETA_START, problem, R_cr)
+    if theta0 < _THETA_START:
+        R2 = (fields[1] - R_cr) / _THETA_START**2
+        fields = _warm_fields(theta0, problem, R_cr + R2 * theta0 * theta0)
+    pts = [(0.0, R_cr, 0.0), (fields[0], fields[1], fields[5])]
+    if theta0 <= _THETA_START:
+        return fields, pts, math.inf
+    return _advance(problem, pts, theta0)
 
 
 def solve_R(theta0, problem, seed=None):
@@ -427,19 +441,17 @@ def solve_R(theta0, problem, seed=None):
     the window seed*[0.2, 5] when it holds no sign change.  Without a
     seed (a cold start), the root is followed along the branch that
     bifurcates at the linearized critical load R_cr of the matching
-    sliding-rod model: a warm solve at theta0 = 1e-3 seeded with R_cr,
-    Koiter's law R = R_cr + R2 theta0^2 below that, and warm steps above
-    it, the first seeded by Koiter's law and the later ones by quadratic
-    extrapolation of ln|R| in theta0, each kept within the continuity
-    bounds of trace_branch.  A solve evaluates the residual once per
-    reaction it tries.  When following stops, the ContinuationError
-    names the theta0 it stopped at, the last accepted theta0 and the
-    rejected (R, phi) or the solve failure.
+    sliding-rod model: entered at theta0 = 1e-3 (_follow_branch) and
+    continued in predicted warm steps that keep the continuity bounds
+    (_advance).  A cold solve is the state trace_branch reaches at theta0
+    when theta0 is its whole schedule, and raises the ContinuationError
+    whose text such a trace reports when it stops.  A solve evaluates the
+    residual once per reaction it tries.
     """
     if not theta0 > 0.0:
         raise ValueError("theta0 must be positive")
     if seed is None:
-        return ElasticaState(*_follow_branch(theta0, problem))
+        return ElasticaState(*_follow_branch(theta0, problem)[0])
     return ElasticaState(*_warm_fields(theta0, problem, seed))
 
 
@@ -463,56 +475,21 @@ def _guard_rejection(R, phi, R_prev, phi_prev):
     )
 
 
-def _guarded_step(problem, start, theta0):
-    """(state at theta0, "") continued from the solved state start, or
-    (None, reason) when the continuity guard stops the step.
-
-    Each solve is warm started from the last accepted state and accepted
-    only within _GUARD_R_RATIO and _GUARD_PHI of it.  A rejected step, or
-    one whose solve fails, is halved, at most _GUARD_HALVINGS times; the
-    states accepted short of theta0 only seed the next solve.
-    """
-    n = 2**_GUARD_HALVINGS  # theta0 positions in units of 1/n of the step
-    last, pos, step = start, 0, n
-    while True:
-        nxt = pos + step
-        th = theta0 if nxt == n else start.theta0 + (theta0 - start.theta0) * nxt / n
-        try:
-            st = solve_R(th, problem, seed=last.R)
-        except (ContinuationError, DegenerateGeometryError) as exc:
-            why = str(exc)
-        else:
-            why = _guard_rejection(st.R, st.phi, last.R, last.phi)
-            if not why:
-                if nxt == n:
-                    return st, ""
-                last, pos = st, nxt
-                continue
-        if step == 1:
-            return None, (
-                f"stopped at theta0={th:.6g} after {_GUARD_HALVINGS} step halvings "
-                f"past the last accepted theta0={last.theta0:.6g}: {why}"
-            )
-        step //= 2
-
-
 def trace_branch(problem, theta0_schedule, branch, seed=None):
     """Continue a postcritical branch over an increasing theta0 schedule.
 
     branch selects the assembly: "tensile" starts from the tensile
     bifurcation (half = "left"), "compressive" from the compressive one.
-    The first point is solved from seed (cold when seed is None), and each
-    later one is warm started from the previous reaction.  A continuity
-    guard accepts a step only when |R/R_prev - 1| <= 0.25 and
-    |phi - phi_prev| <= 0.5 rad; otherwise, or when the solve fails, the
-    theta0 step is halved, at most 6 times, and the intermediate states
-    only warm start the next solve, so the points follow the schedule.
-    When the guard gives up, or the first solve fails, the trace stops
-    with complete = False and a diagnostic naming the theta0 it stopped
-    at, the last accepted theta0 and the rejected (R, phi) or the solve
-    failure.  The load-sign transition,
-    where the pin tops the circle at phi = pi/2, is recorded in events
-    after refinement with refine_on_trace.
+    The trace walks the branch follower of a cold solve_R through the
+    schedule, carrying its accepted points and step from one schedule
+    point to the next; the points it accepts between schedule points only
+    predict the next ones.  Without a seed the first point is the cold
+    solve at schedule[0]; with one it is the warm solve from seed, and
+    the next step is predicted from that point alone.  When the first
+    solve fails, or a step falls below theta0/2**12, the trace stops with
+    complete = False and the text of that error as its diagnostic.  The load-sign transition, where the pin tops the circle
+    at phi = pi/2, is recorded in events after refinement with
+    refine_on_trace.
     """
     pr = _branch_problem(problem, branch)
     schedule = np.asarray(theta0_schedule, dtype=float)
@@ -520,21 +497,21 @@ def trace_branch(problem, theta0_schedule, branch, seed=None):
         raise ValueError("theta0_schedule must be strictly increasing positives")
 
     trace = BranchTrace(label=branch, points=[])
-    prev = None
-    for th0 in schedule:
-        if prev is None:
-            try:
-                st, why = solve_R(th0, pr, seed=seed), ""
-            except (ContinuationError, DegenerateGeometryError) as exc:
-                st, why = None, f"stopped at theta0={th0:.6g}: {exc}"
-        else:
-            st, why = _guarded_step(pr, prev, th0)
-        if st is None:
-            trace.complete = False
-            trace.diagnostic = why
-            break
-        trace.points.append(PostcriticalPoint(st.theta0, st.R, st.F, st.phi, st.delta))
-        prev = st
+    pts = None
+    try:
+        for th0 in schedule:
+            if pts is not None:
+                fields, pts, step = _advance(pr, pts, th0, step)
+            elif seed is None:
+                fields, pts, step = _follow_branch(th0, pr)
+            else:
+                fields, step = _warm_fields(th0, pr, seed), math.inf
+                pts = [(fields[0], fields[1], fields[5])]
+            st = ElasticaState(*fields)
+            trace.points.append(PostcriticalPoint(st.theta0, st.R, st.F, st.phi, st.delta))
+    except (ContinuationError, DegenerateGeometryError) as exc:
+        trace.complete = False
+        trace.diagnostic = str(exc)
 
     st = refine_on_trace(problem, trace, lambda p: p.phi, math.pi / 2.0)
     if st is not None:

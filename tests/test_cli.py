@@ -427,8 +427,10 @@ def test_elastica_shift_report(fig7_dir):
 
 
 def test_fig7_residual_budget(tmp_path, monkeypatch):
-    # warm solves widen from their seed instead of scanning a 200-point
-    # window: 3,544 residuals where the window scan made 65,591
+    # the traces walk the cold solve's branch follower through the
+    # schedule, and warm solves widen from a predicted seed instead of
+    # scanning a 200-point window: 2,000 residuals, where the window scan
+    # made 65,591 and a trace seeded by the last reaction 2,163
     calls = []
     residual = elastica.compatibility_residual
 
@@ -438,7 +440,7 @@ def test_fig7_residual_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(elastica, "compatibility_residual", counting)
     assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
-    assert len(calls) < 5000
+    assert len(calls) < 2100
 
 
 def test_elastica_continuation_failure_exits_4(tmp_path, capsys):

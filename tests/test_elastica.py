@@ -490,6 +490,19 @@ def test_residual_where_spring_puts_modulus_next_to_one():
     assert abs(res - ((x1 - 0.25) * math.sin(th) - x2 * math.cos(th))) < 1e-9
 
 
+@pytest.mark.parametrize("theta0", [3.0, 3.3, 3.6])
+@pytest.mark.parametrize("k_r", [0.0, 0.01, 0.1])
+def test_compressive_state_past_pi_keeps_its_rotation(theta0, k_r):
+    # R < 0 and theta0 > pi: beta0 = theta0/2 > pi/2 lies on the oscillation
+    # about 2 pi.  Taken about 0, theta(0) came out as 2 pi - theta0 for
+    # k > 1 (2.9832 at theta0 = 3.3, k_r = 0.01)
+    st = make_state(theta0, -1.0, compressive_problem(k_r=k_r))
+    assert theta_at(0.0, st) == pytest.approx(theta0, rel=2e-16, abs=0.0)
+    th, x1, x2 = integrated_clamp(theta0, -1.0, k_r)
+    assert theta_at(1.0, st) == pytest.approx(th, abs=1e-10)
+    assert coordinates_at(1.0, st) == pytest.approx((x1, x2), abs=1e-10)
+
+
 def test_cli_tensile_trace_from_tiny_rotation(tmp_path):
     args = ["trace-elastica", "--R-c", "0.25", "--branch", "tensile", "--theta0-min", "1e-5",
             "--theta0-max", "1e-3", "--n-points", "5", "--out", str(tmp_path)]
@@ -767,33 +780,47 @@ def test_trace_partial_on_bracket_loss():
 
 
 def guarded_trace(monkeypatch, problem, schedule, branch):
-    """trace_branch with every solve it makes recorded: returns the trace and
-    the (previous, new) state pairs of the steps the guard accepted.
+    """trace_branch with its continuity checks recorded: returns the trace
+    and the (previous, new) (R, phi) pairs of the solved steps the guard
+    accepted, checked to form one chain from the first trace point through
+    every later one.
 
-    A warm solve is seeded with the reaction of the last accepted state, so
-    a state is accepted when it is a trace point or seeds a later solve.
+    A check of a solved step compares the state just solved; the other
+    checks compare predictions and are left out.
     """
-    solves = []
-    solve = elastica.solve_R
+    solved, steps = [], []
+    warm, guard = elastica._warm_fields, elastica._guard_rejection
 
-    def recording(theta0, pr, seed=None):
-        st = solve(theta0, pr, seed=seed)
-        solves.append((seed, st))
-        return st
+    def solving(theta0, pr, seed):
+        fields = warm(theta0, pr, seed)
+        solved.append((fields[1], fields[5]))
+        return fields
 
-    monkeypatch.setattr(elastica, "solve_R", recording)
+    def checking(R, phi, R_prev, phi_prev):
+        why = guard(R, phi, R_prev, phi_prev)
+        if not why and solved and (R, phi) == solved[-1]:
+            steps.append(((R_prev, phi_prev), (R, phi)))
+        return why
+
+    monkeypatch.setattr(elastica, "_warm_fields", solving)
+    monkeypatch.setattr(elastica, "_guard_rejection", checking)
     tr = trace_branch(problem, schedule, branch)
-    accepted = {p.R for p in tr.points} | {seed for seed, _ in solves}
-    by_R = {st.R: st for _, st in solves}
-    steps = [(by_R[seed], st) for seed, st in solves if seed in by_R and st.R in accepted]
-    assert len(steps) >= len(tr.points) - 1
-    return tr, steps
+    states = [(p.R, p.phi) for p in tr.points]
+    # the steps of the cold follow up to the first point lead into it
+    first = next((i for i, (a, _) in enumerate(steps) if a == states[0]), None)
+    assert first is not None, "no accepted step leaves the first trace point"
+    chain = steps[first:]
+    for (_, b), (c, _) in zip(chain, chain[1:]):
+        assert b == c
+    walked = iter([chain[0][0], *(b for _, b in chain)])
+    assert all(st in walked for st in states), "a trace point is off the chain of steps"
+    return tr, chain
 
 
 def assert_steps_within_guard(steps):
-    for a, b in steps:
-        assert abs(b.R / a.R - 1.0) <= 0.25, (a, b)
-        assert abs(b.phi - a.phi) <= 0.5, (a, b)
+    for (Ra, phia), (Rb, phib) in steps:
+        assert abs(Rb / Ra - 1.0) <= 0.25, (Ra, Rb)
+        assert abs(phib - phia) <= 0.5, (phia, phib)
 
 
 def test_guard_stops_runaway_compressive_branch(monkeypatch):
@@ -826,6 +853,38 @@ def test_guard_stops_instead_of_jumping(monkeypatch):
     assert "last accepted theta0=" in tr.diagnostic and "rejected R=" in tr.diagnostic
     assert tr.points
     assert_steps_within_guard(steps)
+
+
+@pytest.mark.parametrize("theta0", [1e-4, 0.3])
+@pytest.mark.parametrize("branch", ["tensile", "compressive"])
+def test_trace_starts_with_the_cold_solve(theta0, branch):
+    # a trace is the cold follower walked through its schedule
+    pr = tensile_problem(k_r=0.3)
+    st = solve_R(theta0, elastica._branch_problem(pr, branch))
+    tr = trace_branch(pr, [theta0, 2.0 * theta0], branch)
+    assert tr.points[0] == PostcriticalPoint(st.theta0, st.R, st.F, st.phi, st.delta)
+
+
+@pytest.mark.parametrize("branch", ["tensile", "compressive"])
+def test_seeded_trace_follows_the_unseeded_one(branch):
+    # a seed only moves the first solve; the next step starts from that
+    # point alone and the follower picks the branch up from there
+    pr, schedule = tensile_problem(), np.linspace(1e-4, 2.8, 100)
+    tr = trace_branch(pr, schedule, branch)
+    seeded = trace_branch(pr, schedule, branch, seed=1.001 * tr.points[0].R)
+    assert tr.complete and seeded.complete
+    for a, b in zip(tr.points, seeded.points, strict=True):
+        assert (b.R, b.F, b.phi, b.delta) == pytest.approx((a.R, a.F, a.phi, a.delta), rel=1e-11)
+
+
+def test_spring_hinged_tensile_trace_stops_as_R_nears_zero():
+    # the guard's ratio bound cannot hold as R -> 0 on this branch
+    pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.333, k_r=0.894, half="left")
+    tr = trace_branch(pr, np.linspace(1e-4, 0.946, 100), "tensile")
+    assert not tr.complete
+    at = float(re.search(r"stopped at theta0=(\S+) ", tr.diagnostic).group(1))
+    assert abs(at - 0.7698) < 1e-3
+    assert "past the last accepted theta0=" in tr.diagnostic
 
 
 def test_shape_export_samples_and_arclength():
