@@ -17,20 +17,20 @@ clamp (the assembly that buckles under tension when R_c < l), half =
 "right" places it beyond the pin (the compressive assembly).
 
 Accuracy note: tensile states (R > 0) push the modulus toward 1 as
-theta0 -> 0 like k - 1 ~ theta0^2/8.  For k > 1 the pin's Jacobi
-functions come from the half-angle identities in closed form, the rod
-point's from one AGM at s alpha, whose complement
-1 - 1/k^2 = sin^2(theta0/2) - (theta0 k_r/B)^2/(4R/B) is in closed form
-too, and the addition theorems join the two; no integral is taken at the
-pin.  The floor left is rounding: at most about 2e-16 absolute in the
-residual, whose slope in R falls like theta0.  For B = l = 1 and
-R_c = 1/4, cold solves return R within 1.2e-13 of a 40-digit reference at
-theta0 = 1e-3, 6.7e-13 at 1e-4, 1.0e-11 at 1e-5 and 1.4e-10 at 1e-6.
-A spring stiffer than the reaction puts small tensile rotations just
-below k = 1; there 1 - k^2 = ((theta0 k_r/B)^2 - 4 (R/B) sin^2(theta0/2))/den
-is kept in closed form as well, and R_c = 0.333, k_r = 0.894 at
-theta0 = 1e-4 (k = 1 - 9e-11) solves to 9e-12 of its reference.
-Compressive states keep a large modulus and stay clean at any theta0.
+theta0 -> 0 like k - 1 ~ theta0^2/8.  A rod point is one AGM, at parameter
+1/k^2 for k > 1 and k^2 for k <= 1, with the complement in closed form:
+1 - 1/k^2 = sin^2(theta0/2) - (theta0 k_r/B)^2/(4R/B), and
+1 - k^2 = ((theta0 k_r/B)^2 - 4 (R/B) sin^2(theta0/2))/den; the addition
+theorems add the pin's Jacobi functions, also closed-form, so no integral
+is taken at the pin.  The floor left is rounding: at most about 2e-16
+absolute in the residual, whose slope in R falls like theta0.  For
+B = l = 1 and R_c = 1/4, cold solves return R within 1.2e-13 of a
+40-digit reference at theta0 = 1e-3, 6.7e-13 at 1e-4, 1.0e-11 at 1e-5 and
+1.4e-10 at 1e-6; with R_c = 0.333 and k_r = 0.894, just below k = 1
+(1 - 9e-11 at theta0 = 1e-4), to 5e-12.  Rod points with k in [0.1, 1)
+are within 1e-13 of a 40-digit closed form; below, x1 loses digits like
+1/k^2, as (1 - k^2/2) u - eps(u) cancels.  Compressive states keep a
+large modulus and stay clean at any theta0.
 """
 
 import functools
@@ -116,16 +116,15 @@ class ElasticaState:
     delta is the clamp displacement along the load axis, zero at the
     undeformed assembly; it is physically meaningful once R solves the
     compatibility condition.  angle_offset is the angle the rotation
-    oscillates about: pi for R > 0, and 0 for R < 0 or 2 pi there once
-    theta0 > pi.  mc is the complement of the Jacobi parameter
-    the rod points are evaluated at, in closed form: 1 - m1 with
-    m1 = 1/k^2 for k > 1, and 1 - k^2 for k <= 1.
-    pin holds what every rod point takes from the pin, s = 0.  For k > 1
-    it is (sn, cn, dn) at parameter m1 of the pin's argument F(gamma, 1/k),
-    sin(gamma) = k sin(beta0), which are sin(gamma), cos(gamma) and
-    sqrt(1 - m1 sin(gamma)^2), all in closed form.  For k <= 1 it is
-    (u0, eps0, dn0): the elliptic origin shift F(beta0, k), E(beta0, k)
-    and dn(u0) = cos(gamma).
+    oscillates about, pi for R > 0 and 0 for R < 0, moved by the multiple
+    of 2 pi that brings it within pi of theta0, so |beta0| <= pi/2.  mc is
+    the complement of the Jacobi parameter m the rod points are evaluated
+    at, in closed form: 1 - m with m = 1/k^2 for k > 1 and k^2 for
+    k <= 1, floored at the smallest float at k = 1.  pin holds (sn, cn, dn)
+    of the pin, s = 0, at parameter m, all in closed form: for k > 1 at
+    F(gamma, 1/k) with sin(gamma) = k sin(beta0), which are sin(gamma),
+    cos(gamma) and sqrt(1 - m sin(gamma)^2), and for k <= 1 at F(beta0, k),
+    which are sin(beta0), cos(beta0) and cos(gamma).
     """
 
     theta0: float
@@ -180,39 +179,44 @@ def modulus_from(theta0, R, k_r=0.0, B=1.0):
 def _rod_point(s, k, at, R, offset, mc, pin):
     """(theta, x1, x2) at arclength s from one Jacobi evaluation.
 
-    k > 1: the Jacobi functions at v = s alpha and parameter m1 = 1/k^2,
-    with the pin's (sn, cn, dn) at w0 = F(gamma, 1/k), give those at v + w0
-    by the addition theorems (DLMF 22.8.1-3): D sn = S, D cn = C and
-    D dn = Delta with D = 1 - m1 sn(v)^2 sin(gamma)^2 > 0, and
-    eps(v + w0) - eps(w0) = eps(v) - m1 sn(v) sin(gamma) sn(v + w0)
-    (DLMF 22.16.27).  k <= 1: the Jacobi functions at s alpha/k + u0.
+    The Jacobi functions at w and parameter m, with the pin's (sn, cn, dn)
+    at w0, give those at w + w0 by the addition theorems (DLMF 22.8.1-3):
+    D sn = S, D cn = C and D dn = Delta with D = 1 - m sn(w)^2 sn(w0)^2 > 0,
+    and eps(w + w0) - eps(w0) = eps(w) - m sn(w) sn(w0) sn(w + w0)
+    (DLMF 22.16.27).  k > 1: w = s alpha and m = 1/k^2, and theta/2 is the
+    arcsine of sn(w + w0)/k on the signed-dn branch.  k <= 1: w = s alpha/k
+    and m = k^2, and theta/2 = am(w + w0) is the angle of (cn, sn)(w + w0)
+    on the 2 pi branch nearest am(w) + am(w0).
     """
-    if k <= 1.0:
-        u0, eps0, dn0 = pin
-        u = s * at / k
-        am, dn, eps = elliptic._jacobi(u + u0, k, mc)
-        pref = math.copysign(1.0, R) * 2.0 / (k * at)
-        return (
-            2.0 * am + offset,
-            pref * ((1.0 - 0.5 * k * k) * u + eps0 - eps),
-            pref * (dn - dn0),
-        )
-    sg, cg, dg = pin
-    v = s * at
-    m1 = k ** -2
-    sn, cn, dn, _, eps = elliptic._ellipj_reduced(v, m1, mc)
-    # 1 - m1 sn^2 sg^2 without cancellation, as sg^2 = 1 - cg^2
-    D = dn * dn + m1 * sn * sn * cg * cg
-    S = sn * cg * dg + sg * cn * dn
-    C = cn * cg - sn * sg * dn * dg
-    Delta = dn * dg - m1 * sn * sg * cn * cg
+    if k > 1.0:
+        w, m = s * at, k**-2
+    else:
+        w, m = s * at / k, k * k
+    sn, cn, dn, am, eps = elliptic._ellipj_reduced(w, m, mc)
+    sn0, cn0, dn0 = pin
+    # 1 - m sn^2 sn0^2 without cancellation, as sn0^2 = 1 - cn0^2
+    D = dn * dn + m * sn * sn * cn0 * cn0
+    S = sn * cn0 * dn0 + sn0 * cn * dn
+    C = cn * cn0 - sn * sn0 * dn * dn0
+    Delta = dn * dn0 - m * sn * sn0 * cn * cn0
     pref = math.copysign(2.0, R) / at
-    # x1 = pref ((1 - k^2/2) m1 v + mc v + eps(w0) - eps(v + w0)), and
-    # (1 - k^2/2) m1 + mc = 1/2
+    if k > 1.0:
+        # x1 = pref ((1 - k^2/2) m w + mc w + eps(w0) - eps(w + w0)), and
+        # (1 - k^2/2) m + mc = 1/2
+        return (
+            2.0 * math.atan2(S / k, Delta) + offset,
+            pref * (0.5 * w - eps + m * sn * sn0 * S / D),
+            pref / k * (C / D - cn0),
+        )
+    half = math.atan2(S, C)
+    half += 2.0 * math.pi * round((am + math.atan2(sn0, cn0) - half) / (2.0 * math.pi))
+    # x2 = pref/k (Delta/D - dn0), with Delta - dn0 D written out as m sn
+    # times terms of order one through 1 - dn = m sn^2/(1 + dn), so small
+    # moduli keep the digits that the difference would cancel
     return (
-        2.0 * math.atan2(S / k, Delta) + offset,
-        pref * (0.5 * v - eps + m1 * sn * sg * S / D),
-        pref / k * (C / D - cg),
+        2.0 * half + offset,
+        pref / k * ((1.0 - 0.5 * m) * w - eps + m * sn * sn0 * S / D),
+        pref / k * m * sn * (dn0 * sn * (dn / (1.0 + dn) - cn0 * cn0) - sn0 * cn * cn0) / D,
     )
 
 
@@ -228,19 +232,20 @@ def _state_and_defect(theta0, R, problem):
     den, spring, half_trig, at2 = _rotation_denominator(theta0, R, problem.k_r, problem.B)
     at = math.sqrt(at2)
     k = 2.0 * at / math.sqrt(den)
-    # beta0 is measured from the angle the rotation oscillates about
-    offset = math.pi if R > 0.0 else (2.0 * math.pi if theta0 > math.pi else 0.0)
+    # beta0 is measured from the angle the rotation oscillates about: pi
+    # for R > 0 and 0 for R < 0, moved by the multiple of 2 pi that brings
+    # it within pi of theta0, so |beta0| <= pi/2
+    base = math.pi if R > 0.0 else 0.0
+    offset = base + 2.0 * math.pi * math.floor((theta0 - base) / (2.0 * math.pi) + 0.5)
     beta0 = (theta0 - offset) / 2.0
-    # the pin's angle gamma, sin(gamma) = k sin(beta0), has
-    # cos^2(gamma) = 1 - k^2 sin^2(beta0) = (theta0 k_r/B)^2/den in closed
-    # form; squaring an arcsin here would cost sqrt(eps) of phase.  The
-    # Jacobi complement mc is kept in closed form too, from
-    # other_trig^2 = sin^2(theta0/2) for R > 0 (cos^2 for R < 0), where
-    # 1 - m would cancel next to k = 1
+    # sin(beta0) = +-half_trig and cos(beta0) = |other_trig|, and the pin's
+    # angle gamma, sin(gamma) = k sin(beta0), has cos^2(gamma) =
+    # 1 - k^2 sin^2(beta0) = (theta0 k_r/B)^2/den; squaring an arcsin here
+    # would cost sqrt(eps) of phase.  mc is in closed form too, where 1 - m
+    # would cancel next to k = 1
     c2 = spring * spring / den
     other_trig = math.sin(theta0 / 2.0) if R > 0.0 else math.cos(theta0 / 2.0)
     if k > 1.0:
-        # the turning point at the pin is in closed form
         m1 = den / (4.0 * at2)
         mc = other_trig * other_trig - spring * spring / (4.0 * at2)
         if not mc > 0.0:  # rounding next to k = 1 with a spring
@@ -249,10 +254,9 @@ def _state_and_defect(theta0, R, problem):
         pin = (sg, math.sqrt(c2), math.sqrt(mc + m1 * c2))
     else:
         mc = (spring * spring - 4.0 * at2 * other_trig * other_trig) / den
-        if not mc > 0.0:  # rounding next to k = 1
-            mc = (1.0 - k) * (1.0 + k)
-        # c2 is also dn(u0)^2 and the complement F and E take
-        pin = (*elliptic._FE_reduced(beta0, k * k, c2), math.sqrt(c2))
+        if not mc > 0.0:  # rounding next to k = 1; the AGM needs mc > 0
+            mc = max((1.0 - k) * (1.0 + k), math.ulp(0.0))
+        pin = (math.copysign(half_trig, beta0), abs(other_trig), math.sqrt(c2))
     phi, x1, x2 = _rod_point(problem.l, k, at, R, offset, mc, pin)
     c = problem.R_c if problem.half == "left" else -problem.R_c
     if abs(math.cos(phi)) >= abs(math.sin(phi)):
@@ -356,24 +360,27 @@ def _advance(problem, pts, theta0, step=math.inf):
     """(fields at theta0, pts, step): the branch continued to theta0 from
     its accepted points pts, (theta0, R, phi) oldest first, at most three.
 
-    The first step is step, or the whole way when that is shorter.  pts
-    predict the end of a step: one point predicts itself; two give R by
-    the secant in theta0^2 (Koiter's law when the older is the
-    bifurcation (0, R_cr, phi = 0)), and three by the quadratic in theta0
-    through ln|R|, with the sign of the last R; phi comes from the secant
-    in theta0 through the last two.  A step solved from the predicted R is
-    accepted within the bounds of _guard_rejection and doubled; it is
-    halved when its solve fails or breaks the bounds, or, without a
-    solve, when the prediction breaks them.  The step returned is the
-    doubled last one.  Once a step falls below theta0/2**_FOLLOW_HALVINGS,
-    a ContinuationError names the theta0 it stopped at, the last accepted
-    theta0 and the rejected (R, phi) or the solve failure.
+    The first step is step, and any step goes the whole way when it would
+    leave less than theta0/2**_FOLLOW_HALVINGS.  pts predict the end of a
+    step: one point predicts itself; two give R by the secant in theta0^2
+    (Koiter's law when the older is the bifurcation (0, R_cr, phi = 0)),
+    and three by the quadratic in theta0 through ln|R|, with the sign of
+    the last R; phi comes from the secant in theta0 through the last two.
+    A step solved from the predicted R is accepted within the bounds of
+    _guard_rejection and doubled; the distance it took is halved when its
+    solve fails or breaks the bounds, or, without a solve, when the
+    prediction breaks them.  The step returned is the doubled last one.
+    Once a step falls below theta0/2**_FOLLOW_HALVINGS, a ContinuationError
+    names the theta0 it stopped at, the last accepted theta0 and the
+    rejected (R, phi) or the solve failure.
     """
     step = min(step, theta0 - pts[-1][0])
     min_step = theta0 / 2**_FOLLOW_HALVINGS
     while True:
         t2, r2, phi2 = pts[-1]
-        th = min(t2 + step, theta0)
+        th = t2 + step
+        if theta0 - th < min_step:
+            th = theta0
         if len(pts) == 1:
             seed, phi, why = r2, phi2, ""
         else:
@@ -403,7 +410,7 @@ def _advance(problem, pts, theta0, step=math.inf):
                     if th == theta0:
                         return fields, pts, step
                     continue
-        step /= 2.0
+        step = (th - t2) / 2.0
         if step < min_step:
             raise ContinuationError(
                 f"stopped at theta0={th:.6g} after step halvings below "
@@ -487,9 +494,9 @@ def trace_branch(problem, theta0_schedule, branch, seed=None):
     solve at schedule[0]; with one it is the warm solve from seed, and
     the next step is predicted from that point alone.  When the first
     solve fails, or a step falls below theta0/2**12, the trace stops with
-    complete = False and the text of that error as its diagnostic.  The load-sign transition, where the pin tops the circle
-    at phi = pi/2, is recorded in events after refinement with
-    refine_on_trace.
+    complete = False and the text of that error as its diagnostic.  The
+    load-sign transition, where the pin tops the circle at phi = pi/2, is
+    recorded in events after refinement with refine_on_trace.
     """
     pr = _branch_problem(problem, branch)
     schedule = np.asarray(theta0_schedule, dtype=float)

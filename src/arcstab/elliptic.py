@@ -14,8 +14,7 @@ Two scalar kernels in plain `math` do all the work:
   loop (Carlson 1995, Numer. Algorithms 10:13; DLMF 19.36.1).  The Legendre
   forms F and E come from them, and stay conditioned at the turning points
   as long as the complement 1 - k^2 sin^2(beta) is formed without
-  cancellation; the internal _FE_reduced entry point takes that complement
-  directly, for callers that know it in closed form.
+  cancellation.
 - _ellipj_reduced: the descending Landen / AGM scheme (DLMF 22.20.1;
   Abramowitz & Stegun 16.4, 17.6).  One AGM sequence gives the quarter
   period K, the complete integral E, the amplitude, sn, cn, dn and the
@@ -120,22 +119,19 @@ def _half_reduce(beta):
     return beta - math.pi * n, n
 
 
-def _FE_reduced(beta, m, w=None):
+def _FE_reduced(beta, m):
     """(F, E) at amplitude beta and parameter m in [0, 1] from one
     duplication loop.
 
     beta = beta_r + n pi with |beta_r| <= pi/2; n != 0 adds 2 n K and
-    2 n E from a second loop.  w is the complement 1 - m sin(beta)^2;
-    callers that know it in closed form pass it, and it is formed as
-    cos^2 + (1 - m) sin^2 otherwise, which has no cancellation either.
+    2 n E from a second loop.  The complement 1 - m sin(beta)^2 is formed
+    as cos^2 + (1 - m) sin^2, which has no cancellation.
     """
     br, n = _half_reduce(beta)
     s = math.sin(br)
     c = math.cos(br)
     c2 = c * c
-    if w is None:
-        w = c2 + (1.0 - m) * s * s
-    f, e = _FE_sym(s, c2, w, m)
+    f, e = _FE_sym(s, c2, c2 + (1.0 - m) * s * s, m)
     if n == 0:
         return f, e
     K, E = _comp_KE(m)
@@ -235,22 +231,19 @@ def _ellipj_reduced(w, m, mc):
     return sgn * sn, sgn * cn, dn, phi + math.pi * n, r * (E / K) + zeta + 2.0 * E * n
 
 
-def _jacobi(u, k, mc=None):
+def _jacobi(u, k):
     """(am, dn, eps) at argument u and modulus k from one reduced evaluation.
 
     Dispatches on k once: k > 1 through the reciprocal modulus (signed dn,
     see jacobi_dn), k = 1 in closed form, k < 1 through _ellipj_reduced
-    (am = u exactly at k = 0).  mc is the complement of the parameter the
-    evaluation runs at, 1 - 1/k^2 for k > 1 and 1 - k^2 for k < 1; callers
-    that know it in closed form pass it, and it is formed from k otherwise.
+    (am = u exactly at k = 0).
     """
     u = float(u)
     k = float(k)
     _check(u, k)
     if k > 1.0:
         m1 = k ** -2
-        if mc is None:
-            mc = (k - 1.0) * (k + 1.0) * m1
+        mc = (k - 1.0) * (k + 1.0) * m1
         sn, cn, dn, _, eps1 = _ellipj_reduced(k * u, m1, mc)
         return math.atan2(sn / k, dn), cn, (eps1 - mc * k * u) / (k * m1)
     if k == 1.0:
@@ -260,9 +253,7 @@ def _jacobi(u, k, mc=None):
         return 2.0 * math.atan(math.tanh(0.5 * u)), 2.0 * e / (1.0 + e * e), math.tanh(u)
     if k == 0.0:
         return u, 1.0, u
-    if mc is None:
-        mc = (1.0 - k) * (1.0 + k)
-    _, _, dn, am, eps = _ellipj_reduced(u, k * k, mc)
+    _, _, dn, am, eps = _ellipj_reduced(u, k * k, (1.0 - k) * (1.0 + k))
     return am, dn, eps
 
 

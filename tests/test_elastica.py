@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -311,9 +312,8 @@ def ellipj_calls(monkeypatch):
 
 @pytest.mark.parametrize("k_r, R, calls", [(0.0, 1.3, 1), (5.0, 0.5, 1)])
 def test_residual_makes_one_jacobi_evaluation_per_rod_point(ellipj_calls, k_r, R, calls):
-    # only the clamp needs Jacobi functions: k > 1 adds the pin's, known in
-    # closed form, through the addition theorems, and k < 1 takes the pin's
-    # F, E and dn from one Carlson loop and the closed-form complement
+    # only the clamp needs Jacobi functions: at either modulus the pin's are
+    # known in closed form, and the addition theorems add them to the clamp's
     assert (modulus_from(0.8, R, k_r) > 1.0) == (k_r == 0.0)
     compatibility_residual(R, 0.8, tensile_problem(k_r=k_r))
     assert len(ellipj_calls) == calls
@@ -340,21 +340,16 @@ def carlson_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("k_r, R", [(0.0, 1.3), (0.0, -1.3), (0.7, 1.1), (1.0, -1.0)])
-def test_no_carlson_integral_where_modulus_above_one(carlson_calls, k_r, R):
+@pytest.mark.parametrize("k_r, R", [(0.0, 1.3), (0.0, -1.3), (0.7, 1.1), (1.0, -1.0), (5.0, 0.5)])
+def test_no_carlson_integral_at_any_modulus(carlson_calls, k_r, R):
     # the addition theorems take the pin's Jacobi functions in closed form,
-    # so neither a residual nor a shape export needs F or E at the pin
-    assert modulus_from(0.8, R, k_r) > 1.0
+    # so neither a residual nor a shape export needs F or E at the pin;
+    # k_r = 5 puts the modulus below one
+    assert (modulus_from(0.8, R, k_r) > 1.0) == (k_r < 5.0)
     problem = tensile_problem(k_r=k_r)
     compatibility_residual(R, 0.8, problem)
     shape_export(make_state(0.8, R, problem), 9)
     assert carlson_calls == []
-
-
-def test_carlson_integral_at_the_pin_where_modulus_below_one(carlson_calls):
-    assert modulus_from(0.8, 0.5, 5.0) < 1.0
-    compatibility_residual(0.5, 0.8, tensile_problem(k_r=5.0))
-    assert len(carlson_calls) == 1
 
 
 @pytest.fixture
@@ -501,6 +496,103 @@ def test_compressive_state_past_pi_keeps_its_rotation(theta0, k_r):
     th, x1, x2 = integrated_clamp(theta0, -1.0, k_r)
     assert theta_at(1.0, st) == pytest.approx(th, abs=1e-10)
     assert coordinates_at(1.0, st) == pytest.approx((x1, x2), abs=1e-10)
+
+
+@pytest.mark.parametrize("theta0, R, k_r", [(7.0, 1.0, 0.0), (7.0, 1.0, 0.01), (10.0, -1.0, 0.0),
+                                        (7.0, 0.5, 5.0), (13.0, 0.5, 5.0), (13.0, -0.5, 5.0)])
+def test_state_past_a_full_turn_keeps_its_rotation(theta0, R, k_r):
+    # theta0 more than pi from the angle the rotation oscillates about:
+    # the offset moves by 2 pi per turn, so |beta0| <= pi/2.  About pi
+    # alone, theta(0) came out as 5.5664 at theta0 = 7, R = 1 (k > 1)
+    st = make_state(theta0, R, ElasticaProblem(B=1.0, l=1.0, k_r=k_r, R_c=0.5))
+    assert abs(st.beta0) <= math.pi / 2
+    assert theta_at(0.0, st) == pytest.approx(theta0, rel=2e-16, abs=0.0)
+    th, x1, x2 = integrated_clamp(theta0, R, k_r)
+    assert theta_at(1.0, st) == pytest.approx(th, abs=1e-9)
+    assert coordinates_at(1.0, st) == pytest.approx((x1, x2), abs=1e-10)
+
+
+def test_rod_point_at_modulus_exactly_one():
+    # den rounds so that k = 1.0 and the closed form of 1 - k^2 to 0, where
+    # the AGM would not stop; the complement is floored at the smallest
+    # float.  Reference: am = gd(u), dn = sech(u), eps = tanh(u) at k = 1
+    st = make_state(1.1394660547478594, -1.0292099090649256,
+                    ElasticaProblem(B=1.0, l=1.0, k_r=1.4993944220972553, R_c=0.5))
+    assert st.modulus == 1.0
+    assert elastica._state_point(0.5, st) == pytest.approx(
+        (1.8688701696996075, 0.022141491563047892, 0.48846168826917435), rel=0.0, abs=1e-14)
+    th, x1, x2 = integrated_clamp(st.theta0, st.R, 1.4993944220972553)
+    assert elastica._state_point(1.0, st) == pytest.approx((th, x1, x2), rel=0.0, abs=1e-10)
+
+
+def mp_rod_point(theta0, R, k_r, s):
+    """40-digit (theta, x1, x2) at arclength s of a state with k < 1,
+    B = l = 1: theta = 2 am(u + u0) + offset and, with pref = sgn(R) 2/(k alpha),
+    x1 = pref ((1 - k^2/2) u + E(beta0) - E(am(u + u0))) and
+    x2 = pref (dn(u + u0) - dn(u0)), at u = s alpha/k and u0 = F(beta0, k)."""
+    with mpmath.workdps(40):
+        theta0, R, k_r, s = (mpmath.mpf(v) for v in (theta0, R, k_r, s))
+        at = mpmath.sqrt(abs(R))
+        half_trig = mpmath.cos(theta0 / 2) if R > 0 else mpmath.sin(theta0 / 2)
+        k = 2 * at / mpmath.sqrt((theta0 * k_r) ** 2 + 4 * at**2 * half_trig**2)
+        m = k * k
+        offset = mpmath.pi if R > 0 else 0  # theta0 < pi
+        beta0 = (theta0 - offset) / 2
+        u = s * at / k
+        v = u + mpmath.ellipf(beta0, m)
+        sn, cn = mpmath.ellipfun("sn", v, m=m), mpmath.ellipfun("cn", v, m=m)
+        # the continued amplitude is within pi/2 of pi v / (2 K)
+        am = mpmath.atan2(sn, cn)
+        turns = (v * mpmath.pi / (2 * mpmath.ellipk(m)) - am) / (2 * mpmath.pi)
+        am += 2 * mpmath.pi * mpmath.nint(turns)
+        pref = mpmath.sign(R) * 2 / (k * at)
+        dn0 = mpmath.sqrt(1 - m * mpmath.sin(beta0) ** 2)
+        return (
+            float(2 * am + offset),
+            float(pref * ((1 - m / 2) * u + mpmath.ellipe(beta0, m) - mpmath.ellipe(am, m))),
+            float(pref * (mpmath.ellipfun("dn", v, m=m) - dn0)),
+        )
+
+
+@pytest.mark.parametrize("k_lo, k_hi, bounds", [
+    (0.9, 1.0, (1e-13, 1e-13, 1e-13)),
+    (0.1, 0.9, (1e-13, 1e-13, 1e-13)),
+    # (1 - k^2/2) u - eps(u + u0) cancels like 1/k^2 in x1, and theta
+    # doubles an amplitude that grows like 1/k
+    (0.01, 0.1, (3e-13, 1.5e-11, 1e-14)),
+    (0.001, 0.01, (4e-12, 1.5e-9, 1e-14)),
+])
+def test_rod_point_below_modulus_one_matches_mpmath(k_lo, k_hi, bounds):
+    # random states at s = l, k uniform in [k_lo, k_hi) (log-uniform below
+    # 0.1), with k = 1 - 10^-15 .. 1 - 10^-2 mixed into the top band
+    rng = np.random.default_rng(19)
+    for _ in range(24):
+        if k_hi == 1.0 and rng.random() < 0.3:
+            k = 1.0 - 10.0 ** rng.uniform(-15.0, -2.0)
+        elif k_lo < 0.1:
+            k = math.exp(rng.uniform(math.log(k_lo), math.log(k_hi)))
+        else:
+            k = rng.uniform(k_lo, k_hi)
+        theta0 = rng.uniform(1e-3, 2.8)
+        R = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+        half_trig = math.cos(theta0 / 2.0) if R > 0.0 else math.sin(theta0 / 2.0)
+        k_r = math.sqrt(4.0 * abs(R) * (1.0 / (k * k) - half_trig**2)) / theta0
+        st = make_state(theta0, R, ElasticaProblem(B=1.0, l=1.0, k_r=k_r, R_c=0.5))
+        assert k_lo <= st.modulus < k_hi
+        want = mp_rod_point(theta0, R, k_r, 1.0)
+        for got, ref, bound in zip(elastica._state_point(1.0, st), want, bounds):
+            assert abs(got - ref) <= bound, (theta0, R, k_r, got, ref)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 1.0])
+def test_rod_point_just_below_modulus_one_matches_mpmath(s):
+    # the spring-hinged tensile root at theta0 = 1e-4 of
+    # test_spring_tensile_solve_just_below_modulus_one, k = 1 - 9.2e-11
+    st = make_state(1e-4, 0.74465226497386224, tensile_problem(Rc=0.333, k_r=0.894))
+    assert -1e-10 < st.modulus - 1.0 < 0.0
+    got = elastica._state_point(s, st)
+    want = mp_rod_point(1e-4, 0.74465226497386224, 0.894, s)
+    assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
 
 def test_cli_tensile_trace_from_tiny_rotation(tmp_path):
@@ -853,6 +945,24 @@ def test_guard_stops_instead_of_jumping(monkeypatch):
     assert "last accepted theta0=" in tr.diagnostic and "rejected R=" in tr.diagnostic
     assert tr.points
     assert_steps_within_guard(steps)
+
+
+def test_follower_repeats_no_solve(monkeypatch):
+    # a rejected step that had been cut short at the schedule point halved
+    # the uncut step, which could still reach that point: the same solve,
+    # from the same seed, ran again and was rejected again
+    calls = []
+    warm = elastica._warm_fields
+
+    def solving(theta0, pr, seed):
+        calls.append((theta0, seed))
+        return warm(theta0, pr, seed)
+
+    monkeypatch.setattr(elastica, "_warm_fields", solving)
+    pr = ElasticaProblem(B=1.0, l=1.0, k_r=0.9276487201667345, R_c=0.2886052752897865)
+    tr = trace_branch(pr, np.linspace(1e-3, 1.773671988484576, 78), "tensile")
+    assert len(tr.points) > 1
+    assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
 @pytest.mark.parametrize("theta0", [1e-4, 0.3])
