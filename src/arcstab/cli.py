@@ -21,6 +21,7 @@ value it used (psi_max of a tabulated law) is echoed with that value.
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -536,6 +537,8 @@ def _scenario_names():
     return ", ".join(sorted(name for spec in _COMMANDS.values() for name in spec.scenarios))
 
 
+# the command table is constant, so one parser serves every call in the process
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         description="stability of bars and rods with ends sliding on curved profiles"

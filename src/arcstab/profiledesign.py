@@ -13,18 +13,25 @@ f = sqrt(1 - psi^2) - arcsin(psi)^2 / (2 beta) and yields a neutral
 The integrand is evaluated after the substitution g = sin(tau), which
 turns it into tau / beta(sin tau) and removes the endpoint weight.
 
-The quadrature is the adaptive Gauss-Kronrod 7-15 pair of QUADPACK
-(Piessens et al., 1983): the 15-point Kronrod sum is the panel's value,
-and its gap to the embedded 7-point Gauss sum gives QUADPACK's error
-estimate.  design_profile integrates once over [0, asin(psi_max)],
-bisecting the panel of largest estimated error, and keeps the running
-sums at the panel ends; a height is then one running sum plus the same
-adaptive rule over the part of one panel below asin(psi).  tol bounds the
-estimated error of that integral, absolute and relative: a height is
-returned only when the error estimate is at most max(tol, tol |integral|),
-and QuadratureError is raised otherwise, after at most 200 panels per
-pass.  Panels never straddle a law's breaks (the
-nodes of a tabulated law, where np.interp leaves beta with a kink), so
+design_profile samples the integrand once, on adaptive Chebyshev panels
+over [0, asin(psi_max)] (Clenshaw & Curtis, 1960; Trefethen, 2008).  From
+the values at its _N + 1 Chebyshev-Lobatto points a panel takes the
+Chebyshev coefficients of their interpolant, and it keeps those of the
+interpolant's antiderivative; a height is then one running sum up to the
+start of its panel plus one Clenshaw sum at asin(psi), with no further
+evaluation of beta.  A panel's error estimate is the sum of the magnitudes
+of its last _TAIL coefficients (a pair can vanish by the integrand's
+parity or by accident) times the panel's length, floored at 50 eps times
+its integral of |g|.  It bounds the error of the antiderivative anywhere in
+the panel, so a height's estimate is the sum over the panels below it plus
+its own.  The pass bisects the panel of largest estimate until the
+estimates sum to at most tol / 100, absolutely, that panel's estimate is
+its floor, or 200 panels are reached.
+tol bounds the estimated error of a height's integral, absolute and
+relative: a height is returned only when its estimate is at most
+max(tol, tol |integral|), which a finished pass meets at every height, and
+QuadratureError is raised otherwise.  Panels never straddle a law's breaks
+(the nodes of a tabulated law, where np.interp leaves beta with a kink), so
 each panel sees a smooth integrand.
 """
 
@@ -32,6 +39,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,40 +49,14 @@ from .onedof import OneDofSystem, ProfileShape, equilibrium_force
 
 _SLACK = 1e-12
 
-# 15-point Kronrod nodes on [-1, 1], positive half, and their weights; the
-# nodes of odd index and the centre are the 7-point Gauss nodes, with the
-# Gauss weights _WG (QUADPACK qk15)
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-)
-_WGK_CENTRE = 0.209482141084727828012999174891714
-_WG = (
-    0.0,
-    0.129484966168869693270611432679082,
-    0.0,
-    0.279705391489276667901467771423780,
-    0.0,
-    0.381830050505118944950369775488975,
-    0.0,
-)
-_WG_CENTRE = 0.417959183673469387755102040816327
-_RULE = tuple(zip(_XGK, _WGK, _WG))
-# QUADPACK's floor of an error estimate, times the panel's integral of |g|
+# Chebyshev-Lobatto panels of _N + 1 points: _COS[m] = cos(m pi / _N), so
+# _ROWS[j][k] = cos(j k pi / _N) is the DCT-I that takes the samples at
+# x_k = cos(k pi / _N) to the coefficients of T_j
+_N = 16
+_TAIL = 4
+_COS = [math.cos(math.pi * m / _N) for m in range(2 * _N)]
+_ROWS = [[_COS[j * k % (2 * _N)] for k in range(_N + 1)] for j in range(_N + 1)]
+# the floor of an error estimate, times the panel's integral of |g|
 _EPS50 = 50.0 * 2.220446049250313e-16
 _PANELS = 200
 
@@ -175,55 +157,46 @@ def _design_fpp(law: TargetForceLaw, psi: float) -> float:
     )
 
 
-def _gk15(g, a, b):
-    """Kronrod value of int_a^b g and QUADPACK's error estimate for it."""
-    c = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = g(c)
-    resk = _WGK_CENTRE * fc
-    resg = _WG_CENTRE * fc
-    pairs = []
-    for x, wk, wg in _RULE:
-        f1 = g(c - half * x)
-        f2 = g(c + half * x)
-        resk += wk * (f1 + f2)
-        resg += wg * (f1 + f2)
-        pairs.append((wk, f1, f2))
-    mean = 0.5 * resk
-    resabs = _WGK_CENTRE * abs(fc)
-    resasc = _WGK_CENTRE * abs(fc - mean)
-    for wk, f1, f2 in pairs:
-        resabs += wk * (abs(f1) + abs(f2))
-        resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
-    h = abs(half)
-    err = abs(resk - resg) * h
-    resasc *= h
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk * half, max(err, _EPS50 * resabs * h)
+def _panel(g, a, b):
+    """Chebyshev panel on [a, b]: (a, b, coefficients, error estimate, whether
+    the estimate is its rounding floor).
 
-
-def _adapt(g, panels, tol):
-    """Bisect the panel of largest error estimate until the estimates sum to
-    at most max(tol, tol |integral|), or _PANELS panels are reached.
-
-    panels are (a, b, value, error) tuples; they are returned sorted by a.
+    The coefficients are those of the interpolant's antiderivative from a,
+    in the panel coordinate x = (2 tau - a - b) / (b - a).
     """
-    while len(panels) < _PANELS:
-        total = sum(p[2] for p in panels)
-        if sum(p[3] for p in panels) <= max(tol, tol * abs(total)):
-            break
-        a, b, _, _ = panels.pop(max(range(len(panels)), key=lambda i: panels[i][3]))
-        m = 0.5 * (a + b)
-        panels += [(a, m, *_gk15(g, a, m)), (m, b, *_gk15(g, m, b))]
-    return sorted(panels)
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    v = [g(c + h * x) for x in _COS[: _N + 1]]
+    # trapezoid rule in t, x = cos(t), for the integral of |g| over [-1, 1]
+    absint = math.pi / _N * sum(abs(y) * _COS[abs(_N // 2 - k)] for k, y in enumerate(v))
+    v[0] *= 0.5
+    v[_N] *= 0.5
+    co = [2.0 / _N * sum(map(mul, v, row)) for row in _ROWS]
+    co[0] *= 0.5
+    co[_N] *= 0.5
+    tail, floor = 2.0 * sum(map(abs, co[-_TAIL:])), _EPS50 * absint
+    co += (0.0, 0.0)
+    anti = [0.0, h * (co[0] - 0.5 * co[2])]
+    anti += [h * (co[k - 1] - co[k + 1]) / (2 * k) for k in range(2, _N + 2)]
+    # T_k(-1) = (-1)^k: the antiderivative vanishes at a
+    anti[0] = sum(anti[1::2]) - sum(anti[2::2])
+    return a, b, anti, abs(h) * max(tail, floor), tail <= floor
+
+
+def _clenshaw(coef, x):
+    """sum_k coef[k] T_k(x)."""
+    b1 = b2 = 0.0
+    x2 = x + x
+    for c in coef[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coef[0] + x * b1 - b2
 
 
 def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
     """Profile producing the requested force law on the perfect system.
 
-    The heights come from one adaptive Gauss-Kronrod pass over the design
-    interval; see the module docstring for the meaning of tol.
+    The integrand is sampled once, on adaptive Chebyshev panels over the
+    design interval, and a height costs one running sum and one Clenshaw
+    sum; see the module docstring for the error estimate and tol.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
@@ -241,10 +214,20 @@ def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
         return tau / law.beta(math.sin(tau))
 
     cuts = [0.0, *(math.asin(p) for p in inner), math.asin(law.psi_max)]
-    panels = _adapt(g, [(a, b, *_gk15(g, a, b)) for a, b in zip(cuts, cuts[1:])], tol)
+    panels = [_panel(g, a, b) for a, b in zip(cuts, cuts[1:])]
+    while len(panels) < _PANELS and sum(p[3] for p in panels) > 0.01 * tol:
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        if panels[worst][4]:
+            # every estimate is at most this rounding floor, which no
+            # bisection lowers
+            break
+        a, b = panels.pop(worst)[:2]
+        m = 0.5 * (a + b)
+        panels += [_panel(g, a, m), _panel(g, m, b)]
+    panels.sort(key=lambda p: p[0])
     # ends[j] is where panel j starts, and the integral up to it is sums[j]
     ends = [p[0] for p in panels] + [cuts[-1]]
-    sums = list(accumulate((p[2] for p in panels), initial=0.0))
+    sums = list(accumulate((sum(p[2]) for p in panels), initial=0.0))
     errs = list(accumulate((p[3] for p in panels), initial=0.0))
 
     def dom(psi):
@@ -260,9 +243,9 @@ def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
         j = bisect_right(ends, tau) - 1
         val, err = sums[j], errs[j]
         if tau > ends[j]:
-            for _, _, v, e in _adapt(g, [(ends[j], tau, *_gk15(g, ends[j], tau))], tol):
-                val += v
-                err += e
+            a, b, anti, e, _ = panels[j]
+            val += _clenshaw(anti, (2.0 * tau - a - b) / (b - a))
+            err += e
         if err > max(tol, tol * abs(val)):
             raise QuadratureError(
                 "requested tolerance %g unreachable at psi=%r (estimated error %g)"
@@ -339,7 +322,6 @@ def closed_loop_validate(
 def export_profile_csv(profile: ProfileShape, path, n: int = 601):
     """Write (psi, f) samples over the profile domain, 17 significant digits."""
     lo, hi = profile.domain
+    rows = ["%.16e,%.16e\n" % (psi, profile.f(psi)) for psi in np.linspace(lo, hi, n).tolist()]
     with open(path, "w", newline="") as fh:
-        fh.write("psi,f\n")
-        for psi in np.linspace(lo, hi, n):
-            fh.write("%.16e,%.16e\n" % (psi, profile.f(float(psi))))
+        fh.write("psi,f\n" + "".join(rows))

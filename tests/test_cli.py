@@ -81,6 +81,13 @@ def test_config_echo_lists_resolved_values(tmp_path):
     assert "l = 1.0" in echo  # untouched default is echoed too
 
 
+def test_parser_is_built_once_and_keeps_no_flag(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["critical-1dof", "--k", "2.0"], tmp_path / "a") == 0
+    assert run(["critical-1dof"], tmp_path / "b") == 0
+    assert "k = 1.0" in (tmp_path / "b" / "critical_1dof_config.ini").read_text()
+
+
 def test_config_file_overrides_defaults(tmp_path):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[onedof]\nchi_hat_grid = 2.5\n")
@@ -362,6 +369,16 @@ def test_design_profile_quadrature_failure_exits_5(tmp_path, monkeypatch, capsys
     assert run(["design-profile"], tmp_path) == 5
     assert "error: requested tolerance" in capsys.readouterr().err
     assert (tmp_path / "design_profile_config.ini").exists()
+
+
+def test_design_profile_law_with_large_integral_exits_0(tmp_path):
+    # a design-tables draw whose heights below psi = 0.35 were refused (exit
+    # 5) although the whole integral met its tolerance
+    argv = ["design-profile", "--law", "sinusoidal", "--base=-0.815326169776961",
+            "--amplitude=0.47858526690392234", "--lobes=3.755194229385701"]
+    assert run(argv, tmp_path) == 0
+    _, rows = read_csv(tmp_path / "profile.csv")
+    assert len(rows) == 601
 
 
 # ---------------------------------------------------------------- critical-rod

@@ -9,8 +9,12 @@ from scipy.integrate import quad
 from arcstab.errors import QuadratureError
 from arcstab.onedof import OneDofSystem, ProfileShape, elongation, equilibrium_force
 from arcstab.profiledesign import (
+    _EPS50,
+    _N,
+    _TAIL,
     TargetForceLaw,
-    _gk15,
+    _clenshaw,
+    _panel,
     closed_loop_validate,
     design_profile,
     export_profile_csv,
@@ -200,22 +204,30 @@ def test_nonpositive_tolerance_rejected(tol):
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.7, 1.3), (0.4, 0.1)])
-def test_gk15_integrates_polynomials_to_degree_22(a, b):
-    for degree in range(23):
+def test_panel_integrates_polynomials_to_degree_n(a, b):
+    # the antiderivative of a panel is exact for degree <= _N at any upper
+    # limit inside the panel, not only at its end
+    for degree in range(_N + 1):
         coef = [(-1.0) ** k * (k + 1.0) / 3.0 for k in range(degree + 1)]
         poly = np.polynomial.Polynomial(coef)
         anti = poly.integ()
-        want = anti(b) - anti(a)
-        got, err = _gk15(lambda x: float(poly(x)), a, b)
+        _, _, coefs, err, floored = _panel(lambda x: float(poly(x)), a, b)
         scale = float(np.polynomial.Polynomial(np.abs(coef)).integ()(max(abs(a), abs(b))))
-        assert abs(got - want) <= 8e-16 * max(1.0, scale), degree
-        if degree <= 13:
-            # the embedded 7-point Gauss sum is exact too, so the error
-            # estimate sits at its rounding floor
-            assert err <= 1e-13 * max(1.0, scale), degree
-    # one degree higher, the Kronrod sum is no longer exact
-    got, _ = _gk15(lambda x: x**24, -1.0, 1.0)
-    assert abs(got - 2.0 / 25.0) > 1e-10
+        for u in (0.0, 0.13, 0.5, 0.71, 0.96, 1.0):
+            t = a + u * (b - a)
+            got = _clenshaw(coefs, (2.0 * t - a - b) / (b - a))
+            assert abs(got - (anti(t) - anti(a))) <= 8e-16 * max(1.0, scale), (degree, u)
+        if degree <= _N - _TAIL:
+            # the trailing coefficients vanish, so the error estimate sits at
+            # its floor, 50 eps times the panel's integral of |p|
+            x = np.linspace(a, b, 20001)
+            floor = _EPS50 * abs(np.trapezoid(np.abs(poly(x)), x))
+            assert 0.9 * floor <= err <= 1.1 * floor, degree
+            assert floored, degree
+    # two degrees higher, the interpolant is no longer exact
+    _, _, coefs, err, floored = _panel(lambda x: x ** (_N + 2), -1.0, 1.0)
+    assert abs(sum(coefs) - 2.0 / (_N + 3)) > 1e-10
+    assert err > 1e-10 and not floored
 
 
 def test_tabulated_law_with_kinks_matches_split_reference():
@@ -257,6 +269,54 @@ def test_heights_match_frozen_quad_heights():
     for r in rows:
         psi = float(r["psi"])
         assert abs(profiles[r["law"]].f(psi) - float(r["f"])) <= 1e-14, (r["law"], psi)
+
+
+def counted(law):
+    """law with a beta that counts its calls in the returned list."""
+    calls = [0]
+
+    def beta(psi):
+        calls[0] += 1
+        return law.beta(psi)
+
+    return TargetForceLaw(beta=beta, psi_max=law.psi_max, dbeta=law.dbeta), calls
+
+
+def test_integrand_budget_of_a_design_and_its_export(tmp_path):
+    # the heights come from the design pass's panels: the export evaluates
+    # no integrand, where one integral per height made 8,985 calls
+    law, calls = counted(law_sinusoidal())
+    p = design_profile(law)
+    export_profile_csv(p, tmp_path / "profile.csv", n=601)
+    assert calls[0] <= 1000, calls[0]
+    calls[0] = 0
+    export_profile_csv(p, tmp_path / "profile.csv", n=601)
+    assert calls[0] == 0
+
+
+def test_heights_of_a_law_with_a_large_integral():
+    # the whole integral, -1.32, met max(tol, tol |integral|) while the
+    # error sat below psi = 0.35, where the height is -0.145: that height
+    # was refused.  An absolute sum of estimates bounds every height
+    law = law_sinusoidal(base=-0.815326169776961, amplitude=0.47858526690392234,
+                         lobes=3.755194229385701)
+    p = design_profile(law)
+    heights = [p.f(psi) for psi in np.linspace(0.0, law.psi_max, 601).tolist()]
+    assert len(heights) == 601
+    for psi in (0.3498, 0.6, 0.9):
+        assert abs(p.f(psi) - quad_oracle(law, psi)) < 1e-9
+
+
+def test_pass_ends_where_estimates_sit_at_their_floor():
+    # with |beta| = 0.002 the integral of |g| is 511, and the floors alone
+    # sum to 5.7e-12 > tol / 100: bisecting further lowers nothing, where the
+    # pass once ran to 200 panels and 7,042 integrand calls
+    law, calls = counted(law_constant(-0.002))
+    p = design_profile(law)
+    assert calls[0] <= 1000, calls[0]
+    q = neutral_profile(-0.002)
+    for psi in np.linspace(0.0, law.psi_max, 61).tolist():
+        assert abs(p.f(psi) - q.f(psi)) <= 1e-12 * max(1.0, abs(q.f(psi))), psi
 
 
 def test_profile_csv_export(tmp_path):
