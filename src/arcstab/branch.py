@@ -1,4 +1,4 @@
-"""Shared container for traced equilibrium branches and the root scan rule.
+"""Shared container for traced branches, the root scan rule and linspace.
 
 Roots are refined by _brentq, a line-by-line port of scipy's brentq.c, so
 that importing the package does not load scipy.optimize: it returns the
@@ -42,6 +42,17 @@ def sign_changes(vals):
             yield i, i
         elif v * w < 0.0:
             yield i, i + 1
+
+
+def linspace(start, stop, num):
+    """num evenly spaced floats from start to stop, numpy.linspace's values
+    bit for bit: start + i * step, with the last point set to stop."""
+    if num < 0:
+        raise ValueError("number of samples must be nonnegative, got %d" % num)
+    if num < 2:
+        return [float(start)][:num]
+    step = (stop - start) / (num - 1)
+    return [*(i * step + start for i in range(num - 1)), float(stop)]
 
 
 def refine(f, xs, i, j, xtol):

@@ -21,16 +21,17 @@ value it used (psi_max of a tabulated law) is echoed with that value.
 
 import argparse
 import configparser
+import csv
 import functools
 import math
 import os
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import elastica, onedof, profiledesign, rodlinear
+from .branch import linspace
 from .errors import (
     ConfigError,
     ContinuationError,
@@ -187,7 +188,7 @@ def cmd_trace_1dof(opts, out):
     if opts.profile == "straight":
         profile = onedof.profile_straight()
         trace_fn = onedof.trace_branch
-        lobes = [("trace_1dof.csv", np.linspace(opts.phi_start, opts.phi_stop, n))]
+        lobes = [("trace_1dof.csv", linspace(opts.phi_start, opts.phi_stop, n))]
     else:
         if chi == 0.0:
             raise ConfigError("onedof.chi_hat: curved tracing needs a nonzero curvature")
@@ -201,7 +202,7 @@ def cmd_trace_1dof(opts, out):
         if not t_pad < t_stop:
             raise ConfigError("onedof.t_pad: no reachable pin angles left on the lobe")
         trace_fn = onedof.trace_branch_arc
-        t_grid = np.linspace(t_pad, t_stop, n)
+        t_grid = linspace(t_pad, t_stop, n)
         if opts.profile == "circular":
             profile = onedof.profile_circular(chi)
             lobes = [("trace_1dof.csv", t_grid)]
@@ -209,7 +210,7 @@ def cmd_trace_1dof(opts, out):
             profile = onedof.profile_s_shaped(abs(chi))
             lobes = [
                 ("trace_1dof_tensile.csv", t_grid),
-                ("trace_1dof_compressive.csv", np.linspace(-t_stop, -t_pad, n)),
+                ("trace_1dof_compressive.csv", linspace(-t_stop, -t_pad, n)),
             ]
     sys_ = onedof.OneDofSystem(k=k, l=l, phi0=opts.phi0, profile=profile)
     for name, grid in lobes:
@@ -230,21 +231,27 @@ def _tabulated_law(path):
     if not path:
         raise ConfigError("profiledesign.table: tabulated law needs a table file")
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path, newline="") as fh:
+            rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:] if row]
     except OSError as exc:
         raise ConfigError("cannot read table: %s" % exc)
     except ValueError as exc:
         raise ConfigError("malformed table %s: %s" % (path, exc))
-    if data.shape[0] < 2 or data.shape[1] != 2:
+    if len(rows) < 2 or any(len(row) != 2 for row in rows):
         raise ConfigError("table %s: need at least two psi,beta rows" % path)
-    psis, betas = data[:, 0], data[:, 1]
-    if psis[0] < 0.0 or psis[-1] >= 1.0 or not np.all(np.diff(psis) > 0.0):
+    psis, betas = zip(*rows)
+    if psis[0] < 0.0 or psis[-1] >= 1.0 or not all(a < b for a, b in zip(psis, psis[1:])):
         raise ConfigError("table %s: psi must increase within [0, 1)" % path)
-    return profiledesign.TargetForceLaw(
-        beta=lambda p: float(np.interp(p, psis, betas)),
-        psi_max=float(psis[-1]),
-        breaks=tuple(float(p) for p in psis[:-1]),
-    )
+
+    def beta(p):
+        # numpy.interp's formula, constant outside the table
+        j = bisect_right(psis, p) - 1
+        if j < 0 or j == len(psis) - 1:
+            return betas[max(j, 0)]
+        slope = (betas[j + 1] - betas[j]) / (psis[j + 1] - psis[j])
+        return slope * (p - psis[j]) + betas[j]
+
+    return profiledesign.TargetForceLaw(beta=beta, psi_max=psis[-1], breaks=psis[:-1])
 
 
 def cmd_design_profile(opts, out):
@@ -273,7 +280,7 @@ def cmd_design_profile(opts, out):
             "design limit psi_max=%g: the closed-loop check from phi = 0.05 needs "
             "psi_max >= %.6g" % (law.psi_max, math.sin(0.05) / 0.95)
         )
-    grid = np.linspace(0.05, phi_hi, opts.n_validate)
+    grid = linspace(0.05, phi_hi, opts.n_validate)
     profile = profiledesign.design_profile(law)
     profiledesign.export_profile_csv(
         profile, os.path.join(out, "profile.csv"), n=opts.n_samples
@@ -281,7 +288,7 @@ def cmd_design_profile(opts, out):
     worst = profiledesign.closed_loop_validate(profile, law, grid)
     line = "closed_loop_max_error = %.3e over %d phi points in [%.6g, %.6g]" % (
         worst,
-        grid.size,
+        len(grid),
         grid[0],
         grid[-1],
     )
@@ -328,7 +335,7 @@ def _shift_report(path, problem, traces):
     lines = []
     shifts = []
     if lo < hi:
-        targets = np.linspace(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), 5)
+        targets = linspace(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), 5)
         for F in targets:
             st = elastica.refine_on_trace(problem, tens, lambda p: p.F, F)
             sc = elastica.refine_on_trace(problem, comp, lambda p: p.F, F)
@@ -368,7 +375,7 @@ def cmd_trace_elastica(opts, out):
     branches = ("tensile", "compressive") if opts.branch == "both" else (opts.branch,)
     if not 0.0 < opts.theta0_min < opts.theta0_max:
         raise ConfigError("elastica.theta0_min: need 0 < theta0_min < theta0_max")
-    schedule = np.linspace(opts.theta0_min, opts.theta0_max, opts.n_points)
+    schedule = linspace(opts.theta0_min, opts.theta0_max, opts.n_points)
     if len({"%.6g" % phi for phi in opts.shape_phi}) < len(opts.shape_phi):
         raise ConfigError(
             "elastica.shape_phi: values equal to 6 significant digits share a shape file"

@@ -28,18 +28,18 @@ B = l = 1 and R_c = 1/4, cold solves return R within 1.2e-13 of a
 40-digit reference at theta0 = 1e-3, 6.7e-13 at 1e-4, 1.0e-11 at 1e-5 and
 1.4e-10 at 1e-6; with R_c = 0.333 and k_r = 0.894, just below k = 1
 (1 - 9e-11 at theta0 = 1e-4), to 5e-12.  Rod points with k in [0.1, 1)
-are within 1e-13 of a 40-digit closed form; below, x1 loses digits like
-1/k^2, as (1 - k^2/2) u - eps(u) cancels.  Compressive states keep a
-large modulus and stay clean at any theta0.
+are within 1e-13 of a 40-digit closed form.  Below, x1 and x2 stay within
+1e-15 down to k = 1e-3 and 2e-13 to k = 1e-6, while theta, which doubles
+an amplitude growing like 1/k, is within 1e-12 down to k = 1e-3 (B = l = 1,
+|R| in [0.2, 5], 300 states per band).  Compressive states keep a large
+modulus and stay clean at any theta0.
 """
 
 import functools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .branch import BranchTrace, refine, sign_changes
+from .branch import BranchTrace, linspace, refine, sign_changes
 from . import elliptic
 # unused here; the benchmark tracer (bench/tracing.py) wraps them under this module's name
 from .elliptic import ellint_F, jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
@@ -192,7 +192,7 @@ def _rod_point(s, k, at, R, offset, mc, pin):
         w, m = s * at, k**-2
     else:
         w, m = s * at / k, k * k
-    sn, cn, dn, am, eps = elliptic._ellipj_reduced(w, m, mc)
+    sn, cn, dn, am, eps, drift = elliptic._ellipj_reduced(w, m, mc)
     sn0, cn0, dn0 = pin
     # 1 - m sn^2 sn0^2 without cancellation, as sn0^2 = 1 - cn0^2
     D = dn * dn + m * sn * sn * cn0 * cn0
@@ -210,12 +210,14 @@ def _rod_point(s, k, at, R, offset, mc, pin):
         )
     half = math.atan2(S, C)
     half += 2.0 * math.pi * round((am + math.atan2(sn0, cn0) - half) / (2.0 * math.pi))
+    # x1 = pref/k ((1 - m/2) w - eps(w) + m sn sn0 S/D), with the first
+    # difference taken from the AGM's sums as tau w - Z(w), and
     # x2 = pref/k (Delta/D - dn0), with Delta - dn0 D written out as m sn
     # times terms of order one through 1 - dn = m sn^2/(1 + dn), so small
-    # moduli keep the digits that the difference would cancel
+    # moduli keep the digits that either difference would cancel
     return (
         2.0 * half + offset,
-        pref / k * ((1.0 - 0.5 * m) * w - eps + m * sn * sn0 * S / D),
+        pref / k * (drift + m * sn * sn0 * S / D),
         pref / k * m * sn * (dn0 * sn * (dn / (1.0 + dn) - cn0 * cn0) - sn0 * cn * cn0) / D,
     )
 
@@ -345,6 +347,8 @@ def _nearest_root(f, seed, xtol):
 def _warm_fields(theta0, problem, seed):
     """State fields (as _state_and_defect gives them) at the reaction root
     nearest seed, or ContinuationError naming the window seed*[0.2, 5]."""
+    if not math.isfinite(seed):
+        raise ValueError("seed reaction must be finite")
     xtol = 1e-15 * problem.B / problem.l**2
     root = _nearest_root(lambda R: compatibility_residual(R, theta0, problem), seed, xtol)
     if root is None:
@@ -455,8 +459,8 @@ def solve_R(theta0, problem, seed=None):
     whose text such a trace reports when it stops.  A solve evaluates the
     residual once per reaction it tries.
     """
-    if not theta0 > 0.0:
-        raise ValueError("theta0 must be positive")
+    if not 0.0 < theta0 < math.inf:
+        raise ValueError("theta0 must be positive and finite")
     if seed is None:
         return ElasticaState(*_follow_branch(theta0, problem)[0])
     return ElasticaState(*_warm_fields(theta0, problem, seed))
@@ -499,9 +503,10 @@ def trace_branch(problem, theta0_schedule, branch, seed=None):
     recorded in events after refinement with refine_on_trace.
     """
     pr = _branch_problem(problem, branch)
-    schedule = np.asarray(theta0_schedule, dtype=float)
-    if schedule.size == 0 or not np.all(schedule > 0.0) or not np.all(np.diff(schedule) > 0.0):
-        raise ValueError("theta0_schedule must be strictly increasing positives")
+    schedule = [float(t) for t in theta0_schedule]
+    # 0 < schedule[0] < ... < schedule[-1] < inf, which no NaN keeps
+    if not schedule or not all(a < b for a, b in zip([0.0, *schedule], [*schedule, math.inf])):
+        raise ValueError("theta0_schedule must be strictly increasing finite positives")
 
     trace = BranchTrace(label=branch, points=[])
     pts = None
@@ -555,12 +560,12 @@ def refine_on_trace(problem, trace, value, target):
 
 
 def shape_export(state, n):
-    """Deformed centerline sampled uniformly in s: columns (s, x1, x2, theta)."""
+    """Deformed centerline sampled uniformly in s, as a list of n float
+    tuples (s, x1, x2, theta); the first is the pin, (0, 0, 0, theta0)."""
     if n < 2:
         raise ValueError("need at least two samples")
-    out = np.empty((n, 4))
-    for i, s in enumerate(np.linspace(0.0, state.problem.l, n)):
+    rows = [(0.0, 0.0, 0.0, state.theta0)]
+    for s in linspace(0.0, state.problem.l, n)[1:]:
         theta, x1, x2 = _state_point(s, state)
-        out[i] = (s, x1, x2, theta)
-    out[0] = (0.0, 0.0, 0.0, state.theta0)
-    return out
+        rows.append((s, x1, x2, theta))
+    return rows

@@ -178,8 +178,9 @@ def ellint_E(beta, k):
 
 
 def _ellipj_reduced(w, m, mc):
-    """sn, cn, dn, continued amplitude and Jacobi epsilon at argument w,
-    parameter m in [0, 1) with complement mc = 1 - m > 0.
+    """sn, cn, dn, continued amplitude, Jacobi epsilon and
+    (1 - m/2) w - eps(w) at argument w, parameter m in [0, 1) with
+    complement mc = 1 - m > 0.
 
     One descending AGM sequence a_n, b_n, c_n from (1, sqrt(mc), sqrt(m)),
     with c_{n+1} = c_n^2 / (4 a_{n+1}) so that no c_n is a difference of
@@ -193,7 +194,10 @@ def _ellipj_reduced(w, m, mc):
     monotone amplitude and epsilon are reassembled from the exact
     quasi-periodicities am(w + 2K) = am(w) + pi and eps(w + 2K) =
     eps(w) + 2E.  dn is sqrt(1 - m sn^2), formed as sqrt(cn^2 + mc sn^2)
-    where m sn^2 > 1/2, which keeps it to a few ulp at m -> 1.
+    where m sn^2 > 1/2, which keeps it to a few ulp at m -> 1.  With
+    tau = sum_(n>=1) 2^(n-1) c_n^2, so that E/K = 1 - m/2 - tau,
+    (1 - m/2) w - eps(w) is tau w - Z(w), which does not cancel at small m
+    as the difference would.
     """
     sqrt, sin, cos = math.sqrt, math.sin, math.cos
     a, b, c = 1.0, sqrt(mc), sqrt(m)
@@ -228,7 +232,8 @@ def _ellipj_reduced(w, m, mc):
     msn2 = m * sn * sn
     dn = sqrt(1.0 - msn2) if msn2 <= 0.5 else sqrt(cn * cn + mc * sn * sn)
     sgn = -1.0 if n % 2 else 1.0
-    return sgn * sn, sgn * cn, dn, phi + math.pi * n, r * (E / K) + zeta + 2.0 * E * n
+    return (sgn * sn, sgn * cn, dn, phi + math.pi * n, r * (E / K) + zeta + 2.0 * E * n,
+            (e_sum - 0.5 * m) * w - zeta)
 
 
 def _jacobi(u, k):
@@ -244,7 +249,7 @@ def _jacobi(u, k):
     if k > 1.0:
         m1 = k ** -2
         mc = (k - 1.0) * (k + 1.0) * m1
-        sn, cn, dn, _, eps1 = _ellipj_reduced(k * u, m1, mc)
+        sn, cn, dn, _, eps1, _ = _ellipj_reduced(k * u, m1, mc)
         return math.atan2(sn / k, dn), cn, (eps1 - mc * k * u) / (k * m1)
     if k == 1.0:
         # gd(u) = 2 atan(tanh(u/2)) and sech(u) in exp(-|u|), which neither
@@ -253,7 +258,7 @@ def _jacobi(u, k):
         return 2.0 * math.atan(math.tanh(0.5 * u)), 2.0 * e / (1.0 + e * e), math.tanh(u)
     if k == 0.0:
         return u, 1.0, u
-    _, _, dn, am, eps = _ellipj_reduced(u, k * k, (1.0 - k) * (1.0 + k))
+    _, _, dn, am, eps, _ = _ellipj_reduced(u, k * k, (1.0 - k) * (1.0 + k))
     return am, dn, eps
 
 

@@ -31,8 +31,8 @@ tol bounds the estimated error of a height's integral, absolute and
 relative: a height is returned only when its estimate is at most
 max(tol, tol |integral|), which a finished pass meets at every height, and
 QuadratureError is raised otherwise.  Panels never straddle a law's breaks
-(the nodes of a tabulated law, where np.interp leaves beta with a kink), so
-each panel sees a smooth integrand.
+(the nodes of a tabulated law, where its linear interpolation leaves beta
+with a kink), so each panel sees a smooth integrand.
 """
 
 import math
@@ -42,8 +42,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
+from .branch import linspace
 from .errors import QuadratureError
 from .onedof import OneDofSystem, ProfileShape, equilibrium_force
 
@@ -203,8 +202,8 @@ def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
     inner = sorted({float(p) for p in law.breaks if 0.0 < p < law.psi_max})
     # the design condition divides by beta: reject vanishing targets, also
     # at breaks that may fall between the probes
-    probe = np.union1d(np.linspace(0.0, law.psi_max, 257), inner)
-    vals = [law.beta(float(p)) for p in probe]
+    probe = sorted({*linspace(0.0, law.psi_max, 257), *inner})
+    vals = [law.beta(p) for p in probe]
     if any(abs(v) < 1e-9 for v in vals) or any(
         x * y < 0.0 for x, y in zip(vals, vals[1:])
     ):
@@ -322,6 +321,6 @@ def closed_loop_validate(
 def export_profile_csv(profile: ProfileShape, path, n: int = 601):
     """Write (psi, f) samples over the profile domain, 17 significant digits."""
     lo, hi = profile.domain
-    rows = ["%.16e,%.16e\n" % (psi, profile.f(psi)) for psi in np.linspace(lo, hi, n).tolist()]
+    rows = ["%.16e,%.16e\n" % (psi, profile.f(psi)) for psi in linspace(lo, hi, n)]
     with open(path, "w", newline="") as fh:
         fh.write("psi,f\n" + "".join(rows))

@@ -12,9 +12,7 @@ characteristic function, one real form for both load signs with
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .branch import refine
+from .branch import linspace, refine
 
 __all__ = [
     "RodModel",
@@ -72,9 +70,9 @@ def _load_sign(load_sign):
         raise ValueError("load_sign must be 'tension' or 'compression'") from None
 
 
-def _cs(sgn, lib=math):
+def _cs(sgn):
     """(C, S) of a load sign: (cosh, sinh) in tension, (cos, sin) in compression."""
-    return (lib.cosh, lib.sinh) if sgn > 0.0 else (lib.cos, lib.sin)
+    return (math.cosh, math.sinh) if sgn > 0.0 else (math.cos, math.sin)
 
 
 def _characteristic_in_x(model, sgn, factored=False):
@@ -157,19 +155,20 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
         raise ValueError("max_modes must be at least 1")
     f = _characteristic_in_x(model, sgn, factored=True)
     count = int(alpha_l_max / step + 1e-9)
-    xs = (step * np.concatenate(([1e-3], np.arange(1, count + 1)))).tolist()
     turn = 2.0 * math.pi
     exact = []
     if model.clamped and sgn < 0.0:
         exact = [turn * n for n in range(1, int(alpha_l_max * (1.0 + 1e-15) / turn) + 1)]
-    roots, below, prev = [], 0, math.nan  # below: the exact roots up to the sample
-    for j, x in enumerate(xs):
+    # below: the exact roots up to the sample; no grid list, as max_modes may end the scan early
+    roots, below, prev, x_prev = [], 0, math.nan, math.nan
+    for j in range(count + 1):
+        x = step * j if j else step * 1e-3
         fx = f(x)
         if fx == 0.0 or prev * fx < 0.0:
-            root = refine(f, xs, j if fx == 0.0 else j - 1, j, _XTOL)
+            root = refine(f, (x_prev, x), 1 if fx == 0.0 else 0, 1, _XTOL)
             if not exact or abs(root - turn * round(root / turn)) > _XTOL * (1.0 + root):
                 roots.append(root)
-        prev = fx
+        prev, x_prev = fx, x
         if max_modes is not None:
             while below < len(exact) and exact[below] <= x:
                 below += 1
@@ -195,47 +194,32 @@ def effective_length_factor(F_cr, model):
     return math.pi * math.sqrt(model.B / abs(F_cr)) / model.l
 
 
-def _bc_system(x, sgn, model):
-    # homogeneous system in (C1..C4, phi) of v = C1 C + C2 S + C3 z + C4:
-    # v(0) = v'(0) = 0, shear balance sgn F/alpha^2 v'''(l) = phi + v'(l) (via
-    # the first integral of the ODE it collapses to C3 = -phi, i.e. transverse
-    # end reaction = -F phi), moment balance -B v''(l) = k (phi + v'(l))
-    # (clamped: phi + v'(l) = 0), compatibility phi = chi v(l)/l
-    B, l, k, chi = model.B, model.l, model.k, model.chi_hat
+def mode_shape(mode, model, n_samples=201):
+    """Sampled buckling shape (z, v, phi): lists of n_samples z in [0, l]
+    and of v(z), and the end rotation phi.
+
+    v(0) = v'(0) = 0 and the shear balance, whose first integral gives
+    C3 = -phi, leave v = C1 (C(alpha z) - 1) + phi (S(alpha z)/alpha - z).
+    The moment balance -B v''(l) = k (phi + v'(l)) (clamped:
+    phi + v'(l) = 0) and compatibility phi = chi_hat v(l)/l are two rows in
+    (C1, phi), singular at a critical load; (C1, phi) is the null vector of
+    the row of larger norm.  v is scaled so that its sample of largest
+    magnitude is +1, and phi with it.
+    """
+    sgn = _load_sign(mode.load_sign)
+    B, l, k, chi, x = model.B, model.l, model.k, model.chi_hat, mode.alpha_l
     alpha = x / l
     C, S = _cs(sgn)
     c, s = C(x), S(x)
-    d1, d2 = sgn * alpha * s, alpha * c
-    w1, w2 = sgn * B * alpha**2 * c, sgn * B * alpha**2 * s
-    rows = [
-        [1.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, alpha, 1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0, -1.0],
-    ]
     if model.clamped:
-        rows.append([d1, d2, 1.0, 0.0, 1.0])
+        a, b = sgn * alpha * s, c
     else:
-        rows.append([-w1 - k * d1, -w2 - k * d2, -k, 0.0, -k])
-    rows.append([-(chi / l) * c, -(chi / l) * s, -chi, -chi / l, 1.0])
-    return np.array(rows)
-
-
-def mode_shape(mode, model, n_samples=201):
-    """Sampled buckling shape (z, v, phi), null vector of the BC system.
-
-    Normalized so that the sample of largest magnitude equals +1; phi is the
-    end rotation carried by the same null vector, scaled identically.
-    """
-    sgn = _load_sign(mode.load_sign)
-    M = _bc_system(mode.alpha_l, sgn, model)
-    _, sv, vt = np.linalg.svd(M)
-    if sv[-1] > 1e-6 * sv[0]:
+        a, b = -sgn * alpha * (B * alpha * c + k * s), -sgn * B * alpha * s - k * c
+    p, q = chi / l * (1.0 - c), 1.0 + chi - chi * s / x
+    if abs(a * q - b * p) > 1e-6 * math.hypot(a, b) * math.hypot(p, q):
         raise ValueError("alpha_l is not a critical load of this model")
-    coeffs = vt[-1]
-    alpha = mode.alpha_l / model.l
-    z = np.linspace(0.0, model.l, n_samples)
-    C, S = _cs(sgn, np)
-    basis = np.stack([C(alpha * z), S(alpha * z), z, np.ones_like(z)])
-    v = coeffs[:4] @ basis
-    peak = v[np.argmax(np.abs(v))]
-    return z, v / peak, coeffs[4] / peak
+    c1, phi = max((b, -a), (q, -p), key=lambda row: math.hypot(*row))
+    z = linspace(0.0, l, n_samples)
+    v = [c1 * (C(alpha * t) - 1.0) + phi * (S(alpha * t) / alpha - t) for t in z]
+    peak = max(v, key=abs)
+    return z, [w / peak for w in v], phi / peak

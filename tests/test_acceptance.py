@@ -265,7 +265,7 @@ def check_field_equations(st):
     else:
         assert abs(fd0 - target) / abs(target) < 1e-6
     # inextensibility of the exported centerline
-    shape = elastica.shape_export(st, 1000)
+    shape = np.array(elastica.shape_export(st, 1000))
     seg = np.hypot(np.diff(shape[:, 1]), np.diff(shape[:, 2]))
     assert abs(seg.sum() - l) < 1e-4 * l
 

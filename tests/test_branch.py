@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
@@ -32,6 +33,29 @@ from arcstab.branch import refine, sign_changes
 )
 def test_sign_changes(vals, brackets):
     assert list(sign_changes(vals)) == brackets
+
+
+@pytest.mark.parametrize(
+    "start, stop, num",
+    [
+        # the CLI's default grids, then a reversed, an empty-width and an
+        # integer range, and the one- and no-sample cases
+        (0.05, 1.2, 200),
+        (-2.7815926535897932, -0.02, 200),
+        (1e-4, 2.8, 100),
+        (0.0, 0.99, 257),
+        (1.5, -0.5, 9),
+        (0.3, 0.3, 4),
+        (0, 3, 7),
+        (0.05, 1.2, 1),
+        (0.05, 1.2, 0),
+    ],
+)
+def test_linspace_is_numpys_bit_for_bit(start, stop, num):
+    # the grids of every command output, so --out keeps its bytes without numpy
+    got = branch.linspace(start, stop, num)
+    assert all(type(v) is float for v in got)
+    assert got == np.linspace(start, stop, num).tolist()
 
 
 def test_refine_returns_a_zero_sample_unevaluated():
@@ -131,10 +155,10 @@ def test_brentq_port_error_paths_match_scipy(f, a, b, xtol):
     assert _outcome(lambda g: branch._brentq(g, a, b, xtol), f) == want
 
 
-def test_cli_runs_without_scipy_optimize_or_integrate(tmp_path):
-    # a fresh interpreter, so no other test has imported scipy yet; neither
-    # the import nor any command, design-profile with each of its laws
-    # included, loads any scipy module
+def test_cli_runs_on_the_standard_library_alone(tmp_path):
+    # a fresh interpreter, so no other test has imported numpy or scipy
+    # yet; neither the import nor any command, design-profile with each of
+    # its laws included, loads any numpy or scipy module
     table = tmp_path / "law.csv"
     table.write_text("psi,beta\n0,-1\n0.4,-1.3\n0.9,-0.8\n")
     commands = [
@@ -151,11 +175,13 @@ def test_cli_runs_without_scipy_optimize_or_integrate(tmp_path):
         "import sys\n"
         "import arcstab\n"
         "from arcstab import cli\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = lambda: sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in ('numpy', 'scipy'))\n"
         "assert loaded() == [], loaded()\n"
         "out = sys.argv[1]\n"
         "for argv in %r:\n"
         "    assert cli.main([*argv, '--out', out]) == 0, argv\n"
+        "    assert loaded() == [], (argv, loaded())\n"
         "print(loaded())\n" % (commands,)
     )
     src = str(Path(branch.__file__).parents[1])

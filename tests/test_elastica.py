@@ -323,7 +323,8 @@ def test_shape_export_one_jacobi_evaluation_per_sample(ellipj_calls):
     st = make_state(0.8, 1.3, tensile_problem())
     ellipj_calls.clear()
     shape_export(st, 9)
-    assert len(ellipj_calls) == 9
+    # the pin, s = 0, is (0, 0, 0, theta0) without an evaluation
+    assert len(ellipj_calls) == 8
 
 
 @pytest.fixture
@@ -557,10 +558,12 @@ def mp_rod_point(theta0, R, k_r, s):
 @pytest.mark.parametrize("k_lo, k_hi, bounds", [
     (0.9, 1.0, (1e-13, 1e-13, 1e-13)),
     (0.1, 0.9, (1e-13, 1e-13, 1e-13)),
-    # (1 - k^2/2) u - eps(u + u0) cancels like 1/k^2 in x1, and theta
-    # doubles an amplitude that grows like 1/k
-    (0.01, 0.1, (3e-13, 1.5e-11, 1e-14)),
-    (0.001, 0.01, (4e-12, 1.5e-9, 1e-14)),
+    # theta doubles an amplitude that grows like 1/k; x1 takes
+    # (1 - k^2/2) u - eps(u) from the AGM's sums, where the difference
+    # cancelled like 1/k^2
+    (0.01, 0.1, (3e-13, 1e-14, 1e-14)),
+    (0.001, 0.01, (4e-12, 1e-14, 1e-14)),
+    (0.0001, 0.001, (5e-11, 1e-12, 1e-14)),
 ])
 def test_rod_point_below_modulus_one_matches_mpmath(k_lo, k_hi, bounds):
     # random states at s = l, k uniform in [k_lo, k_hi) (log-uniform below
@@ -595,6 +598,17 @@ def test_rod_point_just_below_modulus_one_matches_mpmath(s):
     assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
 
+def test_residual_is_continuous_through_zero_reaction():
+    # the spring-hinged tensile branch that stops as R nears zero (see
+    # test_spring_hinged_tensile_trace_stops_as_R_nears_zero) has k -> 0
+    # like sqrt|R| there; while x1 lost digits like 1/k^2, the residuals at
+    # theta0 = 0.77 and R = +-1e-12 differed by 8e-6
+    pr = tensile_problem(Rc=0.333, k_r=0.894)
+    for R in (1e-12, 1e-14):
+        gap = compatibility_residual(R, 0.77, pr) - compatibility_residual(-R, 0.77, pr)
+        assert abs(gap) < 1e-11, R
+
+
 def test_cli_tensile_trace_from_tiny_rotation(tmp_path):
     args = ["trace-elastica", "--R-c", "0.25", "--branch", "tensile", "--theta0-min", "1e-5",
             "--theta0-max", "1e-3", "--n-points", "5", "--out", str(tmp_path)]
@@ -608,10 +622,19 @@ def test_cli_tensile_trace_from_tiny_rotation(tmp_path):
 
 
 def test_solve_rejects_bad_rotation():
-    with pytest.raises(ValueError):
-        solve_R(0.0, tensile_problem())
-    with pytest.raises(ValueError):
-        solve_R(-0.2, tensile_problem())
+    # an infinite rotation passed the positivity check, and the branch
+    # follower then looped on inf - inf without end
+    for theta0 in (0.0, -0.2, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_R(theta0, tensile_problem())
+    for schedule in ([math.inf], [0.1, math.nan]):
+        with pytest.raises(ValueError):
+            trace_branch(tensile_problem(), schedule, "tensile")
+    for seed in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            solve_R(0.5, tensile_problem(), seed=seed)
+        with pytest.raises(ValueError, match="finite"):
+            trace_branch(tensile_problem(), [0.5], "tensile", seed=seed)
 
 
 def test_cold_solve_takes_one_root_without_warning():
@@ -1000,9 +1023,13 @@ def test_spring_hinged_tensile_trace_stops_as_R_nears_zero():
 def test_shape_export_samples_and_arclength():
     st = solve_R(0.5, tensile_problem())
     shape = shape_export(st, 1000)
-    assert shape.shape == (1000, 4)
-    assert tuple(shape[0]) == (0.0, 0.0, 0.0, 0.5)
-    seg = np.hypot(np.diff(shape[:, 1]), np.diff(shape[:, 2]))
+    # a list of (s, x1, x2, theta) float tuples
+    assert len(shape) == 1000
+    assert all(type(row) is tuple and len(row) == 4 for row in shape)
+    assert all(type(v) is float for row in shape for v in row)
+    assert shape[0] == (0.0, 0.0, 0.0, 0.5)
+    _, x1, x2, _ = np.array(shape).T
+    seg = np.hypot(np.diff(x1), np.diff(x2))
     assert abs(seg.sum() - 1.0) < 1e-4
     with pytest.raises(ValueError):
         shape_export(st, 1)
