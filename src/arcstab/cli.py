@@ -150,16 +150,14 @@ def _parse_settings(spec, raw):
     return argparse.Namespace(**values)
 
 
-def _write_rows(path, header, rows):
-    """CSV of a header line and rows; a str cell is written as it is, a
-    number with 17 significant digits."""
+def _write_rows(path, header, rows, fmt=None):
+    """CSV of a header line and one line fmt % row per row tuple; fmt
+    defaults to a number with 17 significant digits per header column."""
+    if fmt is None:
+        fmt = ",".join(["%.16e"] * len(header.split(",")))
+    line = fmt + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(v if isinstance(v, str) else "%.16e" % v for v in row)
-                + "\n"
-            )
+        fh.write(header + "\n" + "".join(line % row for row in rows))
 
 
 # ------------------------------------------------------------- critical-1dof
@@ -216,7 +214,8 @@ def cmd_trace_1dof(opts, out):
     for name, grid in lobes:
         trace = trace_fn(sys_, grid)
         rows = [(p.phi, p.F * l / k, p.delta / l, p.stability) for p in trace.points]
-        _write_rows(os.path.join(out, name), "phi,F_normalized,delta_over_l,stability", rows)
+        _write_rows(os.path.join(out, name), "phi,F_normalized,delta_over_l,stability", rows,
+                    "%.16e,%.16e,%.16e,%s")
         if not trace.complete:
             print("error: %s" % trace.diagnostic, file=sys.stderr)
             return 3
@@ -303,7 +302,7 @@ def cmd_design_profile(opts, out):
 def cmd_critical_rod(opts, out):
     def rows(**end):
         return [
-            (chi, m.load_sign, "%d" % m.mode_index, m.alpha_l, m.F_cr_normalized, m.xi)
+            (chi, m.load_sign, m.mode_index, m.alpha_l, m.F_cr_normalized, m.xi)
             for chi in opts.chi_hat_grid
             for sign in ("tension", "compression")
             for m in rodlinear.find_critical_loads(
@@ -320,7 +319,7 @@ def cmd_critical_rod(opts, out):
     }
     header = "chi_hat,sign,mode_index,alpha_l,Fcr_normalized,xi"
     for name, table in tables.items():
-        _write_rows(os.path.join(out, name), header, table)
+        _write_rows(os.path.join(out, name), header, table, "%.16e,%s,%d,%.16e,%.16e,%.16e")
     return 0
 
 

@@ -49,7 +49,6 @@ from .rodlinear import RodModel, critical_force, find_critical_loads
 __all__ = [
     "ElasticaProblem",
     "ElasticaState",
-    "PostcriticalPoint",
     "MultipleRootWarning",
     "modulus_from",
     "make_state",
@@ -141,15 +140,6 @@ class ElasticaState:
     pin: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class PostcriticalPoint:
-    theta0: float
-    R: float
-    F: float
-    phi: float
-    delta: float
-
-
 def _rotation_denominator(theta0, R, k_r, B):
     """(den, spring, half_trig, at2) of the half-angle modulus identity."""
     if R == 0.0:
@@ -158,8 +148,11 @@ def _rotation_denominator(theta0, R, k_r, B):
     half_trig = math.cos(theta0 / 2.0) if R > 0.0 else math.sin(theta0 / 2.0)
     spring = theta0 * k_r / B
     den = spring * spring + 4.0 * at2 * half_trig * half_trig
-    if den <= 0.0:
-        raise DegenerateGeometryError("degenerate rotation field: vanishing modulus denominator")
+    # once 4|R|/B overflows, den is inf or nan and the modulus would be 0 or nan
+    if not 0.0 < den < math.inf:
+        raise DegenerateGeometryError(
+            "degenerate rotation field: modulus denominator vanishes or overflows"
+        )
     return den, spring, half_trig, at2
 
 
@@ -346,9 +339,10 @@ def _nearest_root(f, seed, xtol):
 
 def _warm_fields(theta0, problem, seed):
     """State fields (as _state_and_defect gives them) at the reaction root
-    nearest seed, or ContinuationError naming the window seed*[0.2, 5]."""
-    if not math.isfinite(seed):
-        raise ValueError("seed reaction must be finite")
+    nearest seed, or ContinuationError naming the window seed*[0.2, 5]; a
+    seed that is zero or not finite is a ValueError."""
+    if seed == 0.0 or not math.isfinite(seed):
+        raise ValueError("seed reaction must be finite and nonzero")
     xtol = 1e-15 * problem.B / problem.l**2
     root = _nearest_root(lambda R: compatibility_residual(R, theta0, problem), seed, xtol)
     if root is None:
@@ -498,9 +492,10 @@ def trace_branch(problem, theta0_schedule, branch, seed=None):
     solve at schedule[0]; with one it is the warm solve from seed, and
     the next step is predicted from that point alone.  When the first
     solve fails, or a step falls below theta0/2**12, the trace stops with
-    complete = False and the text of that error as its diagnostic.  The
-    load-sign transition, where the pin tops the circle at phi = pi/2, is
-    recorded in events after refinement with refine_on_trace.
+    complete = False and the text of that error as its diagnostic.  Each
+    point is the ElasticaState solved there, and so is the load-sign
+    transition, where the pin tops the circle at phi = pi/2, recorded in
+    events after refinement with refine_on_trace.
     """
     pr = _branch_problem(problem, branch)
     schedule = [float(t) for t in theta0_schedule]
@@ -519,17 +514,14 @@ def trace_branch(problem, theta0_schedule, branch, seed=None):
             else:
                 fields, step = _warm_fields(th0, pr, seed), math.inf
                 pts = [(fields[0], fields[1], fields[5])]
-            st = ElasticaState(*fields)
-            trace.points.append(PostcriticalPoint(st.theta0, st.R, st.F, st.phi, st.delta))
+            trace.points.append(ElasticaState(*fields))
     except (ContinuationError, DegenerateGeometryError) as exc:
         trace.complete = False
         trace.diagnostic = str(exc)
 
     st = refine_on_trace(problem, trace, lambda p: p.phi, math.pi / 2.0)
     if st is not None:
-        trace.events["load_sign_transition"] = PostcriticalPoint(
-            st.theta0, st.R, st.F, st.phi, st.delta
-        )
+        trace.events["load_sign_transition"] = st
     return trace
 
 
@@ -540,9 +532,8 @@ def refine_on_trace(problem, trace, value, target):
     refined by brentq in theta0, each trial solve warm started from the
     reaction interpolated between the pair; a point on target is solved
     again in place.  Each theta0 is solved once: the root returned is one
-    of the trials.  value must accept both trace points and states (both
-    carry theta0, R, F, phi and delta).  trace.label selects the assembly
-    as in trace_branch.  Returns None when nothing brackets target.
+    of the trials.  trace.label selects the assembly as in trace_branch.
+    Returns None when nothing brackets target.
     """
     pr = _branch_problem(problem, trace.label)
     pts = trace.points

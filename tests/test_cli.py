@@ -180,17 +180,20 @@ def test_bad_setting_exits_2_before_any_output(argv, message, tmp_path, capsys):
 
 def test_write_rows_format(tmp_path):
     path = tmp_path / "rows.csv"
-    rows = [(0.1, "tension", "3", -5.0), np.array([1.0, 2.5e-300, -math.pi, 0.0])]
-    cli._write_rows(path, "a,sign,mode_index,b", rows)
+    rows = [(0.1, "tension", 3, -5.0), (1.0, "compression", 12, 2.5e-300)]
+    cli._write_rows(path, "a,sign,mode_index,b", rows, "%.16e,%s,%d,%.16e")
     assert path.read_text().splitlines() == [
         "a,sign,mode_index,b",
         "1.0000000000000001e-01,tension,3,-5.0000000000000000e+00",
-        "1.0000000000000000e+00,2.5000000000000000e-300,"
-        "-3.1415926535897931e+00,0.0000000000000000e+00",
+        "1.0000000000000000e+00,compression,12,2.5000000000000000e-300",
     ]
-    # 17 significant digits round-trip every double, NumPy rows included
-    cells = path.read_text().splitlines()[2].split(",")
-    assert [float(c) for c in cells] == list(rows[1])
+    # without a format every column is a number with 17 significant
+    # digits, which round-trips every double
+    rows = [(-math.pi, 0.0, 2.5e-300), (np.float64(1.0) / 3.0, math.inf, -1e308)]
+    cli._write_rows(path, "a,b,c", rows)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "-3.1415926535897931e+00,0.0000000000000000e+00,2.5000000000000000e-300"
+    assert [[float(c) for c in line.split(",")] for line in lines[1:]] == [list(r) for r in rows]
 
 
 # ------------------------------------------------------------------ trace-1dof
@@ -490,6 +493,27 @@ def test_elastica_shape_phi_file_name_collision_exits_2(tmp_path, capsys):
 def test_elastica_without_viable_seed_exits_2(tmp_path):
     assert run(["trace-elastica", "--R-c", "1.5", "--branch", "tensile"],
                tmp_path) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["trace-elastica", "--seed=0"], 2),
+        (["trace-elastica", "--seed=-0.0"], 2),
+        (["trace-elastica", "--seed=1e308"], 4),
+        (["trace-elastica", "--R-c=1e6"], 2),
+        (["trace-elastica", "--k-r=1e12"], 2),
+        (["design-profile", "--beta=1e300"], 3),
+    ],
+    ids=["seed-zero", "seed-negative-zero", "seed-1e308", "R-c-1e6", "k-r-1e12", "beta-1e300"],
+)
+def test_extreme_flag_exits_with_documented_code(argv, expected, tmp_path):
+    # a zero seed was reported as a continuation failure (exit 4), and a
+    # seed of 1e308 overflowed the modulus and raised ZeroDivisionError
+    code = run(argv, tmp_path)
+    assert code == expected
+    if code == 2:
+        assert not list(tmp_path.iterdir())
 
 
 # ----------------------------------------------------------------- entry point

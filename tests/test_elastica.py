@@ -14,7 +14,6 @@ from arcstab.elastica import (
     ElasticaProblem,
     ElasticaState,
     MultipleRootWarning,
-    PostcriticalPoint,
     compatibility_residual,
     coordinates_at,
     make_state,
@@ -630,11 +629,22 @@ def test_solve_rejects_bad_rotation():
     for schedule in ([math.inf], [0.1, math.nan]):
         with pytest.raises(ValueError):
             trace_branch(tensile_problem(), schedule, "tensile")
-    for seed in (math.inf, math.nan):
+    for seed in (math.inf, math.nan, 0.0, -0.0):
         with pytest.raises(ValueError, match="finite"):
             solve_R(0.5, tensile_problem(), seed=seed)
         with pytest.raises(ValueError, match="finite"):
             trace_branch(tensile_problem(), [0.5], "tensile", seed=seed)
+
+
+@pytest.mark.parametrize("half", ["left", "right"])
+@pytest.mark.parametrize("theta0", [1e-3, 0.1, 2.0])
+@pytest.mark.parametrize("R", [1e308, -1e308])
+def test_overflowing_reaction_is_degenerate(R, theta0, half):
+    # 4|R|/B overflowed, the modulus came out 0 and a rod point divided
+    # by it: a ZeroDivisionError instead of the error R = 0 raises
+    pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.25, half=half)
+    with pytest.raises(DegenerateGeometryError, match="overflows"):
+        compatibility_residual(R, theta0, pr)
 
 
 def test_cold_solve_takes_one_root_without_warning():
@@ -806,7 +816,7 @@ def test_tensile_trace_structure(traced_tensile):
     assert tr.label == "tensile"
     assert tr.complete
     assert len(tr.points) == len(SCHEDULE)
-    assert isinstance(tr.points[0], PostcriticalPoint)
+    assert isinstance(tr.points[0], ElasticaState)
     assert tr.points[0].F == pytest.approx(linearized_load(0.25, "tension"), rel=1e-3)
     assert abs(tr.points[0].delta) < 1e-6
     F = [p.F for p in tr.points]
@@ -841,6 +851,21 @@ def test_trace_records_transition_events(branch, traced_tensile, traced_compress
     scale = max(abs(p.F) for p in tr.points)
     assert abs(ev.phi - math.pi / 2) < 1e-9
     assert abs(ev.F) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("branch", ["tensile", "compressive"])
+def test_trace_points_are_states_shape_export_takes(branch, traced_tensile,
+                                                   traced_compressive):
+    # a trace point and the load-sign event are the states solved there,
+    # so they go straight into shape_export, whose last row closes the
+    # compatibility condition
+    tr = traced_tensile if branch == "tensile" else traced_compressive
+    c = 0.25 if branch == "tensile" else -0.25
+    for st in (tr.points[60], tr.events["load_sign_transition"]):
+        assert type(st) is ElasticaState
+        _, x1, x2, phi = shape_export(st, 20)[-1]
+        assert phi == st.phi
+        assert abs((x1 - c) * math.sin(phi) - x2 * math.cos(phi)) < 1e-13
 
 
 def test_branch_shift_congruence(traced_tensile, traced_compressive):
@@ -995,7 +1020,7 @@ def test_trace_starts_with_the_cold_solve(theta0, branch):
     pr = tensile_problem(k_r=0.3)
     st = solve_R(theta0, elastica._branch_problem(pr, branch))
     tr = trace_branch(pr, [theta0, 2.0 * theta0], branch)
-    assert tr.points[0] == PostcriticalPoint(st.theta0, st.R, st.F, st.phi, st.delta)
+    assert tr.points[0] == st
 
 
 @pytest.mark.parametrize("branch", ["tensile", "compressive"])
