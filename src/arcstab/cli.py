@@ -372,6 +372,11 @@ def _branch_rows(problem, trace):
 def cmd_trace_elastica(opts, out):
     problem = elastica.ElasticaProblem(B=opts.B, l=opts.l, k_r=opts.k_r, R_c=opts.R_c)
     branches = ("tensile", "compressive") if opts.branch == "both" else (opts.branch,)
+    if opts.seed is not None and len(branches) > 1:
+        raise ConfigError(
+            "elastica.seed: a seed serves one branch (tensile reactions are positive, "
+            "compressive ones negative); choose tensile or compressive for elastica.branch"
+        )
     if not 0.0 < opts.theta0_min < opts.theta0_max:
         raise ConfigError("elastica.theta0_min: need 0 < theta0_min < theta0_max")
     schedule = linspace(opts.theta0_min, opts.theta0_max, opts.n_points)

@@ -258,9 +258,16 @@ def _state_and_defect(theta0, R, problem):
         lam = (x1 - c) / math.cos(phi)
     else:
         lam = x2 / math.sin(phi)
+    defect = (x1 - c) * math.sin(phi) - x2 * math.cos(phi)
+    # next to the underflow threshold of R with a spring, pref/k =
+    # sqrt(den) B/|R| overflows x1 and x2
+    if not math.isfinite(defect):
+        raise DegenerateGeometryError(
+            "degenerate rotation field: closure defect %r at R=%r, theta0=%r" % (defect, R, theta0)
+        )
     fields = (theta0, R, k, at, beta0, phi, R * math.cos(phi), lam + c - problem.l, problem,
               offset, mc, pin)
-    return fields, (x1 - c) * math.sin(phi) - x2 * math.cos(phi)
+    return fields, defect
 
 
 def make_state(theta0, R, problem):

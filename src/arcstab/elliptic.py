@@ -8,19 +8,14 @@ amplitude is then restricted to |k sin(beta)| <= 1 for the integrals, while
 jacobi_am / jacobi_dn continue smoothly through the turning points of the
 underlying pendulum (signed delta-amplitude).
 
-Two scalar kernels in plain `math` do all the work:
-
-- _rf_rd: Carlson's symmetric integrals R_F and R_D from one duplication
-  loop (Carlson 1995, Numer. Algorithms 10:13; DLMF 19.36.1).  The Legendre
-  forms F and E come from them, and stay conditioned at the turning points
-  as long as the complement 1 - k^2 sin^2(beta) is formed without
-  cancellation.
-- _ellipj_reduced: the descending Landen / AGM scheme (DLMF 22.20.1;
-  Abramowitz & Stegun 16.4, 17.6).  One AGM sequence gives the quarter
-  period K, the complete integral E, the amplitude, sn, cn, dn and the
-  Jacobi epsilon (through the Jacobi zeta sum).  It takes the
-  complementary parameter 1 - m as an argument, so callers that know it
-  in closed form keep the digits that 1 - m would cancel near m = 1.
+One scalar kernel in plain `math` does all the work: the descending
+Landen / AGM scheme (DLMF 22.20.1; Abramowitz & Stegun 16.4, 17.6).  One
+AGM sequence gives the quarter period K and the complete integral E.  Its
+Landen angles, run forward from an amplitude, give F and E
+(_FE_landen); run backward from an argument, they give the amplitude, sn,
+cn, dn and the Jacobi epsilon (_ellipj_reduced).  Both take the
+complementary parameter 1 - m as an argument, so callers that know it in
+closed form keep the digits that 1 - m would cancel near m = 1.
 
 All angles are radians.
 """
@@ -31,10 +26,6 @@ __all__ = ["ellint_F", "ellint_E", "jacobi_am", "jacobi_dn", "jacobi_epsilon"]
 
 # how far past |k sin beta| = 1 is still treated as roundoff on the endpoint
 _UNIT_SLACK = 1e-12
-# duplication stops once every argument is within this relative distance
-# of their mean; the fifth-order series then truncates at about
-# (1.5 _DUP_TOL)^6 = 1e-16, below the rounding of the loop (Carlson 1995)
-_DUP_TOL = 1.5e-3
 # the AGM stops once c_n <= 2^-27 a_n: the truncated level then moves the
 # amplitude by about (c_n/a_n)^2 pi/8 < 3e-17
 _AGM_TOL = 2.0**-27
@@ -55,97 +46,72 @@ def _unit_clamped(s):
     raise ValueError("k*sin(beta) = %r lies outside [-1, 1]" % (s,))
 
 
-def _rf_rd(x, y, z):
-    """(R_F(x, y, z), R_D(x, y, z)) for x, y >= 0, z > 0, at most one of
-    x, y zero, from one duplication loop.
-
-    The duplication step is the same for both integrals; R_D also sums the
-    terms 4^-n / (sqrt(z_n) (z_n + lambda_n)) along the way.  Each
-    integral then takes its own fifth-order series at the last point.
-    """
+def _agm(m, mc):
+    """The descending AGM a_n, b_n, c_n from (1, sqrt(mc), sqrt(m)), with
+    c_(n+1) = c_n^2 / (4 a_(n+1)) so that no c_n is a difference of nearly
+    equal numbers: (a_N, 2^N, e_sum, levels), where
+    e_sum = m/2 + sum 2^(n-1) c_n^2, so that K = pi / (2 a_N) and
+    E = K (1 - e_sum), and levels lists (c_n, c_n / a_n, b_n / a_n) for
+    n = 1..N."""
     sqrt = math.sqrt
-    rd_sum = 0.0
-    scale = 1.0
-    # each step scales the deviations from the mean by exactly 1/4, so the
-    # stopping test needs only the first one
-    mu = (x + y + z) / 3.0
-    dev = max(abs(mu - x), abs(mu - y), abs(mu - z)) / _DUP_TOL
-    while dev * scale > mu:
-        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        rd_sum += scale / (sz * (z + lam))
-        scale *= 0.25
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        mu = 0.25 * (mu + lam)
-    dx, dy = (mu - x) / mu, (mu - y) / mu
-    dz = -dx - dy
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(mu)
-    mu = (x + y + 3.0 * z) / 5.0
-    dx, dy = (mu - x) / mu, (mu - y) / mu
-    dz = -(dx + dy) / 3.0
-    xy, zz = dx * dy, dz * dz
-    e2 = xy - 6.0 * zz
-    e3 = (3.0 * xy - 8.0 * zz) * dz
-    e4 = 3.0 * (xy - zz) * zz
-    e5 = xy * zz * dz
-    rd = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
-          - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    return rf, 3.0 * rd_sum + scale * rd / (mu * sqrt(mu))
+    a, b, c = 1.0, sqrt(mc), sqrt(m)
+    levels = []
+    two_n = 1.0
+    e_sum = 0.5 * m
+    while c > _AGM_TOL * a:
+        a, b = 0.5 * (a + b), sqrt(a * b)
+        c = 0.25 * c * c / a
+        levels.append((c, c / a, b / a))
+        e_sum += two_n * c * c
+        two_n *= 2.0
+    return a, two_n, e_sum, levels
 
 
-def _FE_sym(s, c2, w, m):
-    """(F, E) on |beta| <= pi/2 in Carlson form from one duplication loop;
-    arguments are sin(beta), cos(beta)^2, the complement
-    w = 1 - m sin(beta)^2 and the parameter m."""
-    rf, rd = _rf_rd(c2, w, 1.0)
-    f = s * rf
-    return f, f - (m / 3.0) * s * s * s * rd
+def _FE_landen(beta_r, n, m, mc):
+    """(F, E) at amplitude beta_r + n pi, |beta_r| <= pi/2, parameter m in
+    [0, 1) and complement mc = 1 - m > 0.
 
-
-def _comp_KE(m):
-    """Complete integrals (K, E) at parameter m in [0, 1]."""
-    if m == 1.0:
-        return math.inf, 1.0  # R_F(0, 0, 1) diverges, and E's Carlson form is inf - inf
-    return _FE_sym(1.0, 0.0, 1.0 - m, m)
-
-
-def _half_reduce(beta):
-    """beta = beta_r + n pi with beta_r in [-pi/2, pi/2]."""
-    n = math.floor(beta / math.pi + 0.5)
-    return beta - math.pi * n, n
-
-
-def _FE_reduced(beta, m):
-    """(F, E) at amplitude beta and parameter m in [0, 1] from one
-    duplication loop.
-
-    beta = beta_r + n pi with |beta_r| <= pi/2; n != 0 adds 2 n K and
-    2 n E from a second loop.  The complement 1 - m sin(beta)^2 is formed
-    as cos^2 + (1 - m) sin^2, which has no cancellation.
+    The forward Landen angles phi_0 = beta_r, phi_n = 2 phi_(n-1) -
+    atan2(2 c_n sin cos, a_(n-1) cos^2 + b_(n-1) sin^2) at phi_(n-1)
+    (A&S 17.6.8) give F = phi_N / (2^N a_N) + 2 n K and
+    E = F E/K + sum c_n sin(phi_n) (A&S 17.6.10).  Both atan2 terms are
+    taken over a_(n-1) = a_n + c_n, which leaves no difference to cancel.
     """
-    br, n = _half_reduce(beta)
-    s = math.sin(br)
-    c = math.cos(br)
-    c2 = c * c
-    f, e = _FE_sym(s, c2, c2 + (1.0 - m) * s * s, m)
-    if n == 0:
-        return f, e
-    K, E = _comp_KE(m)
-    return f + 2.0 * n * K, e + 2.0 * n * E
+    sin, cos = math.sin, math.cos
+    a, two_n, e_sum, levels = _agm(m, mc)
+    phi, rho, zeta = beta_r, math.sqrt(mc), 0.0
+    for c, kappa, rho_n in levels:
+        s, co = sin(phi), cos(phi)
+        phi = 2.0 * phi - math.atan2(2.0 * kappa * s * co, (1.0 + kappa) * (co * co + rho * s * s))
+        zeta += c * sin(phi)
+        rho = rho_n
+    f = phi / (two_n * a) + math.pi * n / a
+    return f, f * (1.0 - e_sum) + zeta
 
 
-def _reciprocal_args(beta, k):
-    """(s, c2, w, m) of F and E at (beta, k > 1) under the reciprocal
-    modulus: the angle gamma with s = sin(gamma) = k sin(beta), c2 its
-    cos^2, m = 1/k^2 and w = 1 - m s^2."""
-    s = _unit_clamped(k * math.sin(beta))
-    m = k ** -2
-    c2 = (1.0 - s) * (1.0 + s)
-    return s, c2, c2 + (1.0 - m) * s * s, m
+def _ellint(beta, k):
+    """(F, E) at amplitude beta and modulus k, dispatched on k once: k > 1
+    through the reciprocal modulus, k = 1 in closed form, k < 1 through
+    _FE_landen at beta = beta_r + n pi."""
+    beta, k = float(beta), float(k)
+    _check(beta, k)
+    if k > 1.0:
+        # sin(gamma) = k sin(beta), gamma in [-pi/2, pi/2]; cos(gamma)^2 is
+        # formed from cos(beta), as 1 - sin(gamma)^2 would cancel next to
+        # the turning point
+        sb, cb = math.sin(beta), math.cos(beta)
+        s = _unit_clamped(k * sb)
+        c2 = max(cb * cb - (k - 1.0) * (k + 1.0) * sb * sb, 0.0)
+        m1 = k**-2
+        f, e = _FE_landen(math.atan2(s, math.sqrt(c2)), 0, m1, (k - 1.0) * (k + 1.0) * m1)
+        return f / k, k * e - (k - 1.0 / k) * f
+    n = math.floor(beta / math.pi + 0.5)
+    br = beta - math.pi * n
+    if k == 1.0:
+        # no AGM ends at K = inf: F = gd^-1(beta_r) within a quarter turn, and E = 1
+        f = math.copysign(math.inf, n) if n else math.asinh(math.tan(br))
+        return f, math.sin(br) + 2.0 * n
+    return _FE_landen(br, n, k * k, (1.0 - k) * (1.0 + k))
 
 
 def ellint_F(beta, k):
@@ -156,11 +122,7 @@ def ellint_F(beta, k):
     k sin(beta) = 1 is an integrable square-root singularity and evaluates
     to the finite limit.
     """
-    beta, k = float(beta), float(k)
-    _check(beta, k)
-    if k <= 1.0:
-        return _FE_reduced(beta, k * k)[0]
-    return _FE_sym(*_reciprocal_args(beta, k))[0] / k
+    return _ellint(beta, k)[0]
 
 
 def ellint_E(beta, k):
@@ -169,12 +131,7 @@ def ellint_E(beta, k):
     Reciprocal-modulus transform for k > 1:
     E(beta, k) = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k).
     """
-    beta, k = float(beta), float(k)
-    _check(beta, k)
-    if k <= 1.0:
-        return _FE_reduced(beta, k * k)[1]
-    f, e = _FE_sym(*_reciprocal_args(beta, k))
-    return k * e - (k - 1.0 / k) * f
+    return _ellint(beta, k)[1]
 
 
 def _ellipj_reduced(w, m, mc):
@@ -182,10 +139,7 @@ def _ellipj_reduced(w, m, mc):
     (1 - m/2) w - eps(w) at argument w, parameter m in [0, 1) with
     complement mc = 1 - m > 0.
 
-    One descending AGM sequence a_n, b_n, c_n from (1, sqrt(mc), sqrt(m)),
-    with c_{n+1} = c_n^2 / (4 a_{n+1}) so that no c_n is a difference of
-    nearly equal numbers, gives K = pi / (2 a_N) and
-    E = K (1 - sum 2^(n-1) c_n^2).  The argument is reduced to r in
+    The AGM of _agm gives K and E.  The argument is reduced to r in
     [-K, K), and the Landen angles phi_N = 2^N a_N r,
     phi_(n-1) = (phi_n + arcsin(c_n sin(phi_n) / a_n)) / 2 end at
     phi_0 = am(r); near m = 1 the arcsin is taken through atan2 with its
@@ -200,16 +154,7 @@ def _ellipj_reduced(w, m, mc):
     as the difference would.
     """
     sqrt, sin, cos = math.sqrt, math.sin, math.cos
-    a, b, c = 1.0, sqrt(mc), sqrt(m)
-    levels = []  # (c_n, c_n / a_n, b_n / a_n) for n = 1..N
-    two_n = 1.0
-    e_sum = 0.5 * m
-    while c > _AGM_TOL * a:
-        a, b = 0.5 * (a + b), sqrt(a * b)
-        c = 0.25 * c * c / a
-        levels.append((c, c / a, b / a))
-        e_sum += two_n * c * c
-        two_n *= 2.0
+    a, two_n, e_sum, levels = _agm(m, mc)
     K = 0.5 * math.pi / a
     E = K * (1.0 - e_sum)
     n = math.floor((w + K) / (2.0 * K))

@@ -281,6 +281,28 @@ def _arc_point(t: float, sys: OneDofSystem) -> EquilibriumPoint:
     return EquilibriumPoint(phi=phi, F=F, delta=_elongation(phi, f, sys), stability=stab)
 
 
+def _check_lobe(ts: Sequence[float], sys: OneDofSystem) -> None:
+    """ValueError unless the profile's own slope is its lobe's at the pin
+    angle t != 0 of the grid nearest the joint (largest cos t > 0): the arc
+    trace reads the profile as circles of its curvatures at 0, which only
+    circular lobes are."""
+    t = max((t for t in ts if t != 0.0 and math.cos(t) > 0.0), key=math.cos, default=None)
+    if t is None:
+        return
+    try:
+        phi, _, fp, _ = _arc_graph(t, sys)
+    except SingularConfigurationError:
+        return  # the trace stops there and says why
+    own = sys.profile.fp(math.sin(phi))
+    # 1e-12 relative, widened by 1/cos(t)^2, the conditioning of a lobe's
+    # slope next to its vertical tangent
+    if not abs(own - fp) * math.cos(t) ** 2 <= 1e-12 * abs(fp):
+        raise ValueError(
+            "arc tracing needs circular lobes: at pin angle %r the profile's slope is %r, "
+            "a circle of its curvature at 0 has %r" % (t, own, fp)
+        )
+
+
 def trace_branch_arc(
     sys: OneDofSystem, t_grid: Sequence[float], label: Optional[str] = None
 ) -> BranchTrace:
@@ -291,10 +313,11 @@ def trace_branch_arc(
     the vertical-tangent point where tracing by phi folds back and the
     force changes sign; the first force zero, refined in t, is
     events["load_sign_transition"].  A singular configuration stops the
-    trace as in trace_branch; a pin angle off the reachable arc raises
-    ValueError.
+    trace as in trace_branch; a pin angle off the reachable arc, or a
+    profile whose own slope is not its lobe's, raises ValueError.
     """
     ts = [float(t) for t in t_grid]
+    _check_lobe(ts, sys)
     trace = _trace(lambda t: _arc_point(t, sys), ts, label)
 
     def force(t):

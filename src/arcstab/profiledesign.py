@@ -138,12 +138,22 @@ def _dbeta(law: TargetForceLaw, psi: float) -> float:
     return (law.beta(hi) - law.beta(lo)) / (hi - lo)
 
 
+def _pole(law: TargetForceLaw) -> float:
+    # f' and f'' at psi = 1: as psi -> 1 they grow as (-1 - asin(1)/beta(1))
+    # over sqrt(1 - psi^2) and its cube
+    return math.copysign(math.inf, -1.0 - math.asin(1.0) / law.beta(1.0))
+
+
 def _design_fp(law: TargetForceLaw, psi: float) -> float:
+    if psi == 1.0:
+        return _pole(law)
     s = math.sqrt(1.0 - psi * psi)
     return -psi / s - math.asin(psi) / (law.beta(psi) * s)
 
 
 def _design_fpp(law: TargetForceLaw, psi: float) -> float:
+    if psi == 1.0:
+        return _pole(law)
     s2 = 1.0 - psi * psi
     s = math.sqrt(s2)
     a = math.asin(psi)
@@ -264,9 +274,8 @@ def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
 
 def neutral_profile(beta: float) -> ProfileShape:
     """Closed-form profile with constant postcritical force beta * k / l."""
+    law = law_constant(beta, psi_max=1.0)
     b = float(beta)
-    if b == 0.0:
-        raise ValueError("zero target force")
 
     def dom(psi):
         if psi < -_SLACK or psi > 1.0 + _SLACK:
@@ -277,30 +286,13 @@ def neutral_profile(beta: float) -> ProfileShape:
         psi = dom(psi)
         return math.sqrt(1.0 - psi * psi) - math.asin(psi) ** 2 / (2.0 * b)
 
-    def fp(psi):
-        psi = dom(psi)
-        s2 = 1.0 - psi * psi
-        num = -psi - math.asin(psi) / b
-        if s2 <= 0.0:
-            return math.copysign(math.inf, num)
-        return num / math.sqrt(s2)
-
-    def fpp(psi):
-        psi = dom(psi)
-        s2 = 1.0 - psi * psi
-        if s2 <= 0.0:
-            return math.copysign(math.inf, -1.0 / b)
-        s = math.sqrt(s2)
-        a = math.asin(psi)
-        return -1.0 / s**3 - 1.0 / (b * s2) - a * psi / (b * s**3)
-
     return ProfileShape(
         f=f,
-        fp=fp,
-        fpp=fpp,
+        fp=lambda psi: _design_fp(law, dom(psi)),
+        fpp=lambda psi: _design_fpp(law, dom(psi)),
         domain=(0.0, 1.0),
-        curvature_right_at_0=-1.0 - 1.0 / b,
-        curvature_left_at_0=-1.0 - 1.0 / b,
+        curvature_right_at_0=_design_fpp(law, 0.0),
+        curvature_left_at_0=_design_fpp(law, 0.0),
     )
 
 

@@ -498,9 +498,9 @@ def test_elastica_without_viable_seed_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["trace-elastica", "--seed=0"], 2),
-        (["trace-elastica", "--seed=-0.0"], 2),
-        (["trace-elastica", "--seed=1e308"], 4),
+        (["trace-elastica", "--seed=0", "--branch=tensile"], 2),
+        (["trace-elastica", "--seed=-0.0", "--branch=tensile"], 2),
+        (["trace-elastica", "--seed=1e308", "--branch=tensile"], 4),
         (["trace-elastica", "--R-c=1e6"], 2),
         (["trace-elastica", "--k-r=1e12"], 2),
         (["design-profile", "--beta=1e300"], 3),
@@ -514,6 +514,15 @@ def test_extreme_flag_exits_with_documented_code(argv, expected, tmp_path):
     assert code == expected
     if code == 2:
         assert not list(tmp_path.iterdir())
+
+
+def test_elastica_seed_needs_one_branch(tmp_path, capsys):
+    # tensile reactions are positive and compressive ones negative, so one
+    # seed for both branches failed one of them (exit 4) on every run
+    assert run(["trace-elastica", "--seed=0.7"], tmp_path / "both") == 2
+    assert "elastica.seed" in capsys.readouterr().err
+    assert not list((tmp_path / "both").iterdir())
+    assert run(["trace-elastica", "--seed=0.7", "--branch=tensile"], tmp_path / "one") == 0
 
 
 # ----------------------------------------------------------------- entry point

@@ -327,21 +327,21 @@ def test_shape_export_one_jacobi_evaluation_per_sample(ellipj_calls):
 
 
 @pytest.fixture
-def carlson_calls(monkeypatch):
-    # arguments of every call of the Carlson duplication loop
+def integral_calls(monkeypatch):
+    # arguments of every call of the incomplete integrals F and E
     calls = []
-    rf_rd = elliptic._rf_rd
+    ellint = elliptic._ellint
 
     def counting(*args):
         calls.append(args)
-        return rf_rd(*args)
+        return ellint(*args)
 
-    monkeypatch.setattr(elliptic, "_rf_rd", counting)
+    monkeypatch.setattr(elliptic, "_ellint", counting)
     return calls
 
 
 @pytest.mark.parametrize("k_r, R", [(0.0, 1.3), (0.0, -1.3), (0.7, 1.1), (1.0, -1.0), (5.0, 0.5)])
-def test_no_carlson_integral_at_any_modulus(carlson_calls, k_r, R):
+def test_no_carlson_integral_at_any_modulus(integral_calls, k_r, R):
     # the addition theorems take the pin's Jacobi functions in closed form,
     # so neither a residual nor a shape export needs F or E at the pin;
     # k_r = 5 puts the modulus below one
@@ -349,7 +349,7 @@ def test_no_carlson_integral_at_any_modulus(carlson_calls, k_r, R):
     problem = tensile_problem(k_r=k_r)
     compatibility_residual(R, 0.8, problem)
     shape_export(make_state(0.8, R, problem), 9)
-    assert carlson_calls == []
+    assert integral_calls == []
 
 
 @pytest.fixture
@@ -645,6 +645,24 @@ def test_overflowing_reaction_is_degenerate(R, theta0, half):
     pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.25, half=half)
     with pytest.raises(DegenerateGeometryError, match="overflows"):
         compatibility_residual(R, theta0, pr)
+
+
+@pytest.mark.parametrize("k_r", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("half", ["left", "right"])
+@pytest.mark.parametrize("theta0", [1e-3, 0.1, 2.0])
+def test_tiny_reaction_with_spring_is_finite_or_degenerate(theta0, half, k_r):
+    # with a spring, x1 and x2 scale as 1/|R| and overflowed to inf or nan
+    # for |R| up to 1e-307: the residual returned a non-finite defect
+    pr = ElasticaProblem(B=1.0, l=1.0, k_r=k_r, R_c=0.25, half=half)
+    raised = 0
+    for e in range(34 * 4):
+        for R in (10.0 ** (-323 + e / 4), -(10.0 ** (-323 + e / 4))):
+            try:
+                assert math.isfinite(compatibility_residual(R, theta0, pr)), R
+            except DegenerateGeometryError as exc:
+                assert "closure defect" in str(exc)
+                raised += 1
+    assert raised > 0
 
 
 def test_cold_solve_takes_one_root_without_warning():

@@ -3,8 +3,8 @@
 Reference routes are kept independent of the production code: adaptive
 quadrature of the defining integrals (with a substitution that removes the
 square-root endpoint singularity for modulus > 1), 40-digit mpmath values
-of the Carlson integrals and the Jacobi functions, and a few values frozen
-from 40-digit arithmetic.
+of the incomplete integrals and the Jacobi functions, and a few values
+frozen from 40-digit arithmetic.
 """
 
 import math
@@ -273,19 +273,43 @@ def test_property_roundtrip_and_identity(beta, k):
     assert abs(dn * dn + (k * np.sin(am)) ** 2 - 1.0) < 1e-10
 
 
-def test_carlson_kernel_matches_mpmath():
-    # R_F and R_D from the one duplication loop, arguments log-uniform over
-    # 15 decades, a fifth of them with x = 0
-    rng = random.Random(20261018)
-    for _ in range(400):
-        x, y, z = (10.0 ** rng.uniform(-12.0, 3.0) for _ in range(3))
-        if rng.random() < 0.2:
-            x = 0.0
-        rf, rd = elliptic._rf_rd(x, y, z)
+def _FE_draws(rng, n):
+    # (beta, k) over the bands the integrals serve: k log-uniform down to
+    # 1e-12, uniform in [0, 1), from 0.1 to within 1e-15 of 1 on either
+    # side, and above 1 up to 5 on its admissible range |k sin(beta)| <= 1
+    for i in range(n):
+        band = i % 5
+        if band < 3:
+            if band == 0:
+                k = 10.0 ** rng.uniform(-12.0, 0.0)
+            elif band == 1:
+                k = rng.uniform(0.0, 1.0)
+            else:
+                k = 1.0 - 10.0 ** rng.uniform(-15.6, -1.0)
+            beta = rng.uniform(-20.0, 20.0) if i % 2 else rng.uniform(-1.6, 1.6)
+        else:
+            k = 1.0 + 10.0 ** rng.uniform(-15.0, math.log10(4.0))
+            beta = rng.uniform(-1.0, 1.0) * math.asin(1.0 / k)
+        yield beta, k
+
+
+def test_FE_match_mpmath_within_backward_error():
+    # within 32 eps (max(1, |F|) + |beta|/Delta), Delta = sqrt(1 - k^2
+    # sin^2 beta): what a relative perturbation of beta of a few ulp moves
+    # F by; E likewise with max(1, |E|).  A kernel that forms 1 - k^2 from
+    # a rounded k*k misses this by up to 1e5 times next to k = 1
+    rng = random.Random(20261019)
+    for beta, k in _FE_draws(rng, 600):
         with mpmath.workdps(40):
-            want_f, want_d = mpmath.elliprf(x, y, z), mpmath.elliprd(x, y, z)
-        assert abs(rf - want_f) <= 4 * EPS * want_f, (x, y, z)
-        assert abs(rd - want_d) <= 4 * EPS * want_d, (x, y, z)
+            b, m = mpmath.mpf(beta), mpmath.mpf(k) ** 2
+            want_f = float(mpmath.re(mpmath.ellipf(b, m)))
+            want_e = float(mpmath.re(mpmath.ellipe(b, m)))
+            delta = float(mpmath.sqrt(mpmath.cos(b) ** 2 + (1 - m) * mpmath.sin(b) ** 2))
+        slack = abs(beta) / delta
+        assert abs(ellint_F(beta, k) - want_f) <= 32 * EPS * (max(1.0, abs(want_f)) + slack), (
+            beta, k)
+        assert abs(ellint_E(beta, k) - want_e) <= 32 * EPS * (max(1.0, abs(want_e)) + slack), (
+            beta, k)
 
 
 @pytest.mark.parametrize(

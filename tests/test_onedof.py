@@ -16,6 +16,7 @@ from arcstab.onedof import (
     trace_branch,
     trace_branch_arc,
 )
+from arcstab.profiledesign import neutral_profile
 
 
 # closed-form oracles for the circular constraint, k = l = 1 unless passed
@@ -272,6 +273,21 @@ def test_arc_trace_rejects_unreachable_pin_angle():
     assert len(trace_branch_arc(sys, [np.arcsin(0.5) - 1e-3]).points) == 1
     with pytest.raises(ValueError, match="leaves the reachable arc"):
         trace_branch_arc(sys, [1.0])
+
+
+def test_arc_trace_refuses_a_profile_that_is_not_its_lobe():
+    # the arc trace took any profile as the circle of its curvature at 0: on
+    # the constant-force profile of beta = -2 (curvature -0.5 at 0) it gave
+    # F = -1.98, -1.93, -1.85 where the force is -2 everywhere
+    sys = system(neutral_profile(-2.0))
+    with pytest.raises(ValueError, match="circular lobes"):
+        trace_branch_arc(sys, [0.1, 0.2, 0.3])
+    # circles and S-shaped profiles still trace, also from a grid that
+    # starts next to the vertical tangent, as an S-shaped compressive lobe does
+    for profile in (profile_circular(-4.0), profile_circular(0.5), profile_s_shaped(4.0)):
+        lim = np.pi if abs(profile.curvature_right_at_0) > 1.0 else np.arcsin(0.5)
+        for ts in (np.linspace(0.02, lim - 0.02, 40), np.linspace(-lim + 1e-3, -0.02, 40)):
+            assert len(trace_branch_arc(system(profile), ts).points) == 40
 
 
 def test_trace_branch_points_consistent():

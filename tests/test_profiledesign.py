@@ -1,4 +1,5 @@
 import csv
+import math
 from pathlib import Path
 
 import mpmath
@@ -60,6 +61,19 @@ def test_neutral_profile_curvature_sets_critical_load():
     for beta in (-1.0, -0.5, 0.7, 2.0):
         p = neutral_profile(beta)
         assert np.isclose(-1.0 / (1.0 + p.fpp(0.0)), beta, rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -2.0, 0.7])
+def test_slope_and_curvature_at_unit_psi_are_their_limits(beta):
+    # f' and f'' grow as (-1 - asin(1)/beta) / sqrt(1 - psi^2)^(1 or 3):
+    # the designed profile divided by zero there, and the closed form gave
+    # f''(1) = +inf for beta = -2 where f''(1 - 1e-9) = -2.4e12
+    want = math.copysign(math.inf, -1.0 - math.asin(1.0) / beta)
+    for p in (neutral_profile(beta), design_profile(law_constant(beta, psi_max=1.0))):
+        assert p.fp(1.0) == want
+        assert p.fpp(1.0) == want
+        assert math.copysign(1.0, p.fp(1.0 - 1e-9)) == math.copysign(1.0, want)
+        assert math.copysign(1.0, p.fpp(1.0 - 1e-9)) == math.copysign(1.0, want)
 
 
 def test_design_profile_starts_at_unit_height():
