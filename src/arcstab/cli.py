@@ -400,7 +400,11 @@ def cmd_trace_elastica(opts, out):
             continue
         traces[br] = trace
         for phi in opts.shape_phi:
-            st = elastica.refine_on_trace(problem, trace, lambda p: p.phi, phi)
+            # the trace has refined phi = pi/2 already, as its load-sign event
+            if phi == math.pi / 2.0:
+                st = trace.events.get("load_sign_transition")
+            else:
+                st = elastica.refine_on_trace(problem, trace, lambda p: p.phi, phi)
             if st is None:
                 print(
                     "note: phi=%.6g outside the traced %s branch, no shape written"

@@ -17,8 +17,9 @@ clamp (the assembly that buckles under tension when R_c < l), half =
 "right" places it beyond the pin (the compressive assembly).
 
 Accuracy note: tensile states (R > 0) push the modulus toward 1 as
-theta0 -> 0 like k - 1 ~ theta0^2/8.  A rod point is one AGM, at parameter
-1/k^2 for k > 1 and k^2 for k <= 1, with the complement in closed form:
+theta0 -> 0 like k - 1 ~ theta0^2/8.  The rod points of one state share
+one AGM, at parameter 1/k^2 for k > 1 and k^2 for k <= 1, with the
+complement in closed form:
 1 - 1/k^2 = sin^2(theta0/2) - (theta0 k_r/B)^2/(4R/B), and
 1 - k^2 = ((theta0 k_r/B)^2 - 4 (R/B) sin^2(theta0/2))/den; the addition
 theorems add the pin's Jacobi functions, also closed-form, so no integral
@@ -169,8 +170,9 @@ def modulus_from(theta0, R, k_r=0.0, B=1.0):
     return 2.0 * math.sqrt(at2) / math.sqrt(den)
 
 
-def _rod_point(s, k, at, R, offset, mc, pin):
-    """(theta, x1, x2) at arclength s from one Jacobi evaluation.
+def _rod_points(ss, k, at, R, offset, mc, pin):
+    """(theta, x1, x2) at each arclength of ss, from one AGM and one
+    Jacobi evaluation per point.
 
     The Jacobi functions at w and parameter m, with the pin's (sn, cn, dn)
     at w0, give those at w + w0 by the addition theorems (DLMF 22.8.1-3):
@@ -181,38 +183,41 @@ def _rod_point(s, k, at, R, offset, mc, pin):
     and m = k^2, and theta/2 = am(w + w0) is the angle of (cn, sn)(w + w0)
     on the 2 pi branch nearest am(w) + am(w0).
     """
-    if k > 1.0:
-        w, m = s * at, k**-2
-    else:
-        w, m = s * at / k, k * k
-    sn, cn, dn, am, eps, drift = elliptic._ellipj_reduced(w, m, mc)
+    m = k**-2 if k > 1.0 else k * k
+    agm = elliptic._agm(m, mc)
     sn0, cn0, dn0 = pin
-    # 1 - m sn^2 sn0^2 without cancellation, as sn0^2 = 1 - cn0^2
-    D = dn * dn + m * sn * sn * cn0 * cn0
-    S = sn * cn0 * dn0 + sn0 * cn * dn
-    C = cn * cn0 - sn * sn0 * dn * dn0
-    Delta = dn * dn0 - m * sn * sn0 * cn * cn0
     pref = math.copysign(2.0, R) / at
-    if k > 1.0:
-        # x1 = pref ((1 - k^2/2) m w + mc w + eps(w0) - eps(w + w0)), and
-        # (1 - k^2/2) m + mc = 1/2
-        return (
-            2.0 * math.atan2(S / k, Delta) + offset,
-            pref * (0.5 * w - eps + m * sn * sn0 * S / D),
-            pref / k * (C / D - cn0),
-        )
-    half = math.atan2(S, C)
-    half += 2.0 * math.pi * round((am + math.atan2(sn0, cn0) - half) / (2.0 * math.pi))
-    # x1 = pref/k ((1 - m/2) w - eps(w) + m sn sn0 S/D), with the first
-    # difference taken from the AGM's sums as tau w - Z(w), and
-    # x2 = pref/k (Delta/D - dn0), with Delta - dn0 D written out as m sn
-    # times terms of order one through 1 - dn = m sn^2/(1 + dn), so small
-    # moduli keep the digits that either difference would cancel
-    return (
-        2.0 * half + offset,
-        pref / k * (drift + m * sn * sn0 * S / D),
-        pref / k * m * sn * (dn0 * sn * (dn / (1.0 + dn) - cn0 * cn0) - sn0 * cn * cn0) / D,
-    )
+    points = []
+    for s in ss:
+        w = s * at if k > 1.0 else s * at / k
+        sn, cn, dn, am, eps, drift = elliptic._ellipj_reduced(w, m, mc, agm)
+        # 1 - m sn^2 sn0^2 without cancellation, as sn0^2 = 1 - cn0^2
+        D = dn * dn + m * sn * sn * cn0 * cn0
+        S = sn * cn0 * dn0 + sn0 * cn * dn
+        C = cn * cn0 - sn * sn0 * dn * dn0
+        Delta = dn * dn0 - m * sn * sn0 * cn * cn0
+        if k > 1.0:
+            # x1 = pref ((1 - k^2/2) m w + mc w + eps(w0) - eps(w + w0)), and
+            # (1 - k^2/2) m + mc = 1/2
+            points.append((
+                2.0 * math.atan2(S / k, Delta) + offset,
+                pref * (0.5 * w - eps + m * sn * sn0 * S / D),
+                pref / k * (C / D - cn0),
+            ))
+            continue
+        half = math.atan2(S, C)
+        half += 2.0 * math.pi * round((am + math.atan2(sn0, cn0) - half) / (2.0 * math.pi))
+        # x1 = pref/k ((1 - m/2) w - eps(w) + m sn sn0 S/D), with the first
+        # difference taken from the AGM's sums as tau w - Z(w), and
+        # x2 = pref/k (Delta/D - dn0), with Delta - dn0 D written out as m sn
+        # times terms of order one through 1 - dn = m sn^2/(1 + dn), so small
+        # moduli keep the digits that either difference would cancel
+        points.append((
+            2.0 * half + offset,
+            pref / k * (drift + m * sn * sn0 * S / D),
+            pref / k * m * sn * (dn0 * sn * (dn / (1.0 + dn) - cn0 * cn0) - sn0 * cn * cn0) / D,
+        ))
+    return points
 
 
 def _state_and_defect(theta0, R, problem):
@@ -252,7 +257,7 @@ def _state_and_defect(theta0, R, problem):
         if not mc > 0.0:  # rounding next to k = 1; the AGM needs mc > 0
             mc = max((1.0 - k) * (1.0 + k), math.ulp(0.0))
         pin = (math.copysign(half_trig, beta0), abs(other_trig), math.sqrt(c2))
-    phi, x1, x2 = _rod_point(problem.l, k, at, R, offset, mc, pin)
+    [(phi, x1, x2)] = _rod_points((problem.l,), k, at, R, offset, mc, pin)
     c = problem.R_c if problem.half == "left" else -problem.R_c
     if abs(math.cos(phi)) >= abs(math.sin(phi)):
         lam = (x1 - c) / math.cos(phi)
@@ -275,27 +280,34 @@ def make_state(theta0, R, problem):
     return ElasticaState(*_state_and_defect(theta0, R, problem)[0])
 
 
-def _state_point(s, state):
-    """_rod_point of a state at arclength s in [0, l]."""
+def _state_points(ss, state):
+    """_rod_points of a state at arclengths ss in [0, l]."""
     # pure-Python arithmetic on numpy scalars is several times slower
-    s, l = float(s), state.problem.l
-    if s < -1e-9 * l or s > l * (1.0 + 1e-9):
+    ss, l = [float(s) for s in ss], state.problem.l
+    if any(s < -1e-9 * l or s > l * (1.0 + 1e-9) for s in ss):
         raise ValueError("arclength s must lie in [0, l]")
-    return _rod_point(
-        s, state.modulus, state.alpha_tilde, state.R, state.angle_offset, state.mc, state.pin
+    return _rod_points(
+        ss, state.modulus, state.alpha_tilde, state.R, state.angle_offset, state.mc, state.pin
     )
 
 
 def theta_at(s, state):
     """Rod rotation theta(s) = 2 am(s alpha/k + u0, k) + angle offset."""
-    return _state_point(s, state)[0]
+    return _state_points((s,), state)[0][0]
 
 
 def coordinates_at(s, state):
     """Rod centerline point (x1, x2); the pin sits at the origin."""
     if s == 0.0:
         return 0.0, 0.0
-    return _state_point(s, state)[1:]
+    return _state_points((s,), state)[0][1:]
+
+
+class _Defect(float):
+    """A closure defect that carries the state fields it was evaluated
+    with, so that a solve keeps the state at its root."""
+
+    __slots__ = ("fields",)
 
 
 def compatibility_residual(R, theta0, problem):
@@ -303,8 +315,13 @@ def compatibility_residual(R, theta0, problem):
 
     The cos phi regularization keeps the same roots as the tan phi form
     while staying finite where branches legitimately cross phi = pi/2.
+    The float returned also holds the state's fields, as _state_and_defect
+    gives them, in its attribute fields.
     """
-    return _state_and_defect(theta0, R, problem)[1]
+    fields, defect = _state_and_defect(theta0, R, problem)
+    defect = _Defect(defect)
+    defect.fields = fields
+    return defect
 
 
 def _default_seed(problem):
@@ -325,40 +342,44 @@ def _nearest_root(f, seed, xtol):
     """Root of f nearest to seed in ratio, or None past seed*[1/5, 5].
 
     Samples seed, then seed/r and seed*r for r = 1.02, 1.02**1.6, ...,
-    capped at 5, and refines the first bracket that appears; when both
-    sides bracket at the same r, the smaller magnitude side wins.  f is
-    evaluated once per abscissa: brentq re-reads the bracket ends.
+    capped at 5, and refines the first bracket that appears.  The smaller
+    magnitude side comes first: seed*r is sampled only when seed/r
+    brackets nothing, so when both would bracket at the same r, seed/r
+    wins.  brentq re-reads the bracket ends, so f should be cached.
     """
-    f = functools.cache(f)
     xs, fs, r = [seed], [f(seed)], 1.0
     while True:
-        c = len(xs) // 2
-        brackets = list(sign_changes(fs))
-        if brackets:
-            i, j = min(brackets, key=lambda b: (max(c - b[0], b[1] - c), b[0]))
+        for i, j in sign_changes(fs):
             return refine(f, xs, i, j, xtol)
-        if r >= _WARM_MAX_RATIO:
-            return None
-        r = _WARM_FIRST_RATIO if r == 1.0 else min(r**_WARM_GROWTH, _WARM_MAX_RATIO)
-        xs = [seed / r, *xs, seed * r]
-        fs = [f(xs[0]), *fs, f(xs[-1])]
+        if len(xs) % 2:
+            if r >= _WARM_MAX_RATIO:
+                return None
+            r = _WARM_FIRST_RATIO if r == 1.0 else min(r**_WARM_GROWTH, _WARM_MAX_RATIO)
+            xs.insert(0, seed / r)
+            fs.insert(0, f(xs[0]))
+        else:
+            xs.append(seed * r)
+            fs.append(f(xs[-1]))
 
 
 def _warm_fields(theta0, problem, seed):
     """State fields (as _state_and_defect gives them) at the reaction root
     nearest seed, or ContinuationError naming the window seed*[0.2, 5]; a
-    seed that is zero or not finite is a ValueError."""
+    seed that is zero or not finite is a ValueError.  Each reaction tried
+    is evaluated once, and the root is one of them: its residual holds the
+    fields."""
     if seed == 0.0 or not math.isfinite(seed):
         raise ValueError("seed reaction must be finite and nonzero")
     xtol = 1e-15 * problem.B / problem.l**2
-    root = _nearest_root(lambda R: compatibility_residual(R, theta0, problem), seed, xtol)
+    f = functools.cache(lambda R: compatibility_residual(R, theta0, problem))
+    root = _nearest_root(f, seed, xtol)
     if root is None:
         lo, hi = sorted((0.2 * seed, 5.0 * seed))
         raise ContinuationError(
             "no sign change of the compatibility residual in the reaction window "
             f"[{lo:.6g}, {hi:.6g}] at theta0={theta0:.6g}"
         )
-    return _state_and_defect(theta0, root, problem)[0]
+    return f(root).fields
 
 
 def _advance(problem, pts, theta0, step=math.inf):
@@ -559,11 +580,12 @@ def refine_on_trace(problem, trace, value, target):
 
 def shape_export(state, n):
     """Deformed centerline sampled uniformly in s, as a list of n float
-    tuples (s, x1, x2, theta); the first is the pin, (0, 0, 0, theta0)."""
+    tuples (s, x1, x2, theta); the first is the pin, (0, 0, 0, theta0).
+    The samples share one AGM."""
     if n < 2:
         raise ValueError("need at least two samples")
+    ss = linspace(0.0, state.problem.l, n)[1:]
     rows = [(0.0, 0.0, 0.0, state.theta0)]
-    for s in linspace(0.0, state.problem.l, n)[1:]:
-        theta, x1, x2 = _state_point(s, state)
+    for s, (theta, x1, x2) in zip(ss, _state_points(ss, state)):
         rows.append((s, x1, x2, theta))
     return rows

@@ -68,31 +68,41 @@ def _agm(m, mc):
 
 
 def _FE_landen(beta_r, n, m, mc):
-    """(F, E) at amplitude beta_r + n pi, |beta_r| <= pi/2, parameter m in
-    [0, 1) and complement mc = 1 - m > 0.
+    """(F, Z, e_sum) at amplitude beta_r + n pi, |beta_r| <= pi/2,
+    parameter m in [0, 1) and complement mc = 1 - m > 0, with e_sum as _agm
+    gives it.
 
     The forward Landen angles phi_0 = beta_r, phi_n = 2 phi_(n-1) -
     atan2(2 c_n sin cos, a_(n-1) cos^2 + b_(n-1) sin^2) at phi_(n-1)
-    (A&S 17.6.8) give F = phi_N / (2^N a_N) + 2 n K and
-    E = F E/K + sum c_n sin(phi_n) (A&S 17.6.10).  Both atan2 terms are
-    taken over a_(n-1) = a_n + c_n, which leaves no difference to cancel.
+    (A&S 17.6.8) give F = phi_N / (2^N a_N) + 2 n K and the Jacobi zeta
+    function Z = sum c_n sin(phi_n), so that E = F (1 - e_sum) + Z
+    (A&S 17.6.10).  Both atan2 terms are taken over a_(n-1) = a_n + c_n,
+    which leaves no difference to cancel.
     """
     sin, cos = math.sin, math.cos
     a, two_n, e_sum, levels = _agm(m, mc)
-    phi, rho, zeta = beta_r, math.sqrt(mc), 0.0
+    phi, rho, zeta, c = beta_r, math.sqrt(mc), 0.0, math.sqrt(m)
     for c, kappa, rho_n in levels:
         s, co = sin(phi), cos(phi)
         phi = 2.0 * phi - math.atan2(2.0 * kappa * s * co, (1.0 + kappa) * (co * co + rho * s * s))
         zeta += c * sin(phi)
         rho = rho_n
-    f = phi / (two_n * a) + math.pi * n / a
-    return f, f * (1.0 - e_sum) + zeta
+    # the first level the AGM leaves out, c_(N+1) sin(phi_(N+1)) with
+    # c_(N+1) = c_N^2/(4 a_N) < 2^-56 and phi_(N+1) = 2 phi_N: below the
+    # rounding of E at k <= 1, but the reciprocal modulus multiplies Z by k
+    zeta += 0.25 * c * c / a * sin(2.0 * phi)
+    return phi / (two_n * a) + math.pi * n / a, zeta, e_sum
 
 
 def _ellint(beta, k):
     """(F, E) at amplitude beta and modulus k, dispatched on k once: k > 1
     through the reciprocal modulus, k = 1 in closed form, k < 1 through
-    _FE_landen at beta = beta_r + n pi."""
+    _FE_landen at beta = beta_r + n pi.
+
+    For k > 1, with F1, Z1 and e_sum of _FE_landen at gamma and 1/k, the
+    reciprocal identity E = k E(gamma, 1/k) - (k - 1/k) F1 is written as
+    F1/k + k (Z1 - F1 e_sum): the identity's two terms cancel like k^2, and
+    these do not."""
     beta, k = float(beta), float(k)
     _check(beta, k)
     if k > 1.0:
@@ -103,15 +113,17 @@ def _ellint(beta, k):
         s = _unit_clamped(k * sb)
         c2 = max(cb * cb - (k - 1.0) * (k + 1.0) * sb * sb, 0.0)
         m1 = k**-2
-        f, e = _FE_landen(math.atan2(s, math.sqrt(c2)), 0, m1, (k - 1.0) * (k + 1.0) * m1)
-        return f / k, k * e - (k - 1.0 / k) * f
+        gamma = math.atan2(s, math.sqrt(c2))
+        f, zeta, e_sum = _FE_landen(gamma, 0, m1, (k - 1.0) * (k + 1.0) * m1)
+        return f / k, f / k + k * (zeta - f * e_sum)
     n = math.floor(beta / math.pi + 0.5)
     br = beta - math.pi * n
     if k == 1.0:
         # no AGM ends at K = inf: F = gd^-1(beta_r) within a quarter turn, and E = 1
         f = math.copysign(math.inf, n) if n else math.asinh(math.tan(br))
         return f, math.sin(br) + 2.0 * n
-    return _FE_landen(br, n, k * k, (1.0 - k) * (1.0 + k))
+    f, zeta, e_sum = _FE_landen(br, n, k * k, (1.0 - k) * (1.0 + k))
+    return f, f * (1.0 - e_sum) + zeta
 
 
 def ellint_F(beta, k):
@@ -129,17 +141,19 @@ def ellint_E(beta, k):
     """Incomplete elliptic integral of the second kind E(beta, k).
 
     Reciprocal-modulus transform for k > 1:
-    E(beta, k) = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k).
+    E(beta, k) = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k), evaluated
+    without its cancelling pair (see _ellint).
     """
     return _ellint(beta, k)[1]
 
 
-def _ellipj_reduced(w, m, mc):
+def _ellipj_reduced(w, m, mc, agm):
     """sn, cn, dn, continued amplitude, Jacobi epsilon and
     (1 - m/2) w - eps(w) at argument w, parameter m in [0, 1) with
-    complement mc = 1 - m > 0.
+    complement mc = 1 - m > 0, and agm = _agm(m, mc), which callers that
+    evaluate many arguments at one parameter form once.
 
-    The AGM of _agm gives K and E.  The argument is reduced to r in
+    The AGM gives K and E.  The argument is reduced to r in
     [-K, K), and the Landen angles phi_N = 2^N a_N r,
     phi_(n-1) = (phi_n + arcsin(c_n sin(phi_n) / a_n)) / 2 end at
     phi_0 = am(r); near m = 1 the arcsin is taken through atan2 with its
@@ -154,7 +168,7 @@ def _ellipj_reduced(w, m, mc):
     as the difference would.
     """
     sqrt, sin, cos = math.sqrt, math.sin, math.cos
-    a, two_n, e_sum, levels = _agm(m, mc)
+    a, two_n, e_sum, levels = agm
     K = 0.5 * math.pi / a
     E = K * (1.0 - e_sum)
     n = math.floor((w + K) / (2.0 * K))
@@ -194,7 +208,7 @@ def _jacobi(u, k):
     if k > 1.0:
         m1 = k ** -2
         mc = (k - 1.0) * (k + 1.0) * m1
-        sn, cn, dn, _, eps1, _ = _ellipj_reduced(k * u, m1, mc)
+        sn, cn, dn, _, eps1, _ = _ellipj_reduced(k * u, m1, mc, _agm(m1, mc))
         return math.atan2(sn / k, dn), cn, (eps1 - mc * k * u) / (k * m1)
     if k == 1.0:
         # gd(u) = 2 atan(tanh(u/2)) and sech(u) in exp(-|u|), which neither
@@ -203,7 +217,8 @@ def _jacobi(u, k):
         return 2.0 * math.atan(math.tanh(0.5 * u)), 2.0 * e / (1.0 + e * e), math.tanh(u)
     if k == 0.0:
         return u, 1.0, u
-    _, _, dn, am, eps, _ = _ellipj_reduced(u, k * k, (1.0 - k) * (1.0 + k))
+    m, mc = k * k, (1.0 - k) * (1.0 + k)
+    _, _, dn, am, eps, _ = _ellipj_reduced(u, m, mc, _agm(m, mc))
     return am, dn, eps
 
 

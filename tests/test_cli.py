@@ -449,8 +449,11 @@ def test_elastica_shift_report(fig7_dir):
 def test_fig7_residual_budget(tmp_path, monkeypatch):
     # the traces walk the cold solve's branch follower through the
     # schedule, and warm solves widen from a predicted seed instead of
-    # scanning a 200-point window: 2,000 residuals, where the window scan
-    # made 65,591 and a trace seeded by the last reaction 2,163
+    # scanning a 200-point window: 1,764 residuals, where the window scan
+    # made 65,591, a trace seeded by the last reaction 2,163, and solves
+    # that sampled both sides of the seed at once and the CLI's second
+    # refinement of phi = pi/2 2,000.  The lower bound fails a trace whose
+    # solves go round compatibility_residual
     calls = []
     residual = elastica.compatibility_residual
 
@@ -460,7 +463,40 @@ def test_fig7_residual_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(elastica, "compatibility_residual", counting)
     assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
-    assert len(calls) < 2100
+    assert 1700 < len(calls) < 1800
+
+
+def test_fig7_pi_half_shape_is_the_load_sign_event(tmp_path, monkeypatch):
+    # each trace refines phi = pi/2 as its load-sign event, and the CLI
+    # exports that state rather than refining it again: 14 refinements per
+    # fig7 call (2 events, 2 shapes at phi = pi/4 and 10 shift targets)
+    traces, exported, refinements = [], {}, []
+    trace_branch, shape_export = elastica.trace_branch, elastica.shape_export
+    refine_on_trace = elastica.refine_on_trace
+
+    def tracing(*args, **kwargs):
+        traces.append(trace_branch(*args, **kwargs))
+        return traces[-1]
+
+    def exporting(state, n):
+        exported[id(state)] = state
+        return shape_export(state, n)
+
+    def refining(*args):
+        refinements.append(args)
+        return refine_on_trace(*args)
+
+    monkeypatch.setattr(elastica, "trace_branch", tracing)
+    monkeypatch.setattr(elastica, "shape_export", exporting)
+    monkeypatch.setattr(elastica, "refine_on_trace", refining)
+    assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
+    assert len(traces) == 2
+    for trace in traces:
+        event = trace.events["load_sign_transition"]
+        assert exported.get(id(event)) is event
+        _, rows = read_csv(tmp_path / ("shape_%s_phi1.5708.csv" % trace.label))
+        assert [float(v) for v in rows[-1]] == list(shape_export(event, 400)[-1])
+    assert len(refinements) == 14
 
 
 def test_elastica_continuation_failure_exits_4(tmp_path, capsys):

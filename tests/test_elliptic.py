@@ -293,13 +293,26 @@ def _FE_draws(rng, n):
         yield beta, k
 
 
+def _large_k_draws(rng, n):
+    # k log-uniform in [5, 50], [50, 1e4] and [1e4, 1e8] in turn, on the
+    # admissible range
+    for i in range(n):
+        lo, hi = ((5.0, 50.0), (50.0, 1e4), (1e4, 1e8))[i % 3]
+        k = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+        yield rng.uniform(-1.0, 1.0) * math.asin(1.0 / k), k
+
+
 def test_FE_match_mpmath_within_backward_error():
     # within 32 eps (max(1, |F|) + |beta|/Delta), Delta = sqrt(1 - k^2
     # sin^2 beta): what a relative perturbation of beta of a few ulp moves
     # F by; E likewise with max(1, |E|).  A kernel that forms 1 - k^2 from
-    # a rounded k*k misses this by up to 1e5 times next to k = 1
+    # a rounded k*k misses this by up to 1e5 times next to k = 1.  At large
+    # k, E = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k) cancels like k^2
+    # (worst 52, 3.1e3 and 6e7 units in the three bands), and so does a Z
+    # that stops at the AGM's last level (319 and 60 units at k ~ 6e3 and
+    # 1e4, where the level left out is about 1/(64 k^4))
     rng = random.Random(20261019)
-    for beta, k in _FE_draws(rng, 600):
+    for beta, k in [*_FE_draws(rng, 600), *_large_k_draws(rng, 300)]:
         with mpmath.workdps(40):
             b, m = mpmath.mpf(beta), mpmath.mpf(k) ** 2
             want_f = float(mpmath.re(mpmath.ellipf(b, m)))
@@ -321,7 +334,7 @@ def test_ellipj_kernel_matches_mpmath(k):
     # functions follow mc, not the rounded k*k, so the reference runs at 1 - mc
     m, mc = k * k, (1.0 - k) * (1.0 + k)
     for w in np.linspace(-9.3, 9.3, 31):
-        got = elliptic._ellipj_reduced(w, m, mc)
+        got = elliptic._ellipj_reduced(w, m, mc, elliptic._agm(m, mc))
         with mpmath.workdps(40):
             m_ref = 1 - mpmath.mpf(mc)
             am, eps = _mp_am_eps(mpmath.mpf(w), m_ref)
