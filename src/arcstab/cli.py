@@ -336,8 +336,8 @@ def _shift_report(path, problem, traces):
     if lo < hi:
         targets = linspace(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), 5)
         for F in targets:
-            st = elastica.refine_on_trace(problem, tens, lambda p: p.F, F)
-            sc = elastica.refine_on_trace(problem, comp, lambda p: p.F, F)
+            st = elastica.refine_on_trace(tens, lambda p: p.F, F)
+            sc = elastica.refine_on_trace(comp, lambda p: p.F, F)
             if st is None or sc is None:
                 continue
             shift = st.delta - sc.delta
@@ -404,7 +404,7 @@ def cmd_trace_elastica(opts, out):
             if phi == math.pi / 2.0:
                 st = trace.events.get("load_sign_transition")
             else:
-                st = elastica.refine_on_trace(problem, trace, lambda p: p.phi, phi)
+                st = elastica.refine_on_trace(trace, lambda p: p.phi, phi)
             if st is None:
                 print(
                     "note: phi=%.6g outside the traced %s branch, no shape written"

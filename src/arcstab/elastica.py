@@ -39,6 +39,7 @@ modulus and stay clean at any theta0.
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .branch import BranchTrace, linspace, refine, sign_changes
 from . import elliptic
@@ -109,8 +110,7 @@ class ElasticaProblem:
             raise ValueError("half must be 'left' or 'right'")
 
 
-@dataclass(frozen=True)
-class ElasticaState:
+class ElasticaState(NamedTuple):
     """One elastica configuration at fixed (theta0, R).
 
     delta is the clamp displacement along the load axis, zero at the
@@ -222,7 +222,7 @@ def _rod_points(ss, k, at, R, offset, mc, pin):
 
 def _state_and_defect(theta0, R, problem):
     """The fields of the rod's ElasticaState at a trial reaction R, as a
-    tuple in field order, and its closure defect
+    plain tuple in field order, and its closure defect
     [x1(l) - c] sin phi - x2(l) cos phi, c = +-R_c; a residual builds no
     state."""
     # pure-Python arithmetic on numpy scalars is several times slower
@@ -270,9 +270,8 @@ def _state_and_defect(theta0, R, problem):
         raise DegenerateGeometryError(
             "degenerate rotation field: closure defect %r at R=%r, theta0=%r" % (defect, R, theta0)
         )
-    fields = (theta0, R, k, at, beta0, phi, R * math.cos(phi), lam + c - problem.l, problem,
-              offset, mc, pin)
-    return fields, defect
+    return (theta0, R, k, at, beta0, phi, R * math.cos(phi), lam + c - problem.l, problem,
+            offset, mc, pin), defect
 
 
 def make_state(theta0, R, problem):
@@ -292,7 +291,8 @@ def _state_points(ss, state):
 
 
 def theta_at(s, state):
-    """Rod rotation theta(s) = 2 am(s alpha/k + u0, k) + angle offset."""
+    """Rod rotation theta(s) = 2 am(s alpha/k + w0, k) + angle offset, with
+    the pin's argument w0 known by its Jacobi functions, state.pin."""
     return _state_points((s,), state)[0][0]
 
 
@@ -362,12 +362,11 @@ def _nearest_root(f, seed, xtol):
             fs.append(f(xs[-1]))
 
 
-def _warm_fields(theta0, problem, seed):
-    """State fields (as _state_and_defect gives them) at the reaction root
-    nearest seed, or ContinuationError naming the window seed*[0.2, 5]; a
-    seed that is zero or not finite is a ValueError.  Each reaction tried
-    is evaluated once, and the root is one of them: its residual holds the
-    fields."""
+def _warm_state(theta0, problem, seed):
+    """ElasticaState at the reaction root nearest seed, or
+    ContinuationError naming the window seed*[0.2, 5]; a seed that is zero
+    or not finite is a ValueError.  Each reaction tried is evaluated once,
+    and the root is one of them: its residual holds the state's fields."""
     if seed == 0.0 or not math.isfinite(seed):
         raise ValueError("seed reaction must be finite and nonzero")
     xtol = 1e-15 * problem.B / problem.l**2
@@ -379,11 +378,11 @@ def _warm_fields(theta0, problem, seed):
             "no sign change of the compatibility residual in the reaction window "
             f"[{lo:.6g}, {hi:.6g}] at theta0={theta0:.6g}"
         )
-    return f(root).fields
+    return ElasticaState(*f(root).fields)
 
 
 def _advance(problem, pts, theta0, step=math.inf):
-    """(fields at theta0, pts, step): the branch continued to theta0 from
+    """(state at theta0, pts, step): the branch continued to theta0 from
     its accepted points pts, (theta0, R, phi) oldest first, at most three.
 
     The first step is step, and any step goes the whole way when it would
@@ -425,16 +424,16 @@ def _advance(problem, pts, theta0, step=math.inf):
             why = "predicted " + why
         else:
             try:
-                fields = _warm_fields(th, problem, seed)
+                st = _warm_state(th, problem, seed)
             except (ContinuationError, DegenerateGeometryError) as exc:
                 why = str(exc)
             else:
-                why = _guard_rejection(fields[1], fields[5], r2, phi2)
+                why = _guard_rejection(st.R, st.phi, r2, phi2)
                 if not why:
-                    pts = [*pts[-2:], (fields[0], fields[1], fields[5])]
+                    pts = [*pts[-2:], (st.theta0, st.R, st.phi)]
                     step *= 2.0
                     if th == theta0:
-                        return fields, pts, step
+                        return st, pts, step
                     continue
         step = (th - t2) / 2.0
         if step < min_step:
@@ -445,7 +444,7 @@ def _advance(problem, pts, theta0, step=math.inf):
 
 
 def _follow_branch(theta0, problem):
-    """(fields at theta0, pts, step), as _advance returns them, on the
+    """(state at theta0, pts, step), as _advance returns them, on the
     branch that bifurcates at the linearized load R_cr.
 
     The branch is entered by a warm solve at _THETA_START seeded with R_cr,
@@ -454,13 +453,13 @@ def _follow_branch(theta0, problem):
     goes on from the bifurcation (0, R_cr, phi = 0) and the entry point.
     """
     R_cr = _default_seed(problem)
-    fields = _warm_fields(_THETA_START, problem, R_cr)
+    st = _warm_state(_THETA_START, problem, R_cr)
     if theta0 < _THETA_START:
-        R2 = (fields[1] - R_cr) / _THETA_START**2
-        fields = _warm_fields(theta0, problem, R_cr + R2 * theta0 * theta0)
-    pts = [(0.0, R_cr, 0.0), (fields[0], fields[1], fields[5])]
+        R2 = (st.R - R_cr) / _THETA_START**2
+        st = _warm_state(theta0, problem, R_cr + R2 * theta0 * theta0)
+    pts = [(0.0, R_cr, 0.0), (st.theta0, st.R, st.phi)]
     if theta0 <= _THETA_START:
-        return fields, pts, math.inf
+        return st, pts, math.inf
     return _advance(problem, pts, theta0)
 
 
@@ -484,8 +483,8 @@ def solve_R(theta0, problem, seed=None):
     if not 0.0 < theta0 < math.inf:
         raise ValueError("theta0 must be positive and finite")
     if seed is None:
-        return ElasticaState(*_follow_branch(theta0, problem)[0])
-    return ElasticaState(*_warm_fields(theta0, problem, seed))
+        return _follow_branch(theta0, problem)[0]
+    return _warm_state(theta0, problem, seed)
 
 
 def _branch_problem(problem, branch):
@@ -536,44 +535,43 @@ def trace_branch(problem, theta0_schedule, branch, seed=None):
     try:
         for th0 in schedule:
             if pts is not None:
-                fields, pts, step = _advance(pr, pts, th0, step)
+                st, pts, step = _advance(pr, pts, th0, step)
             elif seed is None:
-                fields, pts, step = _follow_branch(th0, pr)
+                st, pts, step = _follow_branch(th0, pr)
             else:
-                fields, step = _warm_fields(th0, pr, seed), math.inf
-                pts = [(fields[0], fields[1], fields[5])]
-            trace.points.append(ElasticaState(*fields))
+                st, step = _warm_state(th0, pr, seed), math.inf
+                pts = [(st.theta0, st.R, st.phi)]
+            trace.points.append(st)
     except (ContinuationError, DegenerateGeometryError) as exc:
         trace.complete = False
         trace.diagnostic = str(exc)
 
-    st = refine_on_trace(problem, trace, lambda p: p.phi, math.pi / 2.0)
-    if st is not None:
-        trace.events["load_sign_transition"] = st
+    ev = refine_on_trace(trace, lambda p: p.phi, math.pi / 2.0)
+    if ev is not None:
+        trace.events["load_sign_transition"] = ev
     return trace
 
 
-def refine_on_trace(problem, trace, value, target):
+def refine_on_trace(trace, value, target):
     """Solved state where value(state) == target on a traced branch.
 
     The first sign change of value - target over the trace points is
     refined by brentq in theta0, each trial solve warm started from the
-    reaction interpolated between the pair; a point on target is solved
-    again in place.  Each theta0 is solved once: the root returned is one
-    of the trials.  trace.label selects the assembly as in trace_branch.
-    Returns None when nothing brackets target.
+    reaction interpolated between the pair, on the problem the pair was
+    solved on; a point on target is solved again in place.  Each theta0 is
+    solved once: the root returned is one of the trials.  Returns None
+    when nothing brackets target.
     """
-    pr = _branch_problem(problem, trace.label)
     pts = trace.points
-    thetas = [p.theta0 for p in pts]
     for i, j in sign_changes([value(p) - target for p in pts]):
         a, b = pts[i], pts[j]
 
         @functools.cache
         def solve(th0):
             w = (th0 - a.theta0) / (b.theta0 - a.theta0) if i != j else 0.0
-            return solve_R(th0, pr, seed=a.R + w * (b.R - a.R))
+            return solve_R(th0, a.problem, seed=a.R + w * (b.R - a.R))
 
+        thetas = [p.theta0 for p in pts]
         return solve(refine(lambda th0: value(solve(th0)) - target, thetas, i, j, 1e-13))
     return None
 

@@ -102,19 +102,21 @@ def _ellint(beta, k):
     For k > 1, with F1, Z1 and e_sum of _FE_landen at gamma and 1/k, the
     reciprocal identity E = k E(gamma, 1/k) - (k - 1/k) F1 is written as
     F1/k + k (Z1 - F1 e_sum): the identity's two terms cancel like k^2, and
-    these do not."""
+    these do not.  Past k = 1/_AGM_TOL the AGM runs no level, and then E is
+    (gamma/2 + sin(2 gamma)/4)/k, with no 1/k^2 to go subnormal."""
     beta, k = float(beta), float(k)
     _check(beta, k)
     if k > 1.0:
         # sin(gamma) = k sin(beta), gamma in [-pi/2, pi/2]; cos(gamma)^2 is
         # formed from cos(beta), as 1 - sin(gamma)^2 would cancel next to
-        # the turning point
+        # the turning point, and (k - 1)(k + 1) alone would overflow
         sb, cb = math.sin(beta), math.cos(beta)
         s = _unit_clamped(k * sb)
-        c2 = max(cb * cb - (k - 1.0) * (k + 1.0) * sb * sb, 0.0)
-        m1 = k**-2
+        c2 = max(cb * cb - ((k - 1.0) * sb) * ((k + 1.0) * sb), 0.0)
         gamma = math.atan2(s, math.sqrt(c2))
-        f, zeta, e_sum = _FE_landen(gamma, 0, m1, (k - 1.0) * (k + 1.0) * m1)
+        if k >= 1.0 / _AGM_TOL:
+            return gamma / k, (0.5 * gamma + 0.25 * math.sin(2.0 * gamma)) / k
+        f, zeta, e_sum = _FE_landen(gamma, 0, k**-2, (1.0 - 1.0 / k) * (1.0 + 1.0 / k))
         return f / k, f / k + k * (zeta - f * e_sum)
     n = math.floor(beta / math.pi + 0.5)
     br = beta - math.pi * n

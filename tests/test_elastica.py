@@ -367,14 +367,25 @@ def states_built(monkeypatch):
 
 
 @pytest.mark.parametrize("problem", [tensile_problem(), compressive_problem(k_r=0.5)])
-def test_one_state_per_solve(states_built, problem):
-    # residuals build no state; a cold and a warm solve build one, of the root
+def test_one_state_per_solve(monkeypatch, states_built, problem):
+    # residuals build no state; each warm solve builds one, of its root, and
+    # a solve returns the state of its last warm solve
+    warm_states = []
+    warm = elastica._warm_state
+
+    def solving(theta0, pr, seed):
+        warm_states.append(warm(theta0, pr, seed))
+        return warm_states[-1]
+
+    monkeypatch.setattr(elastica, "_warm_state", solving)
     compatibility_residual(1.3, 0.8, problem)
     assert states_built == []
     cold = solve_R(0.5, problem)
-    assert len(states_built) == 1
+    assert len(warm_states) > 1 and len(states_built) == len(warm_states)
+    assert cold is warm_states[-1]
     warm = solve_R(0.55, problem, seed=cold.R)
-    assert len(states_built) == 2
+    assert len(states_built) == len(warm_states)
+    assert warm is warm_states[-1]
     assert isinstance(cold, ElasticaState) and isinstance(warm, ElasticaState)
 
 
@@ -960,12 +971,12 @@ def test_branch_shift_congruence(traced_tensile, traced_compressive):
 
 
 def test_refine_on_trace_matches_local_bisection(traced_tensile, traced_compressive):
-    # the trace label picks the assembly, whatever half the problem names
+    # the trace points carry the assembly they were solved on
     for tr, pr in ((traced_tensile, tensile_problem()),
                    (traced_compressive, compressive_problem())):
-        st = refine_on_trace(tensile_problem(), tr, lambda p: p.phi, math.pi / 4)
+        st = refine_on_trace(tr, lambda p: p.phi, math.pi / 4)
         assert st == solve_at_phi(pr, tr, math.pi / 4)
-        assert refine_on_trace(pr, tr, lambda p: p.F, 1e6) is None
+        assert refine_on_trace(tr, lambda p: p.F, 1e6) is None
 
 
 def test_refine_on_trace_solves_each_theta0_once(monkeypatch, traced_tensile):
@@ -979,10 +990,29 @@ def test_refine_on_trace_solves_each_theta0_once(monkeypatch, traced_tensile):
         return solve(theta0, problem, seed)
 
     monkeypatch.setattr(elastica, "solve_R", counting)
-    st = refine_on_trace(tensile_problem(), traced_tensile, lambda p: p.phi, math.pi / 4)
+    st = refine_on_trace(traced_tensile, lambda p: p.phi, math.pi / 4)
     assert st.phi == pytest.approx(math.pi / 4, abs=1e-12)
     assert st.theta0 in thetas
     assert len(thetas) == len(set(thetas))
+
+
+@pytest.mark.parametrize("branch", ["tensile", "compressive"])
+def test_refine_on_trace_solves_the_traced_problem(branch, traced_tensile):
+    # each trial is solved on the problem of the trace points.  A problem
+    # once passed beside the trace went unchecked: refining a tensile trace
+    # of R_c = 0.25 at phi = 1, for theta0 = 0.68426 and R = 0.94334, gave
+    # R = 0.99050 with B = 1.05 passed, and with R_c = 0.3 either a state
+    # of that problem at theta0 = 0.62050 or a brentq ValueError, by bracket
+    if branch == "tensile":
+        tr = traced_tensile
+    else:
+        tr = trace_branch(tensile_problem(k_r=0.5), np.linspace(1e-3, 1.5, 20), branch)
+    st = refine_on_trace(tr, lambda p: p.phi, 1.0)
+    assert st.problem == tr.points[0].problem
+    assert st.problem.half == ("left" if branch == "tensile" else "right")
+    assert abs(compatibility_residual(st.R, st.theta0, st.problem)) < 1e-13
+    if branch == "tensile":
+        assert (st.theta0, st.R) == pytest.approx((0.68426, 0.94334), abs=1e-5)
 
 
 def test_trace_is_deterministic(traced_tensile):
@@ -1011,12 +1041,12 @@ def guarded_trace(monkeypatch, problem, schedule, branch):
     checks compare predictions and are left out.
     """
     solved, steps = [], []
-    warm, guard = elastica._warm_fields, elastica._guard_rejection
+    warm, guard = elastica._warm_state, elastica._guard_rejection
 
     def solving(theta0, pr, seed):
-        fields = warm(theta0, pr, seed)
-        solved.append((fields[1], fields[5]))
-        return fields
+        st = warm(theta0, pr, seed)
+        solved.append((st.R, st.phi))
+        return st
 
     def checking(R, phi, R_prev, phi_prev):
         why = guard(R, phi, R_prev, phi_prev)
@@ -1024,7 +1054,7 @@ def guarded_trace(monkeypatch, problem, schedule, branch):
             steps.append(((R_prev, phi_prev), (R, phi)))
         return why
 
-    monkeypatch.setattr(elastica, "_warm_fields", solving)
+    monkeypatch.setattr(elastica, "_warm_state", solving)
     monkeypatch.setattr(elastica, "_guard_rejection", checking)
     tr = trace_branch(problem, schedule, branch)
     states = [(p.R, p.phi) for p in tr.points]
@@ -1082,13 +1112,13 @@ def test_follower_repeats_no_solve(monkeypatch):
     # the uncut step, which could still reach that point: the same solve,
     # from the same seed, ran again and was rejected again
     calls = []
-    warm = elastica._warm_fields
+    warm = elastica._warm_state
 
     def solving(theta0, pr, seed):
         calls.append((theta0, seed))
         return warm(theta0, pr, seed)
 
-    monkeypatch.setattr(elastica, "_warm_fields", solving)
+    monkeypatch.setattr(elastica, "_warm_state", solving)
     pr = ElasticaProblem(B=1.0, l=1.0, k_r=0.9276487201667345, R_c=0.2886052752897865)
     tr = trace_branch(pr, np.linspace(1e-3, 1.773671988484576, 78), "tensile")
     assert len(tr.points) > 1

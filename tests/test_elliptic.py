@@ -294,35 +294,36 @@ def _FE_draws(rng, n):
 
 
 def _large_k_draws(rng, n):
-    # k log-uniform in [5, 50], [50, 1e4] and [1e4, 1e8] in turn, on the
-    # admissible range
+    # k log-uniform in [5, 50], [50, 1e4], [1e4, 1e8] and [1e8, 1e300] in
+    # turn, on the admissible range
     for i in range(n):
-        lo, hi = ((5.0, 50.0), (50.0, 1e4), (1e4, 1e8))[i % 3]
+        lo, hi = ((5.0, 50.0), (50.0, 1e4), (1e4, 1e8), (1e8, 1e300))[i % 4]
         k = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
         yield rng.uniform(-1.0, 1.0) * math.asin(1.0 / k), k
 
 
 def test_FE_match_mpmath_within_backward_error():
-    # within 32 eps (max(1, |F|) + |beta|/Delta), Delta = sqrt(1 - k^2
-    # sin^2 beta): what a relative perturbation of beta of a few ulp moves
-    # F by; E likewise with max(1, |E|).  A kernel that forms 1 - k^2 from
-    # a rounded k*k misses this by up to 1e5 times next to k = 1.  At large
-    # k, E = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k) cancels like k^2
-    # (worst 52, 3.1e3 and 6e7 units in the three bands), and so does a Z
-    # that stops at the AGM's last level (319 and 60 units at k ~ 6e3 and
-    # 1e4, where the level left out is about 1/(64 k^4))
+    # within 32 eps (|F| + |beta|/Delta), Delta = sqrt(1 - k^2 sin^2 beta):
+    # what a relative perturbation of beta of a few ulp moves F by; E
+    # likewise with |E|.  A kernel that forms 1 - k^2 from a rounded k*k
+    # misses this by up to 1e5 times next to k = 1.  At large k,
+    # E = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k) cancels like k^2
+    # (worst 52, 3.1e3 and 6e7 units up to 1e8, with |E| floored at 1), and
+    # so does a Z that stops at the AGM's last level (319 and 60 units at
+    # k ~ 6e3 and 1e4, where the level left out is about 1/(64 k^4)).  Past
+    # k = 6.7e153, 1/k^2 is subnormal, and past 1.3e154 (k - 1)(k + 1)
+    # overflows: F and E, both about 1/k there, were off by up to 1.8e17
+    # units
     rng = random.Random(20261019)
-    for beta, k in [*_FE_draws(rng, 600), *_large_k_draws(rng, 300)]:
+    for beta, k in [*_FE_draws(rng, 600), *_large_k_draws(rng, 400)]:
         with mpmath.workdps(40):
             b, m = mpmath.mpf(beta), mpmath.mpf(k) ** 2
             want_f = float(mpmath.re(mpmath.ellipf(b, m)))
             want_e = float(mpmath.re(mpmath.ellipe(b, m)))
             delta = float(mpmath.sqrt(mpmath.cos(b) ** 2 + (1 - m) * mpmath.sin(b) ** 2))
         slack = abs(beta) / delta
-        assert abs(ellint_F(beta, k) - want_f) <= 32 * EPS * (max(1.0, abs(want_f)) + slack), (
-            beta, k)
-        assert abs(ellint_E(beta, k) - want_e) <= 32 * EPS * (max(1.0, abs(want_e)) + slack), (
-            beta, k)
+        assert abs(ellint_F(beta, k) - want_f) <= 32 * EPS * (abs(want_f) + slack), (beta, k)
+        assert abs(ellint_E(beta, k) - want_e) <= 32 * EPS * (abs(want_e) + slack), (beta, k)
 
 
 @pytest.mark.parametrize(
