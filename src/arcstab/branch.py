@@ -1,8 +1,10 @@
 """Shared container for traced branches, the root scan rule and linspace.
 
 Roots are refined by _brentq, a line-by-line port of scipy's brentq.c, so
-that importing the package does not load scipy.optimize: it returns the
-same root after the same number of calls of f.
+that importing the package does not load scipy.optimize.  From the
+caller's samples at the bracket ends it returns scipy's root after scipy's
+further calls of f, with f's own value there, which as a Sample carries
+the record it was computed from.
 """
 
 import math
@@ -55,34 +57,49 @@ def linspace(start, stop, num):
     return [*(i * step + start for i in range(num - 1)), float(stop)]
 
 
-def refine(f, xs, i, j, xtol):
-    """Root of f on a bracket (i, j) of sign_changes over f at xs: xs[i]
-    itself when i == j, else Brent's method to xtol and rtol 4 eps."""
-    return xs[i] if i == j else _brentq(f, xs[i], xs[j], xtol)
+class Sample(float):
+    """A value of f that carries the record it was computed from."""
+
+    __slots__ = ("record",)
+
+    def __new__(cls, value, record):
+        self = super().__new__(cls, value)
+        self.record = record
+        return self
 
 
-def _brentq(f, xa, xb, xtol):
+def refine(f, xs, fs, i, j, xtol):
+    """(root, sample) of f on a bracket (i, j) of sign_changes over the
+    samples fs of f at xs: (xs[i], fs[i]) when i == j, else Brent's method
+    from fs[i] and fs[j] to xtol and rtol 4 eps, which evaluates no xs."""
+    return (xs[i], fs[i]) if i == j else _brentq(f, xs[i], xs[j], fs[i], fs[j], xtol)
+
+
+def _brentq(f, xa, xb, fa, fb, xtol):
     """scipy.optimize.brentq(f, xa, xb, xtol, rtol=4 eps), ported from its C
-    code (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4).
+    code (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4),
+    from fa = f(xa) and fb = f(xb); returns (root, f's return value there).
 
-    Raises ValueError when f(xa) and f(xb) have the same sign or f returns
+    Raises ValueError when fa and fb have the same sign or a value of f is
     NaN, and RuntimeError after 100 iterations without convergence.
     """
+    samples = {}  # f's return values by x, the root's included
 
-    def call(x):
-        fx = float(f(x))
+    def value(x, fx):
+        samples[x] = fx
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError("The function value at x=%r is NaN; solver cannot continue." % x)
         return fx
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
+    fpre = value(xpre, fa)
+    fcur = value(xcur, fb)
     if fpre == 0.0:
-        return xpre
+        return xpre, fa
     if fcur == 0.0:
-        return xcur
+        return xcur, fb
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(_MAXITER):
@@ -96,7 +113,7 @@ def _brentq(f, xa, xb, xtol):
         delta = (xtol + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, samples[xcur]
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
@@ -127,7 +144,7 @@ def _brentq(f, xa, xb, xtol):
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = call(xcur)
+        fcur = value(xcur, f(xcur))
     raise RuntimeError(
         "Failed to converge after %d iterations, value is %f" % (_MAXITER, xcur)
     )

@@ -241,6 +241,8 @@ def _tabulated_law(path):
     psis, betas = zip(*rows)
     if psis[0] < 0.0 or psis[-1] >= 1.0 or not all(a < b for a, b in zip(psis, psis[1:])):
         raise ConfigError("table %s: psi must increase within [0, 1)" % path)
+    if not all(map(math.isfinite, betas)):
+        raise ConfigError("table %s: beta must be finite" % path)
 
     def beta(p):
         # numpy.interp's formula, constant outside the table

@@ -36,12 +36,11 @@ an amplitude growing like 1/k, is within 1e-12 down to k = 1e-3 (B = l = 1,
 modulus and stay clean at any theta0.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .branch import BranchTrace, linspace, refine, sign_changes
+from .branch import BranchTrace, Sample, linspace, refine, sign_changes
 from . import elliptic
 # unused here; the benchmark tracer (bench/tracing.py) wraps them under this module's name
 from .elliptic import ellint_F, jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
@@ -303,25 +302,16 @@ def coordinates_at(s, state):
     return _state_points((s,), state)[0][1:]
 
 
-class _Defect(float):
-    """A closure defect that carries the state fields it was evaluated
-    with, so that a solve keeps the state at its root."""
-
-    __slots__ = ("fields",)
-
-
 def compatibility_residual(R, theta0, problem):
     """Closure defect [x1(l) - c] sin phi - x2(l) cos phi, c = +-R_c.
 
     The cos phi regularization keeps the same roots as the tan phi form
     while staying finite where branches legitimately cross phi = pi/2.
-    The float returned also holds the state's fields, as _state_and_defect
-    gives them, in its attribute fields.
+    The defect is a branch.Sample whose record is the state's fields, as
+    _state_and_defect gives them, so a solve keeps the state at its root.
     """
     fields, defect = _state_and_defect(theta0, R, problem)
-    defect = _Defect(defect)
-    defect.fields = fields
-    return defect
+    return Sample(defect, fields)
 
 
 def _default_seed(problem):
@@ -339,18 +329,19 @@ def _default_seed(problem):
 
 
 def _nearest_root(f, seed, xtol):
-    """Root of f nearest to seed in ratio, or None past seed*[1/5, 5].
+    """Root of f nearest to seed in ratio with f's value there, or None
+    past seed*[1/5, 5].
 
     Samples seed, then seed/r and seed*r for r = 1.02, 1.02**1.6, ...,
     capped at 5, and refines the first bracket that appears.  The smaller
     magnitude side comes first: seed*r is sampled only when seed/r
     brackets nothing, so when both would bracket at the same r, seed/r
-    wins.  brentq re-reads the bracket ends, so f should be cached.
+    wins.
     """
     xs, fs, r = [seed], [f(seed)], 1.0
     while True:
         for i, j in sign_changes(fs):
-            return refine(f, xs, i, j, xtol)
+            return refine(f, xs, fs, i, j, xtol)
         if len(xs) % 2:
             if r >= _WARM_MAX_RATIO:
                 return None
@@ -370,15 +361,14 @@ def _warm_state(theta0, problem, seed):
     if seed == 0.0 or not math.isfinite(seed):
         raise ValueError("seed reaction must be finite and nonzero")
     xtol = 1e-15 * problem.B / problem.l**2
-    f = functools.cache(lambda R: compatibility_residual(R, theta0, problem))
-    root = _nearest_root(f, seed, xtol)
-    if root is None:
+    found = _nearest_root(lambda R: compatibility_residual(R, theta0, problem), seed, xtol)
+    if found is None:
         lo, hi = sorted((0.2 * seed, 5.0 * seed))
         raise ContinuationError(
             "no sign change of the compatibility residual in the reaction window "
             f"[{lo:.6g}, {hi:.6g}] at theta0={theta0:.6g}"
         )
-    return ElasticaState(*f(root).fields)
+    return ElasticaState(*found[1].record)
 
 
 def _advance(problem, pts, theta0, step=math.inf):
@@ -556,23 +546,23 @@ def refine_on_trace(trace, value, target):
     """Solved state where value(state) == target on a traced branch.
 
     The first sign change of value - target over the trace points is
-    refined by brentq in theta0, each trial solve warm started from the
-    reaction interpolated between the pair, on the problem the pair was
-    solved on; a point on target is solved again in place.  Each theta0 is
-    solved once: the root returned is one of the trials.  Returns None
-    when nothing brackets target.
+    refined by brentq in theta0 from the points' own values, each trial
+    solve warm started from the reaction interpolated between the pair,
+    on the problem the pair was solved on.  The state returned is a trace
+    point, itself when it is on target, or a trial: no theta0 is solved
+    twice.  Returns None when nothing brackets target.
     """
     pts = trace.points
-    for i, j in sign_changes([value(p) - target for p in pts]):
+    fs = [Sample(value(p) - target, p) for p in pts]
+    for i, j in sign_changes(fs):
         a, b = pts[i], pts[j]
 
-        @functools.cache
-        def solve(th0):
-            w = (th0 - a.theta0) / (b.theta0 - a.theta0) if i != j else 0.0
-            return solve_R(th0, a.problem, seed=a.R + w * (b.R - a.R))
+        def trial(th0):
+            w = (th0 - a.theta0) / (b.theta0 - a.theta0)
+            st = solve_R(th0, a.problem, seed=a.R + w * (b.R - a.R))
+            return Sample(value(st) - target, st)
 
-        thetas = [p.theta0 for p in pts]
-        return solve(refine(lambda th0: value(solve(th0)) - target, thetas, i, j, 1e-13))
+        return refine(trial, [p.theta0 for p in pts], fs, i, j, 1e-13)[1].record
     return None
 
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from .branch import BranchTrace, refine, sign_changes
+from .branch import BranchTrace, Sample, refine, sign_changes
 from .errors import DegenerateGeometryError, SingularConfigurationError
 
 _DOMAIN_SLACK = 1e-12
@@ -321,13 +321,13 @@ def trace_branch_arc(
     trace = _trace(lambda t: _arc_point(t, sys), ts, label)
 
     def force(t):
-        phi, _, fp, _ = _arc_graph(t, sys)
-        return _force(phi, fp, sys)
+        p = _arc_point(t, sys)
+        return Sample(p.F, p)
 
-    for i, j in sign_changes([p.F for p in trace.points]):
+    fs = [Sample(p.F, p) for p in trace.points]
+    for i, j in sign_changes(fs):
         try:
-            tz = refine(force, ts, i, j, 1e-14)
-            trace.events["load_sign_transition"] = _arc_point(tz, sys)
+            trace.events["load_sign_transition"] = refine(force, ts, fs, i, j, 1e-14)[1].record
             break
         except SingularConfigurationError:
             pass  # the force changes sign through a pole, not a zero

@@ -210,14 +210,14 @@ def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     inner = sorted({float(p) for p in law.breaks if 0.0 < p < law.psi_max})
-    # the design condition divides by beta: reject vanishing targets, also
-    # at breaks that may fall between the probes
+    # the design condition divides by beta: reject vanishing and non-finite
+    # targets, also at breaks that may fall between the probes
     probe = sorted({*linspace(0.0, law.psi_max, 257), *inner})
     vals = [law.beta(p) for p in probe]
-    if any(abs(v) < 1e-9 for v in vals) or any(
+    if any(not 1e-9 <= abs(v) < math.inf for v in vals) or any(
         x * y < 0.0 for x, y in zip(vals, vals[1:])
     ):
-        raise ValueError("target force law vanishes inside the design interval")
+        raise ValueError("target force law vanishes or is not finite inside the design interval")
 
     def g(tau):
         return tau / law.beta(math.sin(tau))
@@ -299,13 +299,15 @@ def neutral_profile(beta: float) -> ProfileShape:
 def closed_loop_validate(
     profile: ProfileShape, law: TargetForceLaw, grid: Sequence[float]
 ) -> float:
-    """Max relative gap between traced force and target over a phi grid."""
+    """Max relative gap between traced force and target over a phi grid, or NaN."""
     sys = OneDofSystem(k=1.0, l=1.0, phi0=0.0, profile=profile)
     worst = 0.0
     for phi in grid:
         phi = float(phi)
         target = law.beta(math.sin(phi))
         err = abs(equilibrium_force(phi, sys) - target) / abs(target)
+        if math.isnan(err):
+            return err  # max(worst, nan) would drop it
         worst = max(worst, err)
     return worst
 

@@ -165,7 +165,7 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
         x = step * j if j else step * 1e-3
         fx = f(x)
         if fx == 0.0 or prev * fx < 0.0:
-            root = refine(f, (x_prev, x), 1 if fx == 0.0 else 0, 1, _XTOL)
+            root = refine(f, (x_prev, x), (prev, fx), 1 if fx == 0.0 else 0, 1, _XTOL)[0]
             if not exact or abs(root - turn * round(root / turn)) > _XTOL * (1.0 + root):
                 roots.append(root)
         prev, x_prev = fx, x

@@ -1,6 +1,7 @@
 """The sign-change rule that turns sampled values into root brackets, and
-the refiner that turns a bracket into a root: a port of scipy's brentq that
-must find the same root after the same calls of f."""
+the refiner that turns a bracket and its two samples into a root and its
+sample: a port of scipy's brentq that must find the same root after the
+same calls of f, the two end values included."""
 
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from scipy.optimize import brentq
 
 from arcstab import branch
-from arcstab.branch import refine, sign_changes
+from arcstab.branch import Sample, refine, sign_changes
 
 
 @pytest.mark.parametrize(
@@ -62,17 +63,40 @@ def test_refine_returns_a_zero_sample_unevaluated():
     def f(x):
         raise AssertionError("a zero sample needs no evaluation")
 
-    assert refine(f, [0.5, 1.0, 2.0], 1, 1, 1e-15) == 1.0
+    fs = [1.0, Sample(0.0, "record"), -1.0]
+    root, sample = refine(f, [0.5, 1.0, 2.0], fs, 1, 1, 1e-15)
+    assert root == 1.0 and sample is fs[1]
 
 
 @pytest.mark.parametrize("xtol", [1e-15, 1e-13])
 def test_refine_is_brentq_with_4_eps_rtol(xtol):
     f = lambda x: math.cos(x) - x / 3.0
     xs = [0.0, 0.5, 1.0, 1.5, 2.0]
-    (i, j), = sign_changes([f(x) for x in xs])
-    root = refine(f, xs, i, j, xtol)
+    fs = [f(x) for x in xs]
+    (i, j), = sign_changes(fs)
+    root, sample = refine(f, xs, fs, i, j, xtol)
     assert root == brentq(f, xs[i], xs[j], xtol=xtol, rtol=4.0 * 2.0**-52)
-    assert abs(f(root)) < 1e-15
+    assert sample == f(root)
+    assert abs(sample) < 1e-15
+
+
+def test_refine_returns_fs_own_value_and_reads_no_end_again():
+    # the root's sample is what f returned there, record and all, and f is
+    # never called at the two samples the caller holds
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return Sample(math.cos(x) - x / 3.0, ("state", x))
+
+    xs = [0.0, 0.5, 1.0, 1.5, 2.0]
+    fs = [f(x) for x in xs]
+    (i, j), = sign_changes(fs)
+    del calls[:]
+    root, sample = refine(f, xs, fs, i, j, 1e-15)
+    assert xs[i] not in calls and xs[j] not in calls
+    assert sample.record == ("state", root)
+    assert root in calls and len(calls) == len(set(calls))
 
 
 # families of f(x - r) with one root at d = x - r = 0: steep, flat (whose
@@ -114,6 +138,11 @@ def _scipy(f, a, b, xtol):
     return brentq(f, a, b, xtol=xtol, rtol=4.0 * 2.0**-52)
 
 
+def _port(f, a, b, xtol):
+    # the caller samples the ends in scipy's order, so the calls match
+    return branch._brentq(f, a, b, f(a), f(b), xtol)[0]
+
+
 def test_brentq_port_matches_scipy_on_random_brackets():
     rng = random.Random(20120121)
     names = sorted(_FAMILIES)
@@ -128,7 +157,7 @@ def test_brentq_port_matches_scipy_on_random_brackets():
         xtol = rng.choice([1e-15, 1e-13, 1e-10, 1e-6])
         f = lambda x, family=_FAMILIES[name], r=r: family(x - r)
         want = _outcome(lambda g: _scipy(g, a, b, xtol), f)
-        got = _outcome(lambda g: branch._brentq(g, a, b, xtol), f)
+        got = _outcome(lambda g: _port(g, a, b, xtol), f)
         assert got == want, (name, r, a, b, xtol)
 
 
@@ -150,9 +179,14 @@ def test_brentq_port_matches_scipy_on_random_brackets():
     ids=["same-sign", "same-sign-tiny", "nan-end", "nan-iterate", "minus-zero-a", "minus-zero-b",
          "no-convergence"],
 )
-def test_brentq_port_error_paths_match_scipy(f, a, b, xtol):
+def test_brentq_port_error_paths_match_scipy(request, f, a, b, xtol):
     want = _outcome(lambda g: _scipy(g, a, b, xtol), f)
-    assert _outcome(lambda g: branch._brentq(g, a, b, xtol), f) == want
+    if request.node.callspec.id == "nan-end":
+        # scipy stops at its first call, f(a); the port is handed f(a) and
+        # f(b) by its caller and refuses the NaN among them
+        assert want == (ValueError, 1)
+        want = (ValueError, 2)
+    assert _outcome(lambda g: _port(g, a, b, xtol), f) == want
 
 
 def test_cli_runs_on_the_standard_library_alone(tmp_path):

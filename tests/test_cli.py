@@ -327,6 +327,18 @@ def test_design_profile_tabulated_zero_crossing_exits_2(tmp_path):
                tmp_path / "bad") == 2
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_design_profile_tabulated_non_finite_beta_exits_2(tmp_path, capsys, beta):
+    # a row 0.5,nan used to pass, write a profile.csv of nan and exit 3 with
+    # "load path tangent vertical at phi=0.05"
+    tab = tmp_path / "law.csv"
+    tab.write_text("psi,beta\n0,-1\n0.5,%s\n0.9,-0.8\n" % beta)
+    out = tmp_path / "bad"
+    assert run(["design-profile", "--law", "tabulated", "--table", str(tab)], out) == 2
+    assert "beta must be finite" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def _short_table(tmp_path):
     tab = tmp_path / "law.csv"
     tab.write_text("psi,beta\n0,-1\n0.3,-1.2\n")
@@ -449,11 +461,12 @@ def test_elastica_shift_report(fig7_dir):
 def test_fig7_residual_budget(tmp_path, monkeypatch):
     # the traces walk the cold solve's branch follower through the
     # schedule, and warm solves widen from a predicted seed instead of
-    # scanning a 200-point window: 1,764 residuals, where the window scan
-    # made 65,591, a trace seeded by the last reaction 2,163, and solves
-    # that sampled both sides of the seed at once and the CLI's second
-    # refinement of phi = pi/2 2,000.  The lower bound fails a trace whose
-    # solves go round compatibility_residual
+    # scanning a 200-point window: 1,661 residuals, where refinements that
+    # solved their bracket ends again made 1,764, the window scan 65,591, a
+    # trace seeded by the last reaction 2,163, and solves that sampled both
+    # sides of the seed at once and the CLI's second refinement of
+    # phi = pi/2 2,000.  The lower bound fails a trace whose solves go
+    # round compatibility_residual
     calls = []
     residual = elastica.compatibility_residual
 
@@ -463,7 +476,7 @@ def test_fig7_residual_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(elastica, "compatibility_residual", counting)
     assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
-    assert 1700 < len(calls) < 1800
+    assert 1640 < len(calls) < 1700
 
 
 def test_fig7_pi_half_shape_is_the_load_sign_event(tmp_path, monkeypatch):
@@ -497,6 +510,31 @@ def test_fig7_pi_half_shape_is_the_load_sign_event(tmp_path, monkeypatch):
         _, rows = read_csv(tmp_path / ("shape_%s_phi1.5708.csv" % trace.label))
         assert [float(v) for v in rows[-1]] == list(shape_export(event, 400)[-1])
     assert len(refinements) == 14
+
+
+def test_fig7_refinements_solve_no_trace_point_again(tmp_path, monkeypatch):
+    # a refinement brackets on the trace points' own values: no warm solve
+    # at a trace point's theta0, where each bracket end was solved again
+    # (28 solves per fig7 call), and a point on target is returned itself
+    traces, solved = [], []
+    trace_branch, solve_R = elastica.trace_branch, elastica.solve_R
+
+    def tracing(*args, **kwargs):
+        traces.append(trace_branch(*args, **kwargs))
+        return traces[-1]
+
+    def solving(theta0, problem, seed=None):
+        solved.append(theta0)
+        return solve_R(theta0, problem, seed)
+
+    monkeypatch.setattr(elastica, "trace_branch", tracing)
+    monkeypatch.setattr(elastica, "solve_R", solving)
+    assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
+    assert len(traces) == 2 and solved
+    assert not {p.theta0 for trace in traces for p in trace.points} & set(solved)
+    for trace in traces:
+        for p in trace.points[::9]:
+            assert elastica.refine_on_trace(trace, lambda q: q.theta0, p.theta0) is p
 
 
 def test_elastica_continuation_failure_exits_4(tmp_path, capsys):

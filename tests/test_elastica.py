@@ -784,8 +784,9 @@ def test_warm_solve_residual_budget(residual_calls, half, theta0, offset):
     # at least the seed, a bracket end and one brentq step: a solve that
     # went round compatibility_residual would count fewer
     assert 3 <= len(residual_calls) <= 24
-    # brentq re-reads the bracket ends the widening search sampled: each
-    # reaction is evaluated once
+    # brentq starts from the widening search's samples at the bracket ends,
+    # and the state comes from the root's own residual: each reaction is
+    # evaluated once
     assert len(residual_calls) == len(set(residual_calls))
     assert st.R == pytest.approx(root.R, rel=1e-13)
 

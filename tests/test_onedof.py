@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcstab import onedof
 from arcstab.errors import DegenerateGeometryError, SingularConfigurationError
 from arcstab.onedof import (
     OneDofSystem,
@@ -265,6 +266,25 @@ def test_arc_trace_stops_at_pole_without_raising():
     assert not tr.complete
     assert "load_sign_transition" not in tr.events
     assert all(abs(p.F) < 1.0 for p in tr.points)
+
+
+@pytest.mark.parametrize("chi", [-4.0, 2.5])
+def test_arc_trace_evaluates_no_pin_angle_twice(monkeypatch, chi):
+    # the force zero is refined from the trace points' own forces and comes
+    # back as its point: no force is evaluated again at a bracket end, and
+    # the event point is not rebuilt
+    forces = []
+    force = onedof._force
+
+    def recording(phi, fp, sys):
+        forces.append((phi, fp))
+        return force(phi, fp, sys)
+
+    monkeypatch.setattr(onedof, "_force", recording)
+    tr = trace_branch_arc(system(profile_circular(chi)), np.linspace(0.02, np.pi - 0.02, 200))
+    assert abs(tr.events["load_sign_transition"].F) < 1e-12
+    assert len(forces) > len(tr.points)
+    assert len(forces) == len(set(forces))
 
 
 def test_arc_trace_rejects_unreachable_pin_angle():

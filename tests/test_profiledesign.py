@@ -154,6 +154,21 @@ def test_closed_loop_detects_perturbation():
     assert closed_loop_validate(bent, law, np.linspace(0.05, 1.2, 24)) > 1e-4
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_target_rejected(bad):
+    # a NaN beta passed the |beta| < 1e-9 probe, and the profile came out NaN
+    law = TargetForceLaw(beta=lambda s: bad if 0.4 < s < 0.6 else -1.0, psi_max=0.99)
+    with pytest.raises(ValueError, match="not finite"):
+        design_profile(law, tol=1e-10)
+
+
+def test_closed_loop_keeps_a_nan_gap():
+    # max(worst, nan) is worst, so a NaN gap after the first point read as 0
+    law = TargetForceLaw(beta=lambda s: math.nan if s > 0.4 else -1.0, psi_max=0.99)
+    grid = np.linspace(0.05, 1.2, 24)
+    assert math.isnan(closed_loop_validate(neutral_profile(-1.0), law, grid))
+
+
 def test_displacement_identity_for_designed_profiles():
     # l (sqrt(1 - psi^2) - f) equals the generic end-displacement formula
     # because designed profiles carry f(0) = 1

@@ -586,6 +586,25 @@ def test_max_modes_stops_the_scan(monkeypatch, chi, clamped, last_root):
         assert root <= max(sampled) < root + math.pi / 50.0
 
 
+def test_scan_evaluates_no_alpha_l_twice(monkeypatch):
+    # brentq starts from the two scan samples of a bracket, which it used
+    # to evaluate again, twice per root
+    sampled = []
+    in_x = rodlinear._characteristic_in_x
+
+    def recording(*args, **kwargs):
+        f = in_x(*args, **kwargs)
+        return lambda x: sampled.append(x) or f(x)
+
+    monkeypatch.setattr(rodlinear, "_characteristic_in_x", recording)
+    roots = 0
+    for model, sign in rod_sweep(draws=5, seed=11):
+        sampled.clear()
+        roots += len(find_critical_loads(model, sign))
+        assert len(sampled) == len(set(sampled)), (model, sign)
+    assert roots > 50
+
+
 @pytest.mark.parametrize("step", [0.0, -0.0, -0.1, math.nan, math.inf, 1e-13, 5e-324])
 def test_bad_step_raises_before_the_grid(step):
     # 0 divided by zero, a negative step returned an empty table (this
