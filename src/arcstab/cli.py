@@ -166,10 +166,7 @@ def cmd_critical_1dof(opts, out):
     k, l = opts.k, opts.l
     rows = []
     for chi in opts.chi_hat_grid:
-        profile = (
-            onedof.profile_straight() if chi == 0.0 else onedof.profile_circular(chi)
-        )
-        sys_ = onedof.OneDofSystem(k=k, l=l, phi0=0.0, profile=profile)
+        sys_ = onedof.OneDofSystem(k=k, l=l, phi0=0.0, profile=onedof.profile_circular(chi))
         try:
             fn = onedof.critical_load(sys_) * l / k
         except DegenerateGeometryError:

@@ -208,10 +208,25 @@ def _jacobi(u, k):
     k = float(k)
     _check(u, k)
     if k > 1.0:
-        m1 = k ** -2
-        mc = (k - 1.0) * (k + 1.0) * m1
-        sn, cn, dn, _, eps1, _ = _ellipj_reduced(k * u, m1, mc, _agm(m1, mc))
-        return math.atan2(sn / k, dn), cn, (eps1 - mc * k * u) / (k * m1)
+        # with v = k u and m1 = 1/k^2, eps = (eps(v, 1/k) - (1 - m1) v)/(k m1)
+        # is u/2 - k drift, drift = (1 - m1/2) v - eps(v, 1/k): no cancelling
+        # pair and no division by m1, which underflows at large k
+        v, m1, mc = k * u, k**-2, (1.0 - 1.0 / k) * (1.0 + 1.0 / k)
+        agm = _agm(m1, mc)
+        sn, cn, dn, _, _, drift = _ellipj_reduced(v, m1, mc, agm)
+        am = math.atan2(sn / k, dn)
+        if k >= 1.0 / _AGM_TOL:
+            # no AGM level runs, so drift is the level left out,
+            # -(m1/4) sin(2 v), written without m1, which goes subnormal
+            return am, cn, (0.5 * v + 0.25 * math.sin(2.0 * v)) / k
+        # drift = tau v - Z, less the first level the AGM leaves out of Z,
+        # c_(N+1) sin(phi_(N+1)) with c_(N+1) = c_N^2/(4 a_N) and
+        # phi_(N+1) = 2 phi_N = 2^(N+1) a_N v (mod 2 pi): below the rounding
+        # of eps at k <= 1, but k multiplies it here
+        a, two_n, _, levels = agm
+        c = levels[-1][0]
+        drift -= 0.25 * c * c / a * math.sin(2.0 * two_n * a * v)
+        return am, cn, 0.5 * u - k * drift
     if k == 1.0:
         # gd(u) = 2 atan(tanh(u/2)) and sech(u) in exp(-|u|), which neither
         # overflows nor loses digits at large |u| as asin(tanh u) would
@@ -253,7 +268,8 @@ def jacobi_epsilon(u, k):
 
     Coincides with E(am(u, k), k) on the admissible range and continues it
     additively past quarter periods. For k > 1 it follows the signed-dn
-    branch through eps(u, k) = (eps(k u, 1/k) - (1 - 1/k^2) k u) k, writing
-    1/k^2 = m1, i.e. (eps1 - (1 - m1) k u) / (k m1).
+    branch through eps(u, k) = (eps(k u, 1/k) - (1 - 1/k^2) k u) k, which
+    is evaluated as u/2 - k ((1 - m1/2) k u - eps(k u, 1/k)), m1 = 1/k^2,
+    without the k^2 cancellation of the difference (see _jacobi).
     """
     return _jacobi(u, k)[2]

@@ -9,6 +9,11 @@ load -k/(l*(1 + f''(0))): curvature below -1 turns the buckling load
 tensile, and an S-shaped profile with a curvature jump at psi = 0 gives
 one tensile and one compressive buckling load.
 
+Undesigned profiles are circular lobes tangent to the psi axis at 0, of
+height chi psi^2 / (1 + sqrt(1 - chi^2 psi^2)) at signed curvature chi:
+(1 - sqrt(1 - chi^2 psi^2)) / chi without its cancellation at small psi,
+and at chi = 0 the straight constraint, an ordinary lobe.
+
 The axial force, the energy's second derivative in phi and the end
 displacement are each written once, in phi and the profile's height f,
 slope f' and curvature f'' under the pin.  trace_branch takes these from
@@ -24,7 +29,7 @@ lengthens, angles in radians.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .branch import BranchTrace, Sample, refine, sign_changes
 from .errors import DegenerateGeometryError, SingularConfigurationError
@@ -71,7 +76,7 @@ class EquilibriumPoint:
 
 def _circle_f(chi: float, psi: float) -> float:
     s2 = max(1.0 - chi * chi * psi * psi, 0.0)
-    return (1.0 - math.sqrt(s2)) / chi
+    return chi * psi * psi / (1.0 + math.sqrt(s2))
 
 
 def _circle_fp(chi: float, psi: float) -> float:
@@ -92,7 +97,7 @@ def _circle_fpp(chi: float, psi: float) -> float:
 def _two_lobe_profile(chi_right: float, chi_left: float) -> ProfileShape:
     """Circular lobes of signed curvature chi_right at psi >= 0 and
     chi_left at psi < 0, tangent to the psi axis at the joint."""
-    lim = min(1.0, 1.0 / max(abs(chi_right), abs(chi_left)))
+    lim = 1.0 / max(1.0, abs(chi_right), abs(chi_left))
 
     def side(psi):
         if abs(psi) > lim + _DOMAIN_SLACK:
@@ -113,25 +118,11 @@ def _two_lobe_profile(chi_right: float, chi_left: float) -> ProfileShape:
 def profile_circular(chi_hat: float) -> ProfileShape:
     """Circle tangent to the psi axis at 0 with signed curvature chi_hat."""
     chi = float(chi_hat)
-    if chi == 0.0:
-        raise ValueError("zero curvature, use profile_straight")
     return _two_lobe_profile(chi, chi)
 
 
 def profile_straight() -> ProfileShape:
-    def flat(psi):
-        if abs(psi) > 1.0 + _DOMAIN_SLACK:
-            raise ValueError("psi=%r outside [-1, 1]" % (psi,))
-        return 0.0
-
-    return ProfileShape(
-        f=flat,
-        fp=flat,
-        fpp=flat,
-        domain=(-1.0, 1.0),
-        curvature_right_at_0=0.0,
-        curvature_left_at_0=0.0,
-    )
+    return _two_lobe_profile(0.0, 0.0)
 
 
 def profile_s_shaped(chi_hat_magnitude: float) -> ProfileShape:
@@ -220,7 +211,7 @@ def elongation(phi: float, sys: OneDofSystem) -> float:
     return _elongation(phi, sys.profile.f(math.sin(phi)), sys)
 
 
-def _trace(point_of, grid, label):
+def _trace(point_of, grid):
     # points in grid order up to the first singular configuration
     pts = []
     complete, diagnostic = True, ""
@@ -230,8 +221,7 @@ def _trace(point_of, grid, label):
         except SingularConfigurationError as exc:
             complete, diagnostic = False, str(exc)
             break
-    if label is None:
-        label = "tensile" if pts and pts[0].F > 0.0 else "compressive"
+    label = "tensile" if pts and pts[0].F > 0.0 else "compressive"
     return BranchTrace(label=label, points=pts, complete=complete, diagnostic=diagnostic)
 
 
@@ -242,15 +232,13 @@ def _phi_point(phi: float, sys: OneDofSystem) -> EquilibriumPoint:
     )
 
 
-def trace_branch(
-    sys: OneDofSystem, phi_grid: Sequence[float], label: Optional[str] = None
-) -> BranchTrace:
+def trace_branch(sys: OneDofSystem, phi_grid: Sequence[float]) -> BranchTrace:
     """Equilibrium points along an ordered grid of bar rotations.
 
     A singular configuration stops the trace: the points before it are
     returned with complete = False and the reason in diagnostic.
     """
-    return _trace(lambda phi: _phi_point(phi, sys), phi_grid, label)
+    return _trace(lambda phi: _phi_point(phi, sys), phi_grid)
 
 
 def _arc_graph(t: float, sys: OneDofSystem) -> Tuple[float, float, float, float]:
@@ -303,9 +291,7 @@ def _check_lobe(ts: Sequence[float], sys: OneDofSystem) -> None:
         )
 
 
-def trace_branch_arc(
-    sys: OneDofSystem, t_grid: Sequence[float], label: Optional[str] = None
-) -> BranchTrace:
+def trace_branch_arc(sys: OneDofSystem, t_grid: Sequence[float]) -> BranchTrace:
     """Equilibrium points along one circular lobe by pin angle t.
 
     The pin angle runs along the constraint circle (t = 0 at the lobe
@@ -318,7 +304,7 @@ def trace_branch_arc(
     """
     ts = [float(t) for t in t_grid]
     _check_lobe(ts, sys)
-    trace = _trace(lambda t: _arc_point(t, sys), ts, label)
+    trace = _trace(lambda t: _arc_point(t, sys), ts)
 
     def force(t):
         p = _arc_point(t, sys)

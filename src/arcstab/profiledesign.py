@@ -200,6 +200,27 @@ def _clenshaw(coef, x):
     return coef[0] + x * b1 - b2
 
 
+def _designed(law: TargetForceLaw, height: Callable[[float], float]) -> ProfileShape:
+    """The profile of a law and its height f(psi), defined on [0, psi_max]
+    up to a rounding slack, which is clamped."""
+
+    def dom(psi):
+        if psi < -_SLACK or psi > law.psi_max + _SLACK:
+            raise ValueError(
+                "psi=%r outside the design interval [0, %g]" % (psi, law.psi_max)
+            )
+        return min(max(psi, 0.0), law.psi_max)
+
+    return ProfileShape(
+        f=lambda psi: height(dom(psi)),
+        fp=lambda psi: _design_fp(law, dom(psi)),
+        fpp=lambda psi: _design_fpp(law, dom(psi)),
+        domain=(0.0, law.psi_max),
+        curvature_right_at_0=_design_fpp(law, 0.0),
+        curvature_left_at_0=_design_fpp(law, 0.0),
+    )
+
+
 def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
     """Profile producing the requested force law on the perfect system.
 
@@ -239,15 +260,7 @@ def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
     sums = list(accumulate((sum(p[2]) for p in panels), initial=0.0))
     errs = list(accumulate((p[3] for p in panels), initial=0.0))
 
-    def dom(psi):
-        if psi < -_SLACK or psi > law.psi_max + _SLACK:
-            raise ValueError(
-                "psi=%r outside the design interval [0, %g]" % (psi, law.psi_max)
-            )
-        return min(max(psi, 0.0), law.psi_max)
-
-    def f(psi):
-        psi = dom(psi)
+    def height(psi):
         tau = math.asin(psi)
         j = bisect_right(ends, tau) - 1
         val, err = sums[j], errs[j]
@@ -262,38 +275,14 @@ def design_profile(law: TargetForceLaw, tol: float = 1e-10) -> ProfileShape:
             )
         return math.sqrt(1.0 - psi * psi) - val
 
-    return ProfileShape(
-        f=f,
-        fp=lambda psi: _design_fp(law, dom(psi)),
-        fpp=lambda psi: _design_fpp(law, dom(psi)),
-        domain=(0.0, law.psi_max),
-        curvature_right_at_0=_design_fpp(law, 0.0),
-        curvature_left_at_0=_design_fpp(law, 0.0),
-    )
+    return _designed(law, height)
 
 
 def neutral_profile(beta: float) -> ProfileShape:
     """Closed-form profile with constant postcritical force beta * k / l."""
-    law = law_constant(beta, psi_max=1.0)
     b = float(beta)
-
-    def dom(psi):
-        if psi < -_SLACK or psi > 1.0 + _SLACK:
-            raise ValueError("psi=%r outside [0, 1]" % (psi,))
-        return min(max(psi, 0.0), 1.0)
-
-    def f(psi):
-        psi = dom(psi)
-        return math.sqrt(1.0 - psi * psi) - math.asin(psi) ** 2 / (2.0 * b)
-
-    return ProfileShape(
-        f=f,
-        fp=lambda psi: _design_fp(law, dom(psi)),
-        fpp=lambda psi: _design_fpp(law, dom(psi)),
-        domain=(0.0, 1.0),
-        curvature_right_at_0=_design_fpp(law, 0.0),
-        curvature_left_at_0=_design_fpp(law, 0.0),
-    )
+    return _designed(law_constant(b, psi_max=1.0),
+                     lambda psi: math.sqrt(1.0 - psi * psi) - math.asin(psi) ** 2 / (2.0 * b))
 
 
 def closed_loop_validate(

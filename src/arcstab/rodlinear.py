@@ -75,16 +75,14 @@ def _cs(sgn):
     return (math.cosh, math.sinh) if sgn > 0.0 else (math.cos, math.sin)
 
 
-def _characteristic_in_x(model, sgn, factored=False):
-    """The characteristic of a load sign as a function of x = alpha_l
-    alone; for a clamped end the bracket, or with factored its factor g.
-    The model constants, the sign and (C, S) are bound once."""
+def _characteristic_in_x(model, sgn):
+    """The function of x = alpha_l alone that the root scan samples: the
+    characteristic of a load sign, or for a clamped end its factor g.  The
+    model constants, the sign and (C, S) are bound once."""
     chi, a = model.chi_hat, 1.0 + model.chi_hat
     C, S = _cs(sgn)
     if model.clamped:
-        if factored:
-            return lambda x: a * x * C(0.5 * x) - chi * S(0.5 * x)
-        return lambda x: sgn * a * x * S(x) + chi * (1.0 - C(x))
+        return lambda x: a * x * C(0.5 * x) - chi * S(0.5 * x)
     # kl / (B x) as written; (kl / B) / x rounds differently
     kl, B = model.k * model.l, model.B
 
@@ -104,14 +102,19 @@ def characteristic(alpha_l, load_sign, model):
     for a clamped end, else first + (k l/(B x)) bracket.  This is the
     printed condition (compression through cosh(ix) = cos x,
     sinh(ix) = i sin x) times |chi_hat|, which keeps every root and sign and
-    stays regular at the straight-constraint limit chi_hat = 0.
+    stays regular at the straight-constraint limit chi_hat = 0.  The clamped
+    bracket is evaluated as its exact factorization 2 sigma S(x/2) g(x),
+    g(x) = A x C(x/2) - chi_hat S(x/2), whose factor g the root scan samples.
     """
     sgn = _load_sign(load_sign)
     # pure-Python arithmetic on numpy scalars is several times slower
     x = float(alpha_l)
     if not x > 0.0:
         raise ValueError("alpha_l must be positive")
-    return _characteristic_in_x(model, sgn)(x)
+    f = _characteristic_in_x(model, sgn)
+    if model.clamped:
+        return 2.0 * sgn * _cs(sgn)[1](0.5 * x) * f(x)
+    return f(x)
 
 
 def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
@@ -153,7 +156,7 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
         )
     if max_modes is not None and max_modes < 1:
         raise ValueError("max_modes must be at least 1")
-    f = _characteristic_in_x(model, sgn, factored=True)
+    f = _characteristic_in_x(model, sgn)
     count = int(alpha_l_max / step + 1e-9)
     turn = 2.0 * math.pi
     exact = []

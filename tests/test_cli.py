@@ -253,6 +253,13 @@ def test_trace_1dof_no_reachable_pin_angle_exits_2(tmp_path, capsys):
     assert "onedof.t_pad" in capsys.readouterr().err
 
 
+def test_trace_1dof_curved_profile_of_zero_curvature_exits_2(tmp_path, capsys):
+    # the straight constraint is traced by bar rotation, not by pin angle
+    assert run(["trace-1dof", "--profile", "circular", "--chi-hat", "0"], tmp_path) == 2
+    assert "onedof.chi_hat" in capsys.readouterr().err
+    assert not list(tmp_path.glob("trace_1dof*.csv"))
+
+
 def test_trace_1dof_imperfection_sign_controls_peak(tmp_path):
     # positive imperfection: interior force peak on the tensile lobe
     assert run(["trace-1dof", "--phi0", "0.01"], tmp_path / "plus") == 0

@@ -362,6 +362,44 @@ def test_jacobi_matches_mpmath_on_random_moduli():
         assert_jacobi_matches_mpmath(rng.uniform(-10.0, 10.0), rng.uniform(0.0, 5.0))
 
 
+def mp_jacobi_large_k(u, k):
+    """(am, dn, eps) for k > 1 from sn and cn at v = k u and m1 = 1/k^2,
+    with eps = (E(am(v, 1/k), 1/k) - (1 - m1) v)/(k m1), the integral of
+    cn(., m1)^2 over [0, v] divided by k, at 40 digits past the 2 log10(k)
+    that the difference cancels."""
+    with mpmath.workdps(40 + 2 * int(math.log10(k))):
+        u, k = mpmath.mpf(u), mpmath.mpf(k)
+        v, m1 = k * u, 1 / (k * k)
+        _, e1 = _mp_am_eps(v, m1)
+        sn, cn = mpmath.ellipfun("sn", v, m=m1), mpmath.ellipfun("cn", v, m=m1)
+        return mpmath.asin(sn / k), cn, (e1 - (1 - m1) * v) / (k * m1)
+
+
+def test_jacobi_matches_mpmath_at_large_modulus():
+    # k log-uniform in [5, 50], [50, 1e4], [1e4, 1e8] and [1e8, 1e300] in
+    # turn, |k u| <= 40.  am and dn are held to the rounding of v = k u,
+    # which moves am by eps |v|/k and dn by eps |v|; eps to 4 units
+    # relative.  The reciprocal-modulus epsilon (eps1 - (1 - m1) k u)/(k m1)
+    # cancelled like k^2: at u = 0.5/k it gave 0.0 at k = 1e100, and from
+    # k = 1e200 every function divided by m1 = 0.  With that fixed but the
+    # AGM's first level left out, eps was off by 3.4e-10 at k ~ 1.3e4
+    rng = random.Random(27)
+    bands = ((5.0, 50.0), (50.0, 1e4), (1e4, 1e8), (1e8, 1e300))
+    for i in range(100):
+        lo, hi = bands[i % 4]
+        k = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+        v = rng.uniform(-40.0, 40.0)
+        u = v / k
+        am, dn, eps = (float(x) for x in mp_jacobi_large_k(u, k))
+        scale = 4 * EPS * max(1.0, abs(v))
+        assert abs(jacobi_am(u, k) - am) <= scale / k, (k, u)
+        assert abs(jacobi_dn(u, k) - dn) <= scale, (k, u)
+        assert abs(jacobi_epsilon(u, k) - eps) <= 4 * EPS * abs(eps), (k, u)
+    for k in (1e100, 1e200, 1e300):
+        assert jacobi_epsilon(0.5 / k, k) == pytest.approx((0.25 + 0.25 * math.sin(1.0)) / k,
+                                                           rel=4 * EPS)
+
+
 @pytest.mark.parametrize("k", [2.6e-129, 1e-12, 3e-5])
 def test_small_modulus_keeps_dn_at_most_one(k):
     # m < 1e-9: one AGM level or none; dn = sqrt(1 - m sn^2) <= 1 to the ulp,

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,8 @@ from arcstab.onedof import (
     trace_branch_arc,
 )
 from arcstab.profiledesign import neutral_profile
+
+EPS = 2.0**-52
 
 
 # closed-form oracles for the circular constraint, k = l = 1 unless passed
@@ -107,11 +110,36 @@ def test_profile_domain_errors():
         p.f(0.3)
     with pytest.raises(ValueError):
         p.fp(-0.26)
-    p = profile_circular(0.5)
-    with pytest.raises(ValueError):
-        p.f(1.01)
-    with pytest.raises(ValueError):
-        profile_circular(0.0)
+    # a lobe flatter than the unit circle, and the straight constraint,
+    # which is the lobe of zero curvature, end at |psi| = 1
+    for p in (profile_circular(0.5), profile_circular(0.0)):
+        with pytest.raises(ValueError):
+            p.f(1.01)
+        with pytest.raises(ValueError):
+            p.fpp(-1.01)
+
+
+def test_zero_curvature_lobe_is_the_straight_constraint():
+    straight = profile_straight()
+    for p in (profile_circular(0.0), profile_circular(-0.0), straight):
+        assert p.domain == (-1.0, 1.0)
+        assert p.curvature_right_at_0 == p.curvature_left_at_0 == 0.0
+        for psi in np.linspace(-1.0, 1.0, 41):
+            for name in ("f", "fp", "fpp"):
+                assert getattr(p, name)(psi) == getattr(straight, name)(psi) == 0.0
+
+
+@pytest.mark.parametrize("chi", [0.5, -0.5, 4.0, -4.0])
+def test_lobe_height_matches_mpmath(chi):
+    # (1 - sqrt(1 - chi^2 psi^2))/chi cancelled at small psi: off by 2.9 %
+    # at chi = 4, psi = 1e-8, and by 2.8e-10 at psi = 1e-4
+    p = profile_circular(chi)
+    hi = p.domain[1]
+    for psi in np.geomspace(1e-12, hi, 200):
+        for x in (float(psi), -float(psi)):
+            with mpmath.workdps(40):
+                want = float((1 - mpmath.sqrt(1 - (mpmath.mpf(chi) * x) ** 2)) / chi)
+            assert abs(p.f(x) - want) <= 2 * EPS * abs(want), (chi, x)
 
 
 def test_s_shaped_construction():
@@ -293,6 +321,14 @@ def test_arc_trace_rejects_unreachable_pin_angle():
     assert len(trace_branch_arc(sys, [np.arcsin(0.5) - 1e-3]).points) == 1
     with pytest.raises(ValueError, match="leaves the reachable arc"):
         trace_branch_arc(sys, [1.0])
+
+
+def test_arc_trace_refuses_the_straight_constraint():
+    # the zero-curvature lobe has no pin angle to trace by
+    for profile in (profile_straight(), profile_circular(0.0)):
+        for ts in ([0.1, 0.2], [2.0]):
+            with pytest.raises(ValueError, match="curved constraint"):
+                trace_branch_arc(system(profile), ts)
 
 
 def test_arc_trace_refuses_a_profile_that_is_not_its_lobe():

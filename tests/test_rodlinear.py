@@ -172,14 +172,16 @@ def test_characteristic_domain_errors():
 
 def test_characteristic_of_numpy_scalar_is_float():
     # alpha_l is coerced like the elastica residual's arguments, and the
-    # value is the scan's at that x
+    # value is the scan's at that x; for a clamped end, the scanned factor
+    # g times 2 sigma S(x/2)
     for clamped in (False, True):
         model = RodModel(B=1.3, l=0.7, k=0.4, chi_hat=-2.5, clamped=clamped)
-        for sgn, sign in ((1.0, "tension"), (-1.0, "compression")):
+        for sgn, sign, S in ((1.0, "tension", math.sinh), (-1.0, "compression", math.sin)):
             got = characteristic(np.float64(2.0), sign, model)
             assert type(got) is float
-            scan = rodlinear._characteristic_in_x(model, sgn)
-            assert got == characteristic(2.0, sign, model) == scan(2.0)
+            scan = rodlinear._characteristic_in_x(model, sgn)(2.0)
+            want = 2.0 * sgn * S(1.0) * scan if clamped else scan
+            assert got == characteristic(2.0, sign, model) == want
 
 
 def test_model_validation():
