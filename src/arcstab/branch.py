@@ -58,14 +58,38 @@ def linspace(start, stop, num):
 
 
 class Sample(float):
-    """A value of f that carries the record it was computed from."""
+    """A value of f that carries the record it was computed from and, where
+    f knows them, its slope there and a rounding bound of the value."""
 
-    __slots__ = ("record",)
+    __slots__ = ("record", "slope", "rounding")
 
-    def __new__(cls, value, record):
+    def __new__(cls, value, record, slope=math.nan, rounding=0.0):
         self = super().__new__(cls, value)
-        self.record = record
+        self.record, self.slope, self.rounding = record, slope, rounding
         return self
+
+
+def newton(f, x, lo, hi, xtol):
+    """(root, sample) of f by Newton's method from x on the slopes of its
+    Samples, or None.
+
+    An iterate is returned, unevaluated again, once its value is within its
+    rounding bound or the next step would be at most xtol + 4 eps |x|,
+    brentq's own tolerance.  None when a slope is zero or not finite, or a
+    step does not shrink or would leave [lo, hi].
+    """
+    fx, last = f(x), math.inf
+    while not abs(fx) <= fx.rounding:
+        if not (fx.slope and math.isfinite(fx.slope)):
+            return None
+        step = fx / fx.slope
+        if abs(step) <= xtol + _RTOL * abs(x):
+            break
+        if not (abs(step) < last and lo <= x - step <= hi):
+            return None
+        x, last = x - step, abs(step)
+        fx = f(x)
+    return x, fx
 
 
 def refine(f, xs, fs, i, j, xtol):

@@ -23,12 +23,15 @@ complement in closed form:
 1 - 1/k^2 = sin^2(theta0/2) - (theta0 k_r/B)^2/(4R/B), and
 1 - k^2 = ((theta0 k_r/B)^2 - 4 (R/B) sin^2(theta0/2))/den; the addition
 theorems add the pin's Jacobi functions, also closed-form, so no integral
-is taken at the pin.  The floor left is rounding: at most about 2e-16
-absolute in the residual, whose slope in R falls like theta0.  For
-B = l = 1 and R_c = 1/4, cold solves return R within 1.2e-13 of a
-40-digit reference at theta0 = 1e-3, 6.7e-13 at 1e-4, 1.0e-11 at 1e-5 and
-1.4e-10 at 1e-6; with R_c = 0.333 and k_r = 0.894, just below k = 1
-(1 - 9e-11 at theta0 = 1e-4), to 5e-12.  Rod points with k in [0.1, 1)
+is taken at the pin.  The floor left is rounding: phi is pi plus an
+angle next to -pi there, which puts about 3e-16 absolute in the residual,
+whose slope in R falls like theta0.  A warm solve stops once the residual
+is within its rounding bound, and below theta0 = 1e-3 a cold solve's seed,
+Koiter's law, is already within it.  For B = l = 1 and R_c = 1/4, cold
+solves return R within 6.1e-13 of a 40-digit reference at theta0 = 1e-3,
+8.9e-15 at 1e-4, and 4.4e-16 at 1e-5 and 1e-6; with R_c = 0.333 and
+k_r = 0.894, just below k = 1 (1 - 9e-11 at theta0 = 1e-4), to 3.9e-14.
+Rod points with k in [0.1, 1)
 are within 1e-13 of a 40-digit closed form.  Below, x1 and x2 stay within
 1e-15 down to k = 1e-3 and 2e-13 to k = 1e-6, while theta, which doubles
 an amplitude growing like 1/k, is within 1e-12 down to k = 1e-3 (B = l = 1,
@@ -40,7 +43,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .branch import BranchTrace, Sample, linspace, refine, sign_changes
+from .branch import BranchTrace, Sample, linspace, newton, refine, sign_changes
 from . import elliptic
 # unused here; the benchmark tracer (bench/tracing.py) wraps them under this module's name
 from .elliptic import ellint_F, jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
@@ -75,6 +78,7 @@ _WARM_MAX_RATIO = 5.0
 # |phi - phi_prev| (rad) of an accepted step
 _GUARD_R_RATIO = 0.25
 _GUARD_PHI = 0.5
+_EPS = math.ulp(1.0)
 
 
 class MultipleRootWarning(UserWarning):
@@ -170,8 +174,8 @@ def modulus_from(theta0, R, k_r=0.0, B=1.0):
 
 
 def _rod_points(ss, k, at, R, offset, mc, pin):
-    """(theta, x1, x2) at each arclength of ss, from one AGM and one
-    Jacobi evaluation per point.
+    """([(theta, x1, x2) at each arclength of ss], jac), from one AGM and
+    one Jacobi evaluation per point.
 
     The Jacobi functions at w and parameter m, with the pin's (sn, cn, dn)
     at w0, give those at w + w0 by the addition theorems (DLMF 22.8.1-3):
@@ -180,7 +184,10 @@ def _rod_points(ss, k, at, R, offset, mc, pin):
     (DLMF 22.16.27).  k > 1: w = s alpha and m = 1/k^2, and theta/2 is the
     arcsine of sn(w + w0)/k on the signed-dn branch.  k <= 1: w = s alpha/k
     and m = k^2, and theta/2 = am(w + w0) is the angle of (cn, sn)(w + w0)
-    on the 2 pi branch nearest am(w) + am(w0).
+    on the 2 pi branch nearest am(w) + am(w0).  jac, at the last arclength
+    of ss, is (w, sn, cn, dn, e) with the Jacobi functions at w + w0, and e
+    the difference x1 is built from: eps(w + w0) - eps(w0) for k > 1, and
+    (1 - m/2) w less that difference for k <= 1.
     """
     m = k**-2 if k > 1.0 else k * k
     agm = elliptic._agm(m, mc)
@@ -216,14 +223,67 @@ def _rod_points(ss, k, at, R, offset, mc, pin):
             pref / k * (drift + m * sn * sn0 * S / D),
             pref / k * m * sn * (dn0 * sn * (dn / (1.0 + dn) - cn0 * cn0) - sn0 * cn * cn0) / D,
         ))
-    return points
+    snU = S / D
+    e = eps - m * sn * sn0 * snU if k > 1.0 else drift + m * sn * sn0 * snU
+    return points, (w, snU, C / D, Delta / D, e)
+
+
+def _spring_terms(k, at, R, mc, pin, den, spring, x2, jac):
+    """q d/dq of (theta, x1, x2) at the clamp, at fixed R and theta0, where
+    q = theta'(0) = spring.
+
+    q moves the Jacobi parameter m and, through the pin, its argument w0;
+    for k <= 1 also w = s alpha/k.  At fixed argument, d am/dm =
+    [sn cn - dn (eps - mc u)/m]/(2 mc) and d eps/dm = (eps - u)/(2 m) +
+    dn d am/dm (Byrd & Friedman 1971, §710), and the pin's
+    dF(gamma, m)/dm has the same form.  w0 and eps(w0) then enter only
+    through the differences w and e of jac, which the addition theorems
+    give, so no integral is taken.  The pin's angle gamma (k > 1) or
+    dn(w0) (k <= 1) moves like 1/q, and dm/dq like q: their quotient is
+    written in closed form, so q = 0 divides nothing.  The terms lose
+    digits like eps/mc as the modulus nears one away from small theta0.
+    """
+    w, sn, cn, dn, e = jac
+    sn0, cn0, dn0 = pin
+    q2, pref = spring * spring, math.copysign(2.0, R) / at
+    if k > 1.0:
+        # m = den/(4 alpha^2); mq = q dm/dq, and gq = mq/cn0 with cn0 = q/sqrt(den)
+        m, mq, gq = k**-2, q2 / (2.0 * at * at), spring * math.sqrt(den) / (2.0 * at * at)
+        amq = (mq * (sn * cn - dn * (e - mc * w) / m - dn * sn0 * cn0 / dn0)
+               - gq * mc * dn * sn0 / (m * dn0)) / (2.0 * mc)
+        return (
+            2.0 * (0.5 * mq * k * sn + cn * amq / k) / dn,
+            -pref * (mq * (e - w) / (2.0 * m) + dn * amq + gq * dn0 * sn0 / (2.0 * m)),
+            mq * x2 / (2.0 * m) - pref / k * (sn * amq + gq * sn0 * sn0 / (2.0 * m)),
+        )
+    # m = 4 alpha^2/den; mq = q dm/dq, and gq = mq/dn0 with dn0 = q/sqrt(den)
+    m = k * k
+    mq, gq = -2.0 * m * q2 / den, -2.0 * m * spring / math.sqrt(den)
+    amq = (mq * (sn * cn - dn * ((1.0 - 0.5 * m) * w - e) / m) - gq * dn * sn0 * cn0) / (2.0 * mc)
+    # d e/dm with the 1/m terms of (1 - m/2) dw/dm and d eps/dm cancelled
+    deq = (mq * (w * (cn * cn - 0.5 * dn * dn) - e * cn * cn - dn * sn * cn)
+           + gq * dn * dn * sn0 * cn0) / (2.0 * mc)
+    return (
+        2.0 * amq,
+        pref / k * (deq - mq * e / (2.0 * m)),
+        -mq * x2 / (2.0 * m) + pref / k * (0.5 * gq * sn0 * sn0
+                                            - (mq * sn * sn + 2.0 * m * sn * cn * amq) / (2.0 * dn)),
+    )
 
 
 def _state_and_defect(theta0, R, problem):
-    """The fields of the rod's ElasticaState at a trial reaction R, as a
-    plain tuple in field order, and its closure defect
-    [x1(l) - c] sin phi - x2(l) cos phi, c = +-R_c; a residual builds no
-    state."""
+    """(fields, defect, slope, rounding): the fields of the rod's
+    ElasticaState at a trial reaction R, as a plain tuple in field order;
+    its closure defect f = [x1(l) - c] sin phi - x2(l) cos phi, c = +-R_c;
+    df/dR; and a rounding bound of f.  A residual builds no state.
+
+    The slope comes from the rod's scaling: theta(s) at (l^2 R, l q) is
+    theta(l s) at (R, q), q = theta'(0), so 2 R df/dR + q df/dq = S with
+    S = -(f + c sin phi) + l kappa [(x1 - c) cos phi + x2 sin phi] and
+    kappa = theta'(l); _spring_terms gives q df/dq.  It is NaN where the
+    complement mc is not in closed form, next to k = 1.  The rounding bound
+    is eps times the magnitudes of the terms of f, with phi's error that
+    of its two terms, phi - angle_offset and angle_offset."""
     # pure-Python arithmetic on numpy scalars is several times slower
     theta0, R = float(theta0), float(R)
     if theta0 < 0.0:
@@ -243,34 +303,46 @@ def _state_and_defect(theta0, R, problem):
     # would cost sqrt(eps) of phase.  mc is in closed form too, where 1 - m
     # would cancel next to k = 1
     c2 = spring * spring / den
+    closed = True
     other_trig = math.sin(theta0 / 2.0) if R > 0.0 else math.cos(theta0 / 2.0)
     if k > 1.0:
         m1 = den / (4.0 * at2)
         mc = other_trig * other_trig - spring * spring / (4.0 * at2)
         if not mc > 0.0:  # rounding next to k = 1 with a spring
-            mc = (k - 1.0) * (k + 1.0) * m1
+            mc, closed = (k - 1.0) * (k + 1.0) * m1, False
         sg = math.copysign(2.0 * at * half_trig / math.sqrt(den), beta0)
         pin = (sg, math.sqrt(c2), math.sqrt(mc + m1 * c2))
     else:
         mc = (spring * spring - 4.0 * at2 * other_trig * other_trig) / den
         if not mc > 0.0:  # rounding next to k = 1; the AGM needs mc > 0
-            mc = max((1.0 - k) * (1.0 + k), math.ulp(0.0))
+            mc, closed = max((1.0 - k) * (1.0 + k), math.ulp(0.0)), False
         pin = (math.copysign(half_trig, beta0), abs(other_trig), math.sqrt(c2))
-    [(phi, x1, x2)] = _rod_points((problem.l,), k, at, R, offset, mc, pin)
+    l = problem.l
+    [(phi, x1, x2)], jac = _rod_points((l,), k, at, R, offset, mc, pin)
     c = problem.R_c if problem.half == "left" else -problem.R_c
-    if abs(math.cos(phi)) >= abs(math.sin(phi)):
-        lam = (x1 - c) / math.cos(phi)
+    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+    if abs(cos_phi) >= abs(sin_phi):
+        lam = (x1 - c) / cos_phi
     else:
-        lam = x2 / math.sin(phi)
-    defect = (x1 - c) * math.sin(phi) - x2 * math.cos(phi)
+        lam = x2 / sin_phi
+    defect = (x1 - c) * sin_phi - x2 * cos_phi
     # next to the underflow threshold of R with a spring, pref/k =
     # sqrt(den) B/|R| overflows x1 and x2
     if not math.isfinite(defect):
         raise DegenerateGeometryError(
             "degenerate rotation field: closure defect %r at R=%r, theta0=%r" % (defect, R, theta0)
         )
-    return (theta0, R, k, at, beta0, phi, R * math.cos(phi), lam + c - problem.l, problem,
-            offset, mc, pin), defect
+    _, sn, cn, dn, _ = jac
+    kappa = 2.0 * at / k * (cn if k > 1.0 else dn)
+    df_dphi = (x1 - c) * cos_phi + x2 * sin_phi
+    S = -(defect + c * sin_phi) + l * kappa * df_dphi
+    if spring and closed:
+        q_phi, q_x1, q_x2 = _spring_terms(k, at, R, mc, pin, den, spring, x2, jac)
+        S -= q_x1 * sin_phi - q_x2 * cos_phi + df_dphi * q_phi
+    rounding = _EPS * (abs(x1 * sin_phi) + abs(c * sin_phi) + abs(x2 * cos_phi)
+                       + abs(df_dphi) * (abs(phi - offset) + abs(offset)))
+    return ((theta0, R, k, at, beta0, phi, R * cos_phi, lam + c - l, problem, offset, mc, pin),
+            defect, S / (2.0 * R) if closed else math.nan, rounding)
 
 
 def make_state(theta0, R, problem):
@@ -279,14 +351,14 @@ def make_state(theta0, R, problem):
 
 
 def _state_points(ss, state):
-    """_rod_points of a state at arclengths ss in [0, l]."""
+    """(theta, x1, x2) of _rod_points of a state at arclengths ss in [0, l]."""
     # pure-Python arithmetic on numpy scalars is several times slower
     ss, l = [float(s) for s in ss], state.problem.l
     if any(s < -1e-9 * l or s > l * (1.0 + 1e-9) for s in ss):
         raise ValueError("arclength s must lie in [0, l]")
     return _rod_points(
         ss, state.modulus, state.alpha_tilde, state.R, state.angle_offset, state.mc, state.pin
-    )
+    )[0]
 
 
 def theta_at(s, state):
@@ -309,9 +381,13 @@ def compatibility_residual(R, theta0, problem):
     while staying finite where branches legitimately cross phi = pi/2.
     The defect is a branch.Sample whose record is the state's fields, as
     _state_and_defect gives them, so a solve keeps the state at its root.
+    It also carries the defect's exact slope in R, in closed form from the
+    quantities the defect is built from (no further Jacobi evaluation),
+    and a rounding bound of the defect; a Newton solve steps on the one and
+    stops on the other.
     """
-    fields, defect = _state_and_defect(theta0, R, problem)
-    return Sample(defect, fields)
+    fields, defect, slope, rounding = _state_and_defect(theta0, R, problem)
+    return Sample(defect, fields, slope, rounding)
 
 
 def _default_seed(problem):
@@ -330,7 +406,9 @@ def _default_seed(problem):
 
 def _nearest_root(f, seed, xtol):
     """Root of f nearest to seed in ratio with f's value there, or None
-    past seed*[1/5, 5].
+    past seed*[1/5, 5]: a warm solve's fallback, and the order its Newton
+    root keeps where each side of seed*[1/1.02, 1.02] holds at most one
+    root.
 
     Samples seed, then seed/r and seed*r for r = 1.02, 1.02**1.6, ...,
     capped at 5, and refines the first bracket that appears.  The smaller
@@ -356,12 +434,35 @@ def _nearest_root(f, seed, xtol):
 def _warm_state(theta0, problem, seed):
     """ElasticaState at the reaction root nearest seed, or
     ContinuationError naming the window seed*[0.2, 5]; a seed that is zero
-    or not finite is a ValueError.  Each reaction tried is evaluated once,
-    and the root is one of them: its residual holds the state's fields."""
+    or not finite is a ValueError.
+
+    Newton's method runs from the seed on the residual's exact slope,
+    inside the first window seed*[1/r, r], r = 1.02 (branch.newton).  When
+    each side of the window holds at most one root, its root is the one
+    _nearest_root's order takes: when it lies above the seed in ratio,
+    seed/r is sampled, and a sign change against the seed there hands the
+    solve to _nearest_root, as does a Newton step that leaves the window
+    or does not shrink.  A side that holds two or more roots may change
+    sign nowhere on the samples, and Newton keeps a root in the window
+    that _nearest_root would pass over.  Each reaction tried is
+    evaluated once, the fallback reusing Newton's samples, and the root is
+    one of them: its residual holds the state's fields."""
     if seed == 0.0 or not math.isfinite(seed):
         raise ValueError("seed reaction must be finite and nonzero")
     xtol = 1e-15 * problem.B / problem.l**2
-    found = _nearest_root(lambda R: compatibility_residual(R, theta0, problem), seed, xtol)
+    samples = {}
+
+    def f(R):
+        if R not in samples:
+            samples[R] = compatibility_residual(R, theta0, problem)
+        return samples[R]
+
+    low = seed / _WARM_FIRST_RATIO
+    found = newton(f, seed, *sorted((low, seed * _WARM_FIRST_RATIO)), xtol)
+    if found is not None and found[0] / seed > 1.0 and f(low) * f(seed) <= 0.0:
+        found = None
+    if found is None:
+        found = _nearest_root(f, seed, xtol)
     if found is None:
         lo, hi = sorted((0.2 * seed, 5.0 * seed))
         raise ContinuationError(
@@ -456,11 +557,15 @@ def _follow_branch(theta0, problem):
 def solve_R(theta0, problem, seed=None):
     """Solve the compatibility condition for the constraint reaction.
 
-    With a seed (a warm start), the search widens from it in ratio:
-    residuals at seed/r and seed*r for r = 1.02, then r**1.6, up to 5,
-    and brentq refines the first sign change between neighbouring
-    samples, so the root nearest the seed wins; a ContinuationError names
-    the window seed*[0.2, 5] when it holds no sign change.  Without a
+    With a seed (a warm start), Newton's method runs from it on the
+    residual's exact slope within seed*[1/1.02, 1.02], and keeps the root
+    the bracket search takes when each side of that window holds at most
+    one root: residuals at seed/r and seed*r for r = 1.02,
+    then r**1.6, up to 5, with brentq on the first sign change between
+    neighbouring samples, so the root nearest the seed wins.  That search
+    also solves where Newton leaves the window or stops contracting, and
+    a ContinuationError names the window seed*[0.2, 5] when it holds no
+    sign change (_warm_state).  Without a
     seed (a cold start), the root is followed along the branch that
     bifurcates at the linearized critical load R_cr of the matching
     sliding-rod model: entered at theta0 = 1e-3 (_follow_branch) and

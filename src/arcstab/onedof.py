@@ -200,10 +200,11 @@ def stability_of(phi: float, F: float, sys: OneDofSystem) -> str:
 
 
 def _elongation(phi: float, f: float, sys: OneDofSystem) -> float:
-    # end displacement with the pin at profile height f
-    return sys.l * (
-        math.cos(phi) - math.cos(sys.phi0) - f + sys.profile.f(math.sin(sys.phi0))
-    )
+    # end displacement with the pin at profile height f; cos phi - cos phi0
+    # as a product, which keeps the digits the difference cancels at small
+    # rotations
+    rise = -2.0 * math.sin(0.5 * (phi + sys.phi0)) * math.sin(0.5 * (phi - sys.phi0))
+    return sys.l * (rise - f + sys.profile.f(math.sin(sys.phi0)))
 
 
 def elongation(phi: float, sys: OneDofSystem) -> float:
@@ -259,7 +260,8 @@ def _arc_graph(t: float, sys: OneDofSystem) -> Tuple[float, float, float, float]
         raise SingularConfigurationError(
             "load path tangent vertical at pin angle %r" % (t,), phi=phi
         )
-    return phi, (1.0 - ct) / chi, sg * math.tan(t), chi / ct**3
+    # the lobe height (1 - cos t)/chi, without its cancellation at small t
+    return phi, 2.0 * math.sin(0.5 * t) ** 2 / chi, sg * math.tan(t), chi / ct**3
 
 
 def _arc_point(t: float, sys: OneDofSystem) -> EquilibriumPoint:

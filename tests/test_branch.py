@@ -1,7 +1,8 @@
-"""The sign-change rule that turns sampled values into root brackets, and
-the refiner that turns a bracket and its two samples into a root and its
+"""The sign-change rule that turns sampled values into root brackets, the
+refiner that turns a bracket and its two samples into a root and its
 sample: a port of scipy's brentq that must find the same root after the
-same calls of f, the two end values included."""
+same calls of f, the two end values included; and Newton's method on the
+slopes that samples carry."""
 
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from scipy.optimize import brentq
 
 from arcstab import branch
-from arcstab.branch import Sample, refine, sign_changes
+from arcstab.branch import Sample, newton, refine, sign_changes
 
 
 @pytest.mark.parametrize(
@@ -97,6 +98,54 @@ def test_refine_returns_fs_own_value_and_reads_no_end_again():
     assert xs[i] not in calls and xs[j] not in calls
     assert sample.record == ("state", root)
     assert root in calls and len(calls) == len(set(calls))
+
+
+def _sampled(g, dg, calls, rounding=0.0):
+    # f with its slope and a rounding bound, counting its calls
+    def f(x):
+        calls.append(x)
+        return Sample(g(x), ("state", x), dg(x), rounding)
+
+    return f
+
+
+def test_newton_stops_within_brentqs_tolerance_on_an_evaluated_root():
+    # the last step is at most xtol + 4 eps |x|, and the root returned is
+    # the last iterate, with f's own sample there: no x is evaluated twice
+    # and none after the root
+    calls = []
+    f = _sampled(lambda x: math.cos(x) - x / 3.0, lambda x: -math.sin(x) - 1.0 / 3.0, calls)
+    root, sample = newton(f, 1.2, 1.0, 1.5, 1e-15)
+    assert root == calls[-1] and sample.record == ("state", root)
+    assert len(calls) == len(set(calls)) <= 5
+    want = brentq(lambda x: math.cos(x) - x / 3.0, 1.0, 1.5, xtol=1e-15, rtol=4.0 * 2.0**-52)
+    assert abs(root - want) <= 1e-15 + 4.0 * 2.0**-52 * want
+
+
+def test_newton_stops_at_the_rounding_bound():
+    # a value within its rounding bound ends the solve at once, whatever
+    # step the slope asks for
+    calls = []
+    f = _sampled(lambda x: x - 1.0, lambda x: 1e-6, calls, rounding=1e-3)
+    assert newton(f, 1.0005, 0.9, 1.1, 1e-15)[0] == 1.0005
+    assert calls == [1.0005]
+
+
+@pytest.mark.parametrize("g, dg, x", [
+    # the first step leaves the window
+    (lambda x: x - 2.0, lambda x: 1.0, 1.0),
+    # a zero, infinite or NaN slope
+    (lambda x: x - 1.1, lambda x: 0.0, 1.0),
+    (lambda x: x - 1.1, lambda x: math.inf, 1.0),
+    (lambda x: x - 1.1, lambda x: math.nan, 1.0),
+    # steps that do not shrink: x^(1/3) doubles each Newton step
+    (lambda x: math.copysign(abs(x - 1.0) ** (1 / 3), x - 1.0),
+     lambda x: abs(x - 1.0) ** (-2 / 3) / 3.0, 1.001),
+], ids=["leaves-window", "zero-slope", "inf-slope", "nan-slope", "diverging"])
+def test_newton_hands_over(g, dg, x):
+    calls = []
+    assert newton(_sampled(g, dg, calls), x, 0.9, 1.2, 1e-15) is None
+    assert len(calls) == len(set(calls))
 
 
 # families of f(x - r) with one root at d = x - r = 0: steep, flat (whose

@@ -467,10 +467,11 @@ def test_elastica_shift_report(fig7_dir):
 
 def test_fig7_residual_budget(tmp_path, monkeypatch):
     # the traces walk the cold solve's branch follower through the
-    # schedule, and warm solves widen from a predicted seed instead of
-    # scanning a 200-point window: 1,661 residuals, where refinements that
-    # solved their bracket ends again made 1,764, the window scan 65,591, a
-    # trace seeded by the last reaction 2,163, and solves that sampled both
+    # schedule, and warm solves run Newton from a predicted seed on the
+    # residual's exact slope: 888 residuals in 262 warm solves, where
+    # brentq on the first bracket made 1,661, refinements that solved
+    # their bracket ends again 1,764, the window scan 65,591, a trace
+    # seeded by the last reaction 2,163, and solves that sampled both
     # sides of the seed at once and the CLI's second refinement of
     # phi = pi/2 2,000.  The lower bound fails a trace whose solves go
     # round compatibility_residual
@@ -483,7 +484,7 @@ def test_fig7_residual_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(elastica, "compatibility_residual", counting)
     assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
-    assert 1640 < len(calls) < 1700
+    assert 870 < len(calls) < 910
 
 
 def test_fig7_pi_half_shape_is_the_load_sign_event(tmp_path, monkeypatch):

@@ -536,22 +536,24 @@ def test_rod_point_at_modulus_exactly_one():
     assert elastica._state_points((1.0,), st)[0] == pytest.approx((th, x1, x2), rel=0.0, abs=1e-10)
 
 
-def mp_rod_point(theta0, R, k_r, s):
-    """40-digit (theta, x1, x2) at arclength s of a state with k < 1,
-    B = l = 1: theta = 2 am(u + u0) + offset and, with pref = sgn(R) 2/(k alpha),
+def mp_rod(theta0, R, q, s=1):
+    """(theta, theta', x1, x2) at arclength s of a state with k < 1,
+    B = l = 1, theta'(0) = q, at 40 digits: theta = 2 am(u + u0) + offset
+    and, with pref = sgn(R) 2/(k alpha),
     x1 = pref ((1 - k^2/2) u + E(beta0) - E(am(u + u0))) and
     x2 = pref (dn(u + u0) - dn(u0)), at u = s alpha/k and u0 = F(beta0, k)."""
     with mpmath.workdps(40):
-        theta0, R, k_r, s = (mpmath.mpf(v) for v in (theta0, R, k_r, s))
+        theta0, R, q, s = (mpmath.mpf(v) for v in (theta0, R, q, s))
         at = mpmath.sqrt(abs(R))
         half_trig = mpmath.cos(theta0 / 2) if R > 0 else mpmath.sin(theta0 / 2)
-        k = 2 * at / mpmath.sqrt((theta0 * k_r) ** 2 + 4 * at**2 * half_trig**2)
+        k = 2 * at / mpmath.sqrt(q**2 + 4 * at**2 * half_trig**2)
         m = k * k
         offset = mpmath.pi if R > 0 else 0  # theta0 < pi
         beta0 = (theta0 - offset) / 2
         u = s * at / k
         v = u + mpmath.ellipf(beta0, m)
         sn, cn = mpmath.ellipfun("sn", v, m=m), mpmath.ellipfun("cn", v, m=m)
+        dn = mpmath.ellipfun("dn", v, m=m)
         # the continued amplitude is within pi/2 of pi v / (2 K)
         am = mpmath.atan2(sn, cn)
         turns = (v * mpmath.pi / (2 * mpmath.ellipk(m)) - am) / (2 * mpmath.pi)
@@ -559,10 +561,91 @@ def mp_rod_point(theta0, R, k_r, s):
         pref = mpmath.sign(R) * 2 / (k * at)
         dn0 = mpmath.sqrt(1 - m * mpmath.sin(beta0) ** 2)
         return (
-            float(2 * am + offset),
-            float(pref * ((1 - m / 2) * u + mpmath.ellipe(beta0, m) - mpmath.ellipe(am, m))),
-            float(pref * (mpmath.ellipfun("dn", v, m=m) - dn0)),
+            2 * am + offset,
+            2 * at / k * dn,
+            pref * ((1 - m / 2) * u + mpmath.ellipe(beta0, m) - mpmath.ellipe(am, m)),
+            pref * (dn - dn0),
         )
+
+
+def mp_rod_point(theta0, R, k_r, s):
+    """40-digit (theta, x1, x2) of mp_rod, k < 1, as floats."""
+    with mpmath.workdps(40):
+        theta, _, x1, x2 = mp_rod(theta0, R, mpmath.mpf(theta0) * k_r, s)
+        return float(theta), float(x1), float(x2)
+
+
+_TAYLOR_BITS = 160
+
+
+def integrated_rod(theta0, R, q):
+    """(theta, theta', x1, x2) at s = 1 of theta'' = R sin(theta),
+    theta(0) = theta0, theta'(0) = q and x' = (cos, sin)(theta), B = l = 1.
+
+    Taylor series of degree 60 in 160-bit fixed point (48 digits), with
+    sin and cos of theta carried by their own series, over steps of at
+    most 1/(8 (|q| + 2 sqrt(2 |R|) + 1)), where |q| + 2 sqrt(2 |R|) bounds
+    |theta'| by the first integral.  test_integrated_rod_matches_odefun
+    checks it against mpmath.odefun."""
+    one = 1 << _TAYLOR_BITS
+
+    def fixed(v):
+        return int(mpmath.mpf(v) * one)
+
+    a, th, dth = fixed(R), fixed(theta0), fixed(q)
+    with mpmath.workprec(_TAYLOR_BITS + 20):
+        sin, cos = fixed(mpmath.sin(mpmath.mpf(theta0))), fixed(mpmath.cos(mpmath.mpf(theta0)))
+    x1 = x2 = 0
+    steps = int(8 * (abs(float(q)) + 2 * math.sqrt(2 * abs(float(R))) + 1)) + 1
+    h = one // steps
+    ah2 = (a * h >> _TAYLOR_BITS) * h >> _TAYLOR_BITS
+    for _ in range(steps):
+        # normalized Taylor coefficients of theta, sin(theta), cos(theta)
+        t, ss, cc = [th, dth * h >> _TAYLOR_BITS], [sin], [cos]
+        for n in range(60):
+            t.append((ah2 * ss[n] >> _TAYLOR_BITS) // ((n + 1) * (n + 2)))
+            ds = dc = 0
+            for j in range(1, n + 2):
+                ds += j * t[j] * cc[n + 1 - j]
+                dc += j * t[j] * ss[n + 1 - j]
+            ss.append((ds >> _TAYLOR_BITS) // (n + 1))
+            cc.append(-((dc >> _TAYLOR_BITS) // (n + 1)))
+        th = sum(t)
+        dth = (sum(n * tn for n, tn in enumerate(t)) << _TAYLOR_BITS) // h
+        x1 += h * sum(cn // (n + 1) for n, cn in enumerate(cc[:60])) >> _TAYLOR_BITS
+        x2 += h * sum(sn // (n + 1) for n, sn in enumerate(ss[:60])) >> _TAYLOR_BITS
+        sin, cos = sum(ss), sum(cc)
+    return tuple(mpmath.mpf(v) / one for v in (th, dth, x1, x2))
+
+
+def mp_defect_slopes(rod, theta0, R, q, c):
+    """(df/dR, q df/dq, S) of the closure defect f of rod at 40 digits,
+    the derivatives by mpmath.diff with steps 1e-15 relative, and
+    S = -(f + c sin phi) + kappa [(x1 - c) cos phi + x2 sin phi], l = 1."""
+    def defect(R, q):
+        phi, _, x1, x2 = rod(theta0, R, q)
+        return (x1 - c) * mpmath.sin(phi) - x2 * mpmath.cos(phi)
+
+    with mpmath.workdps(40):
+        R, q = mpmath.mpf(R), mpmath.mpf(q)
+        dR = mpmath.diff(lambda r: defect(r, q), R, h=abs(R) * mpmath.mpf(1e-15))
+        qdq = q * mpmath.diff(lambda p: defect(R, p), q, h=q * mpmath.mpf(1e-15)) if q else 0
+        phi, kappa, x1, x2 = rod(theta0, R, q)
+        f = (x1 - c) * mpmath.sin(phi) - x2 * mpmath.cos(phi)
+        S = -(f + c * mpmath.sin(phi)) + kappa * ((x1 - c) * mpmath.cos(phi) + x2 * mpmath.sin(phi))
+        return dR, qdq, S
+
+
+def test_integrated_rod_matches_odefun():
+    # mpmath.odefun at 40 digits, theta'(0) = theta0 k_r formed in mpmath,
+    # gives (theta, theta', x1, x2)(1) = (1.2985633821026035667,
+    # 1.0546763105309902101, 0.56593092641243333842, 0.81128946963922321085)
+    # at (theta0, R, k_r) = (0.8, 1.3, 0)
+    want = ("1.2985633821026035667", "1.0546763105309902101",
+            "0.56593092641243333842", "0.81128946963922321085")
+    with mpmath.workdps(40):
+        for got, w in zip(integrated_rod(0.8, 1.3, 0.0), want):
+            assert abs(got - mpmath.mpf(w)) < 1e-19
 
 
 @pytest.mark.parametrize("k_lo, k_hi, bounds", [
@@ -606,6 +689,59 @@ def test_rod_point_just_below_modulus_one_matches_mpmath(s):
     got = elastica._state_points((s,), st)[0]
     want = mp_rod_point(1e-4, 0.74465226497386224, 0.894, s)
     assert got == pytest.approx(want, rel=0.0, abs=1e-13)
+
+
+def spring_for_modulus(theta0, R, k):
+    # the k_r that puts a state of B = l = 1 at modulus k
+    half_trig = math.cos(theta0 / 2.0) if R > 0.0 else math.sin(theta0 / 2.0)
+    return math.sqrt(4.0 * abs(R) * (1.0 / (k * k) - half_trig**2)) / theta0
+
+
+# (theta0, R, k_r, half, bound) on R_c = 0.3 with B = l = 1, and the largest
+# |df/dR - reference| of the closed-form slope
+SLOPE_STATES = {
+    # k > 1 without a spring, the slope is S/(2R)
+    "k>1": (0.8, 1.3, 0.0, "left", 1e-15),
+    "k>1-compressive": (2.35, -3.32, 0.0, "right", 1e-15),
+    # k > 1 with a spring
+    "k>1-spring": (0.845, -3.06, 2.14, "left", 1e-15),
+    "k>1-spring-right": (0.869, 2.51, 0.982, "right", 1e-15),
+    # k <= 1, over the top of the pin
+    "k<1": (1.38, 0.503, 2.4, "left", 2e-15),
+    "k<1-right": (0.975, 3.74, 2.49, "right", 2e-15),
+    "k<1-compressive": (2.58, -4.38, 2.08, "left", 1e-15),
+    # theta0 = 1e-4: fig7's tensile root (k - 1 = 1.2e-9), the spring-hinged
+    # tensile root (1 - k = 9.2e-11) and a compressive state.  The slope
+    # is about 3e-5 there, and phi, the rounding of angle_offset = pi plus
+    # an angle next to -pi, limits it to about eps absolute
+    "tiny-fig7": (1e-4, 1.0692009797324804, 0.0, "left", 3e-16),
+    "tiny-spring": (1e-4, 0.74465226497386224, 0.894, "left", 3e-16),
+    "tiny-spring-k>1": (1e-4, 1.2, 0.3, "left", 3e-16),
+    "tiny-compressive": (1e-4, -1.3, 0.3, "right", 3e-16),
+    # the small-k bands of the rod-point tests: the slope is the small
+    # difference of S/(2R) and the spring's share, each up to 1e4
+    "k=0.05": (1.1, 2.3, spring_for_modulus(1.1, 2.3, 0.05), "left", 1e-14),
+    "k=0.005": (0.7, -1.7, spring_for_modulus(0.7, -1.7, 0.005), "right", 1e-13),
+    "k=0.0005": (2.2, 0.6, spring_for_modulus(2.2, 0.6, 0.0005), "left", 1e-12),
+}
+
+
+@pytest.mark.parametrize("key", SLOPE_STATES)
+def test_defect_slope_matches_mpmath(key):
+    # the residual's slope in closed form against mpmath.diff of the rod at
+    # 40 digits: integrated where k > 1, and the closed form of the
+    # rod-point tests where k <= 1, where theta' ~ 2 alpha/k makes the
+    # integration long.  The reference derivatives also satisfy the
+    # scaling identity 2 R df/dR + q df/dq = S the closed form rests on
+    theta0, R, k_r, half, bound = SLOPE_STATES[key]
+    pr = ElasticaProblem(B=1.0, l=1.0, k_r=k_r, R_c=0.3, half=half)
+    res = compatibility_residual(R, theta0, pr)
+    q = theta0 * k_r
+    rod = integrated_rod if res.record[2] > 1.0 else mp_rod
+    dR, qdq, S = mp_defect_slopes(rod, theta0, R, q, 0.3 if half == "left" else -0.3)
+    assert abs(res.slope - dR) <= bound, (res.slope, dR)
+    with mpmath.workdps(40):
+        assert abs(2 * R * dR + qdq - S) <= 1e-20 * max(1, abs(S))
 
 
 def test_residual_is_continuous_through_zero_reaction():
@@ -792,23 +928,90 @@ def test_warm_solve_residual_budget(residual_calls, half, theta0, offset):
 
 
 @pytest.mark.parametrize(
-    "theta0, problem, budget",
+    "theta0, problem, low, high",
     [
-        (0.5, tensile_problem(), 40),
-        (0.5, compressive_problem(k_r=0.5), 14),
-        (OFF_WINDOW_ROOTS[0][0], tensile_problem(*OFF_WINDOW_ROOTS[0][1:]), 250),
-        (2.3, compressive_problem(k_r=2.0), 150),
+        (0.5, tensile_problem(), 9, 13),
+        (0.5, compressive_problem(k_r=0.5), 7, 11),
+        (OFF_WINDOW_ROOTS[0][0], tensile_problem(*OFF_WINDOW_ROOTS[0][1:]), 160, 190),
+        (2.3, compressive_problem(k_r=2.0), 75, 92),
     ],
     ids=["tensile", "compressive", "softening", "stiff-spring"],
 )
-def test_cold_solve_residual_budget(residual_calls, theta0, problem, budget):
-    # the window scan made 207 residuals per cold solve, and steps seeded
-    # by the secant in theta0^2 made 38, 16, 329 and 251 here: on the
-    # softening branch it predicted R 5-10 % low at each step.  Entering
-    # at theta0 = 1e-3 and solving at theta0 are two warm solves of at
-    # least three residuals each
+def test_cold_solve_residual_budget(residual_calls, theta0, problem, low, high):
+    # Newton's warm solves make 11, 9, 176 and 83 residuals here, where
+    # brentq on the first bracket made 31, 12, 201 and 132, the window scan
+    # 207 per cold solve, and steps seeded by the secant in theta0^2 38,
+    # 16, 329 and 251: on the softening branch it predicted R 5-10 % low at
+    # each step.  The lower bounds fail a follower whose solves go round
+    # compatibility_residual
     solve_R(theta0, problem)
-    assert 6 <= len(residual_calls) <= budget
+    assert low <= len(residual_calls) <= high
+
+
+def cold_solve_draws(seed):
+    """The problems of one pass of the benchmark's cold-solve workload
+    (bench/workloads.py), drawn in its order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        R_c, k_r = rng.uniform(0.2, 0.8), rng.uniform(0.0, 0.5)
+        half = ("left", "right")[int(rng.integers(2))]
+        rng.uniform(1e-3, 0.6)  # the draw's theta0
+        yield ElasticaProblem(B=1.0, l=1.0, k_r=float(k_r), R_c=float(R_c), half=half)
+
+
+def test_entry_solve_residual_budget(residual_calls):
+    # the cold follower's entry solve at theta0 = 1e-3, seeded with R_cr
+    # within 0.15 % of its root, over the 4,000 cold-solve draws of seeds
+    # 1-20: Newton takes 2 to 4 residuals, 3.17 on average, where brentq on
+    # the first bracket took 5 to 30, 9.80 on average.  The lower bound
+    # fails an entry that goes round compatibility_residual
+    counts = []
+    for seed in range(1, 21):
+        for pr in cold_solve_draws(seed):
+            R_cr = elastica._default_seed(pr)
+            residual_calls.clear()
+            elastica._warm_state(elastica._THETA_START, pr, R_cr)
+            counts.append(len(residual_calls))
+    assert len(counts) == 4000
+    assert min(counts) >= 2 and max(counts) <= 4
+    assert 3.0 < sum(counts) / len(counts) < 3.3
+
+
+@pytest.mark.parametrize("theta0, problem", [
+    (0.5, tensile_problem()), (1e-4, tensile_problem()), (0.5, compressive_problem(k_r=0.5)),
+    (1e-4, tensile_problem(Rc=0.333, k_r=0.894)),
+])
+def test_warm_solve_at_its_own_root_takes_one_residual(residual_calls, theta0, problem):
+    # the root's residual says Newton's next step is within brentq's
+    # tolerance, or the residual is within its rounding bound: a solve
+    # seeded there stops at the seed, and its residual holds the state
+    root = solve_R(theta0, problem)
+    residual_calls.clear()
+    st = solve_R(theta0, problem, seed=root.R)
+    assert len(residual_calls) == 1
+    assert st == root
+
+
+def test_newton_keeps_the_nearest_root_order(monkeypatch):
+    # three roots within 7 % of each other, R = -46.88, -48.74 and -50.26
+    # (the guard's runaway compressive branch at theta0 = 2.7458): from
+    # every seed the solve takes the root _nearest_root takes alone, also
+    # where Newton's root lies above the seed and seed/1.02 brackets the
+    # one below.  Each side of a seed's first window, seed*[1/1.02, 1.02],
+    # holds at most one of these roots, where the two orders agree
+    pr, theta0 = ElasticaProblem(B=1.0, l=1.0, R_c=2.0, k_r=1.0, half="right"), 2.7458
+    nearest = elastica._nearest_root
+    handed_over = []
+
+    def counting(f, seed, xtol):
+        handed_over.append(seed)
+        return nearest(f, seed, xtol)
+
+    monkeypatch.setattr(elastica, "_nearest_root", counting)
+    for seed in np.linspace(-45.5, -52.0, 131):
+        found = nearest(lambda R: compatibility_residual(R, theta0, pr), float(seed), 1e-15)
+        assert solve_R(theta0, pr, seed=float(seed)).R == pytest.approx(found[0], rel=1e-12)
+    assert 0 < len(handed_over) < 131
 
 
 @pytest.fixture

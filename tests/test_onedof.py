@@ -363,6 +363,28 @@ def test_trace_branch_straight_limit():
     assert np.isclose(tr.points[0].F, -1.0, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("phi0", [0.0, 0.01, -0.01])
+@pytest.mark.parametrize("chi", [4.0, -4.0, 1.5, 0.5])
+def test_arc_trace_elongation_matches_mpmath(chi, phi0):
+    # delta on the CLI's pin-angle grid of trace-1dof --profile circular.
+    # The lobe height (1 - cos t)/chi and cos phi - cos phi0 cancelled at
+    # small t: at t = 0.02 on the chi = -4 lobe, delta was
+    # 3.749992182816575e-05 against 3.749992182819036e-05, and up to 2,960
+    # eps relative over these grids
+    sys = system(profile_circular(chi), phi0=phi0)
+    t_stop = (np.pi if abs(chi) > 1.0 else np.arcsin(abs(chi))) - 0.02
+    grid = np.linspace(0.02, t_stop, 200)
+    tr = trace_branch_arc(sys, grid)
+    assert len(tr.points) == len(grid)
+    for t, pt in zip(grid, tr.points):
+        with mpmath.workdps(40):
+            t, c, p0 = mpmath.mpf(float(t)), mpmath.mpf(chi), mpmath.mpf(phi0)
+            phi = mpmath.asin(mpmath.sin(t) / abs(c))
+            f0 = (1 - mpmath.sqrt(1 - (c * mpmath.sin(p0)) ** 2)) / c
+            want = float(mpmath.cos(phi) - mpmath.cos(p0) - (1 - mpmath.cos(t)) / c + f0)
+        assert abs(pt.delta - want) <= 4 * EPS * abs(want), (chi, phi0, float(t))
+
+
 def test_arc_trace_frozen_values():
     sys = system(profile_s_shaped(4.0))
     tr = trace_branch_arc(sys, [0.3, 2.0])
