@@ -19,15 +19,16 @@ _MAXITER = 100
 class BranchTrace:
     """One branch of a bifurcation diagram as an ordered point list.
 
-    points holds equilibrium records in trace order.  events maps the
-    name of a special configuration to a point record of the same type
-    as points, refined between two trace points; both traces name the
-    point where the axial force changes sign "load_sign_transition".
-    complete turns False when a trace stops early, with the reason in
-    diagnostic; points then holds the points computed before the stop.
+    points holds equilibrium records in trace order; an elastica point
+    names its branch by its problem's half.  events maps the name of a
+    special configuration to a point record of the same type as points,
+    refined between two trace points; both traces name the point where
+    the axial force changes sign "load_sign_transition".  complete turns
+    False when a trace stops early or an event's refinement fails, with
+    the reason in diagnostic; points then holds the points computed
+    before the stop.
     """
 
-    label: str
     points: list
     events: dict = field(default_factory=dict)
     complete: bool = True

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import elastica, onedof, profiledesign, rodlinear
@@ -387,7 +387,8 @@ def cmd_trace_elastica(opts, out):
     code = 0
     traces = {}
     for br in branches:
-        trace = elastica.trace_branch(problem, schedule, br, seed=opts.seed)
+        half = "left" if br == "tensile" else "right"
+        trace = elastica.trace_branch(replace(problem, half=half), schedule, seed=opts.seed)
         _write_rows(
             os.path.join(out, "elastica_%s.csv" % br),
             "theta0,R,F,phi,delta,normalized_F",

@@ -40,7 +40,7 @@ modulus and stay clean at any theta0.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .branch import BranchTrace, Sample, linspace, newton, refine, sign_changes
@@ -92,7 +92,8 @@ class MultipleRootWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ElasticaProblem:
-    """Rod on a circular constraint; half selects the trivial assembly side."""
+    """Rod on a circular constraint; half selects the branch: "left"
+    buckles under tension, "right" under compression."""
 
     B: float
     l: float
@@ -534,15 +535,19 @@ def _advance(problem, pts, theta0, step=math.inf):
             )
 
 
-def _follow_branch(theta0, problem):
-    """(state at theta0, pts, step), as _advance returns them, on the
-    branch that bifurcates at the linearized load R_cr.
-
-    The branch is entered by a warm solve at _THETA_START seeded with R_cr,
-    which fixes Koiter's coefficient R2 in R = R_cr + R2 theta0^2.  Below
-    _THETA_START that law seeds the one solve at theta0; above it, _advance
-    goes on from the bifurcation (0, R_cr, phi = 0) and the entry point.
+def _follow_branch(theta0, problem, seed=None):
+    """(state at theta0, pts, step), as _advance returns them: the start
+    of every solve and trace.  With a seed, the warm solve from it, one
+    point and an unbounded step.  Without, the branch that bifurcates at
+    the linearized load R_cr, entered by a warm solve at _THETA_START
+    seeded with R_cr, which fixes Koiter's coefficient R2 in
+    R = R_cr + R2 theta0^2.  Below _THETA_START that law seeds the one
+    solve at theta0; above it, _advance goes on from the bifurcation
+    (0, R_cr, phi = 0) and the entry point.
     """
+    if seed is not None:
+        st = _warm_state(theta0, problem, seed)
+        return st, [(st.theta0, st.R, st.phi)], math.inf
     R_cr = _default_seed(problem)
     st = _warm_state(_THETA_START, problem, R_cr)
     if theta0 < _THETA_START:
@@ -555,7 +560,8 @@ def _follow_branch(theta0, problem):
 
 
 def solve_R(theta0, problem, seed=None):
-    """Solve the compatibility condition for the constraint reaction.
+    """Solve the compatibility condition for the constraint reaction on
+    problem's half.
 
     With a seed (a warm start), Newton's method runs from it on the
     residual's exact slope within seed*[1/1.02, 1.02], and keeps the root
@@ -568,26 +574,15 @@ def solve_R(theta0, problem, seed=None):
     sign change (_warm_state).  Without a
     seed (a cold start), the root is followed along the branch that
     bifurcates at the linearized critical load R_cr of the matching
-    sliding-rod model: entered at theta0 = 1e-3 (_follow_branch) and
-    continued in predicted warm steps that keep the continuity bounds
-    (_advance).  A cold solve is the state trace_branch reaches at theta0
-    when theta0 is its whole schedule, and raises the ContinuationError
-    whose text such a trace reports when it stops.  A solve evaluates the
-    residual once per reaction it tries.
+    sliding-rod model: entered at theta0 = 1e-3 and continued in
+    predicted warm steps that keep the continuity bounds (_advance).
+    Either way the state is trace_branch's at theta0 as its whole
+    schedule, and its ContinuationError is the text such a trace stops
+    with.  A solve evaluates the residual once per reaction it tries.
     """
     if not 0.0 < theta0 < math.inf:
         raise ValueError("theta0 must be positive and finite")
-    if seed is None:
-        return _follow_branch(theta0, problem)[0]
-    return _warm_state(theta0, problem, seed)
-
-
-def _branch_problem(problem, branch):
-    if branch == "tensile":
-        return replace(problem, half="left")
-    if branch == "compressive":
-        return replace(problem, half="right")
-    raise ValueError("branch must be 'tensile' or 'compressive'")
+    return _follow_branch(theta0, problem, seed)[0]
 
 
 def _guard_rejection(R, phi, R_prev, phi_prev):
@@ -602,48 +597,48 @@ def _guard_rejection(R, phi, R_prev, phi_prev):
     )
 
 
-def trace_branch(problem, theta0_schedule, branch, seed=None):
-    """Continue a postcritical branch over an increasing theta0 schedule.
+def trace_branch(problem, theta0_schedule, seed=None):
+    """Continue the postcritical branch of problem's half over an
+    increasing theta0 schedule.
 
-    branch selects the assembly: "tensile" starts from the tensile
-    bifurcation (half = "left"), "compressive" from the compressive one.
-    The trace walks the branch follower of a cold solve_R through the
+    The first point is solve_R's at schedule[0], with or without a seed
+    (_follow_branch); the trace walks the branch follower on through the
     schedule, carrying its accepted points and step from one schedule
-    point to the next; the points it accepts between schedule points only
-    predict the next ones.  Without a seed the first point is the cold
-    solve at schedule[0]; with one it is the warm solve from seed, and
-    the next step is predicted from that point alone.  When the first
-    solve fails, or a step falls below theta0/2**12, the trace stops with
-    complete = False and the text of that error as its diagnostic.  Each
-    point is the ElasticaState solved there, and so is the load-sign
-    transition, where the pin tops the circle at phi = pi/2, recorded in
-    events after refinement with refine_on_trace.
+    point to the next, and points accepted between them only predict.
+    When the first solve fails, or a step falls below theta0/2**12, the
+    trace stops with complete = False and the text of that error as its
+    diagnostic.  Each point is the ElasticaState solved there, and so is
+    the load-sign transition, where the pin tops the circle at
+    phi = pi/2, recorded in events after refinement with refine_on_trace;
+    a failed refinement keeps the points, sets complete = False and adds
+    its error to the diagnostic.
     """
-    pr = _branch_problem(problem, branch)
     schedule = [float(t) for t in theta0_schedule]
     # 0 < schedule[0] < ... < schedule[-1] < inf, which no NaN keeps
     if not schedule or not all(a < b for a, b in zip([0.0, *schedule], [*schedule, math.inf])):
         raise ValueError("theta0_schedule must be strictly increasing finite positives")
 
-    trace = BranchTrace(label=branch, points=[])
-    pts = None
+    trace = BranchTrace(points=[])
     try:
         for th0 in schedule:
-            if pts is not None:
-                st, pts, step = _advance(pr, pts, th0, step)
-            elif seed is None:
-                st, pts, step = _follow_branch(th0, pr)
+            if trace.points:
+                st, pts, step = _advance(problem, pts, th0, step)
             else:
-                st, step = _warm_state(th0, pr, seed), math.inf
-                pts = [(st.theta0, st.R, st.phi)]
+                st, pts, step = _follow_branch(th0, problem, seed)
             trace.points.append(st)
     except (ContinuationError, DegenerateGeometryError) as exc:
         trace.complete = False
         trace.diagnostic = str(exc)
 
-    ev = refine_on_trace(trace, lambda p: p.phi, math.pi / 2.0)
-    if ev is not None:
-        trace.events["load_sign_transition"] = ev
+    try:
+        ev = refine_on_trace(trace, lambda p: p.phi, math.pi / 2.0)
+    except (ContinuationError, DegenerateGeometryError) as exc:
+        trace.complete = False
+        why = "load-sign refinement at phi = pi/2 failed: %s" % exc
+        trace.diagnostic = "; ".join(filter(None, (trace.diagnostic, why)))
+    else:
+        if ev is not None:
+            trace.events["load_sign_transition"] = ev
     return trace
 
 

@@ -222,8 +222,7 @@ def _trace(point_of, grid):
         except SingularConfigurationError as exc:
             complete, diagnostic = False, str(exc)
             break
-    label = "tensile" if pts and pts[0].F > 0.0 else "compressive"
-    return BranchTrace(label=label, points=pts, complete=complete, diagnostic=diagnostic)
+    return BranchTrace(points=pts, complete=complete, diagnostic=diagnostic)
 
 
 def _phi_point(phi: float, sys: OneDofSystem) -> EquilibriumPoint:

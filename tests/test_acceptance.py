@@ -88,8 +88,8 @@ def roller_traces():
     sched = np.linspace(1e-4, 3.05, 60)
     return {
         "problem": prob,
-        "tensile": elastica.trace_branch(prob, sched, "tensile"),
-        "compressive": elastica.trace_branch(prob, sched, "compressive"),
+        "tensile": elastica.trace_branch(replace(prob, half="left"), sched),
+        "compressive": elastica.trace_branch(replace(prob, half="right"), sched),
     }
 
 
@@ -286,12 +286,12 @@ def test_criterion_08_elastica_field_equations(roller_traces):
         assert st is not None
         states.append(st)
     # spring-hinged variant: nonzero end curvature theta0*k_r/B at the pin
-    spring = elastica.ElasticaProblem(B=1.0, l=1.0, k_r=0.5, R_c=0.25)
-    spring_trace = elastica.trace_branch(spring, np.linspace(0.01, 0.95, 20), "tensile")
+    spring = elastica.ElasticaProblem(B=1.0, l=1.0, k_r=0.5, R_c=0.25, half="left")
+    spring_trace = elastica.trace_branch(spring, np.linspace(0.01, 0.95, 20))
     assert spring_trace.complete
     for i in (4, 9, 14, 19):
         p = spring_trace.points[i]
-        states.append(elastica.solve_R(p.theta0, replace(spring, half="left"), seed=p.R))
+        states.append(elastica.solve_R(p.theta0, spring, seed=p.R))
     assert len(states) == 20
     phis = [st.phi for st in states]
     assert min(phis) <= 0.3

@@ -515,7 +515,8 @@ def test_fig7_pi_half_shape_is_the_load_sign_event(tmp_path, monkeypatch):
     for trace in traces:
         event = trace.events["load_sign_transition"]
         assert exported.get(id(event)) is event
-        _, rows = read_csv(tmp_path / ("shape_%s_phi1.5708.csv" % trace.label))
+        branch = "tensile" if trace.points[0].problem.half == "left" else "compressive"
+        _, rows = read_csv(tmp_path / ("shape_%s_phi1.5708.csv" % branch))
         assert [float(v) for v in rows[-1]] == list(shape_export(event, 400)[-1])
     assert len(refinements) == 14
 
@@ -556,6 +557,19 @@ def test_elastica_continuation_failure_exits_4(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "elastica_tensile.csv")
     assert header == "theta0,R,F,phi,delta,normalized_F"
     assert rows == []  # partial data kept, nothing solved here
+
+
+def test_elastica_failed_load_sign_refinement_exits_4_with_both_tables(tmp_path, capsys):
+    # the tensile trace's load-sign refinement raised out of the command,
+    # which exited 4 with no table written
+    argv = ["trace-elastica", "--R-c=0.8529824103012318", "--k-r=1.7491601471353802",
+            "--theta0-max=1.1599756942688444", "--n-points=3"]
+    assert run(argv, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "load-sign refinement at phi = pi/2 failed" in err and "Traceback" not in err
+    assert len(read_csv(tmp_path / "elastica_tensile.csv")[1]) == 2
+    assert len(read_csv(tmp_path / "elastica_compressive.csv")[1]) == 3
+    assert not (tmp_path / "branch_shift.txt").exists()
 
 
 def test_elastica_seed_not_a_number_exits_2(tmp_path, capsys):

@@ -81,14 +81,18 @@ def compressive_problem(Rc=0.25, k_r=0.0, B=1.0, l=1.0):
     return ElasticaProblem(B=B, l=l, k_r=k_r, R_c=Rc, half="right")
 
 
+def branch_problem(branch, **kwargs):
+    return (tensile_problem if branch == "tensile" else compressive_problem)(**kwargs)
+
+
 @pytest.fixture(scope="module")
 def traced_tensile():
-    return trace_branch(tensile_problem(), SCHEDULE, "tensile")
+    return trace_branch(tensile_problem(), SCHEDULE)
 
 
 @pytest.fixture(scope="module")
 def traced_compressive():
-    return trace_branch(compressive_problem(), SCHEDULE, "compressive")
+    return trace_branch(compressive_problem(), SCHEDULE)
 
 
 def solve_at_phi(problem, trace, phi_target):
@@ -458,13 +462,15 @@ def test_cold_solve_at_tiny_rotation_keeps_first_mode(theta0):
 
 # Tensile roots on the R_c = l/4 circle with roller ends, B = l = 1, from a
 # 40-digit solve of the compatibility condition on the integrated rod:
-# theta0 -> (R, bound).  The bounds are the errors of the earlier form,
-# which took F and E at the pin from Carlson integrals; k - 1 ~ theta0^2/8
-# here, and the residual's slope in R falls like theta0
+# theta0 -> (R, bound).  k - 1 ~ theta0^2/8 here, and the residual's slope
+# in R falls like theta0.  The bounds pin the entry solve and Koiter's seed
+# below it (errors 4.4e-16, 4.4e-16, 8.9e-15, 6.1e-13): entering by a first
+# follower step from R_cr instead was off by 3.5e-13, 3.5e-11, 9.9e-12 and
+# 6.1e-13, and the Carlson-integral form before that by up to 8e-10
 TINY_TENSILE_ROOTS = {
-    1e-6: (1.0692009832004969, 8e-10),
-    1e-5: (1.0692009831661602, 5e-11),
-    1e-4: (1.0692009797324804, 1.2e-11),
+    1e-6: (1.0692009832004969, 2e-15),
+    1e-5: (1.0692009831661602, 2e-15),
+    1e-4: (1.0692009797324804, 2e-14),
     1e-3: (1.0692006363647386, 1e-12),
 }
 
@@ -775,12 +781,12 @@ def test_solve_rejects_bad_rotation():
             solve_R(theta0, tensile_problem())
     for schedule in ([math.inf], [0.1, math.nan]):
         with pytest.raises(ValueError):
-            trace_branch(tensile_problem(), schedule, "tensile")
+            trace_branch(tensile_problem(), schedule)
     for seed in (math.inf, math.nan, 0.0, -0.0):
         with pytest.raises(ValueError, match="finite"):
             solve_R(0.5, tensile_problem(), seed=seed)
         with pytest.raises(ValueError, match="finite"):
-            trace_branch(tensile_problem(), [0.5], "tensile", seed=seed)
+            trace_branch(tensile_problem(), [0.5], seed=seed)
 
 
 @pytest.mark.parametrize("half", ["left", "right"])
@@ -848,7 +854,7 @@ def test_cold_solve_stays_on_softening_branch():
 @pytest.mark.parametrize("theta0, Rc, k_r", OFF_WINDOW_ROOTS)
 def test_cold_solve_agrees_with_trace(theta0, Rc, k_r):
     pr = tensile_problem(Rc=Rc, k_r=k_r)
-    tr = trace_branch(pr, np.linspace(1e-3, theta0, 200), "tensile")
+    tr = trace_branch(pr, np.linspace(1e-3, theta0, 200))
     assert tr.complete
     assert solve_R(theta0, pr).R == pytest.approx(tr.points[-1].R, rel=1e-12)
 
@@ -859,7 +865,7 @@ def test_cold_solve_follows_branch_out_of_the_window():
     pr = compressive_problem(k_r=2.0)
     st = solve_R(2.3, pr)
     assert st.R == pytest.approx(-31.85030868469067, rel=1e-13)
-    tr = trace_branch(pr, np.linspace(1e-4, 2.3, 400), "compressive")
+    tr = trace_branch(pr, np.linspace(1e-4, 2.3, 400))
     assert tr.complete
     assert st.R == pytest.approx(tr.points[-1].R, rel=1e-12)
 
@@ -872,7 +878,7 @@ def test_cold_solve_names_where_following_stopped():
     with pytest.raises(ContinuationError, match=stopped) as err:
         solve_R(2.6, pr)
     at, last = map(float, re.search(stopped, str(err.value)).groups())
-    tr = trace_branch(pr, np.linspace(1e-4, 2.6, 400), "compressive")
+    tr = trace_branch(pr, np.linspace(1e-4, 2.6, 400))
     assert not tr.complete
     trace_at = float(re.search(stopped, tr.diagnostic).group(1))
     assert last < at and abs(at - trace_at) < 0.005
@@ -1087,10 +1093,10 @@ FAR_DRAWS = [
 
 @pytest.mark.parametrize("theta0, Rc, k_r, branch", FAR_DRAWS)
 def test_cold_solve_agrees_with_trace_far_out(theta0, Rc, k_r, branch):
-    pr = tensile_problem(Rc=Rc, k_r=k_r)
-    tr = trace_branch(pr, np.linspace(1e-4, theta0, 400), branch)
+    pr = branch_problem(branch, Rc=Rc, k_r=k_r)
+    tr = trace_branch(pr, np.linspace(1e-4, theta0, 400))
     assert tr.complete
-    st = solve_R(theta0, elastica._branch_problem(pr, branch))
+    st = solve_R(theta0, pr)
     assert st.R == pytest.approx(tr.points[-1].R, rel=1e-11)
 
 
@@ -1110,7 +1116,7 @@ def test_solve_needs_seed_when_no_linearized_load():
 def test_tensile_trace_structure(traced_tensile):
     tr = traced_tensile
     assert isinstance(tr, BranchTrace)
-    assert tr.label == "tensile"
+    assert tr.points[0].problem.half == "left"
     assert tr.complete
     assert len(tr.points) == len(SCHEDULE)
     assert isinstance(tr.points[0], ElasticaState)
@@ -1128,7 +1134,7 @@ def test_tensile_trace_structure(traced_tensile):
 
 def test_compressive_trace_structure(traced_compressive):
     tr = traced_compressive
-    assert tr.label == "compressive"
+    assert tr.points[0].problem.half == "right"
     assert tr.complete
     assert tr.points[0].F == pytest.approx(linearized_load(0.25, "compression"), rel=1e-3)
     assert abs(tr.points[0].delta) < 1e-6
@@ -1210,7 +1216,7 @@ def test_refine_on_trace_solves_the_traced_problem(branch, traced_tensile):
     if branch == "tensile":
         tr = traced_tensile
     else:
-        tr = trace_branch(tensile_problem(k_r=0.5), np.linspace(1e-3, 1.5, 20), branch)
+        tr = trace_branch(branch_problem(branch, k_r=0.5), np.linspace(1e-3, 1.5, 20))
     st = refine_on_trace(tr, lambda p: p.phi, 1.0)
     assert st.problem == tr.points[0].problem
     assert st.problem.half == ("left" if branch == "tensile" else "right")
@@ -1220,7 +1226,7 @@ def test_refine_on_trace_solves_the_traced_problem(branch, traced_tensile):
 
 
 def test_trace_is_deterministic(traced_tensile):
-    again = trace_branch(tensile_problem(), SCHEDULE, "tensile")
+    again = trace_branch(tensile_problem(), SCHEDULE)
     assert len(again.points) == len(traced_tensile.points)
     for a, b in zip(again.points, traced_tensile.points):
         assert a == b
@@ -1229,13 +1235,13 @@ def test_trace_is_deterministic(traced_tensile):
 
 def test_trace_partial_on_bracket_loss():
     # geometry without a tensile bifurcation: the first solve finds no root
-    tr = trace_branch(tensile_problem(Rc=1.5), np.geomspace(1e-4, 1.0, 10), "tensile", seed=1.0)
+    tr = trace_branch(tensile_problem(Rc=1.5), np.geomspace(1e-4, 1.0, 10), seed=1.0)
     assert not tr.complete
     assert len(tr.points) == 0
     assert "no sign change" in tr.diagnostic
 
 
-def guarded_trace(monkeypatch, problem, schedule, branch):
+def guarded_trace(monkeypatch, problem, schedule):
     """trace_branch with its continuity checks recorded: returns the trace
     and the (previous, new) (R, phi) pairs of the solved steps the guard
     accepted, checked to form one chain from the first trace point through
@@ -1260,7 +1266,7 @@ def guarded_trace(monkeypatch, problem, schedule, branch):
 
     monkeypatch.setattr(elastica, "_warm_state", solving)
     monkeypatch.setattr(elastica, "_guard_rejection", checking)
-    tr = trace_branch(problem, schedule, branch)
+    tr = trace_branch(problem, schedule)
     states = [(p.R, p.phi) for p in tr.points]
     # the steps of the cold follow up to the first point lead into it
     first = next((i for i, (a, _) in enumerate(steps) if a == states[0]), None)
@@ -1282,8 +1288,8 @@ def assert_steps_within_guard(steps):
 def test_guard_stops_runaway_compressive_branch(monkeypatch):
     # a stiff spring on a wide circle: past theta0 ~ 1.93 the window scan
     # jumped to another branch (phi 0.45 -> 3.43) and later stopped anyway
-    pr = ElasticaProblem(B=1.0, l=1.0, R_c=2.0, k_r=1.0)
-    tr, steps = guarded_trace(monkeypatch, pr, np.linspace(1e-4, 3.0, 60), "compressive")
+    pr = compressive_problem(Rc=2.0, k_r=1.0)
+    tr, steps = guarded_trace(monkeypatch, pr, np.linspace(1e-4, 3.0, 60))
     assert not tr.complete
     assert "theta0=" in tr.diagnostic and "step halvings" in tr.diagnostic
     assert_steps_within_guard(steps)
@@ -1292,8 +1298,8 @@ def test_guard_stops_runaway_compressive_branch(monkeypatch):
 def test_guard_follows_spring_hinged_compressive_branch(monkeypatch):
     # the window scan jumped phi 1.58 -> 3.95 at theta0 = 2.687 and still
     # reported a complete trace; the nearest root stays on the branch
-    pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.8, k_r=0.5)
-    tr, steps = guarded_trace(monkeypatch, pr, np.linspace(1e-4, 2.8, 100), "compressive")
+    pr = compressive_problem(Rc=0.8, k_r=0.5)
+    tr, steps = guarded_trace(monkeypatch, pr, np.linspace(1e-4, 2.8, 100))
     assert tr.complete
     assert len(tr.points) == 100
     assert max(abs(b.phi - a.phi) for a, b in zip(tr.points, tr.points[1:])) < 0.1
@@ -1303,8 +1309,8 @@ def test_guard_follows_spring_hinged_compressive_branch(monkeypatch):
 def test_guard_stops_instead_of_jumping(monkeypatch):
     # the window scan reported a complete trace across a single step of
     # |dphi| = 13.1; the guarded trace stops and names where
-    pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.25, k_r=2.0)
-    tr, steps = guarded_trace(monkeypatch, pr, np.linspace(1e-4, 2.8, 100), "compressive")
+    pr = compressive_problem(k_r=2.0)
+    tr, steps = guarded_trace(monkeypatch, pr, np.linspace(1e-4, 2.8, 100))
     assert not tr.complete
     assert "last accepted theta0=" in tr.diagnostic and "rejected R=" in tr.diagnostic
     assert tr.points
@@ -1324,7 +1330,7 @@ def test_follower_repeats_no_solve(monkeypatch):
 
     monkeypatch.setattr(elastica, "_warm_state", solving)
     pr = ElasticaProblem(B=1.0, l=1.0, k_r=0.9276487201667345, R_c=0.2886052752897865)
-    tr = trace_branch(pr, np.linspace(1e-3, 1.773671988484576, 78), "tensile")
+    tr = trace_branch(pr, np.linspace(1e-3, 1.773671988484576, 78))
     assert len(tr.points) > 1
     assert all(a != b for a, b in zip(calls, calls[1:]))
 
@@ -1333,9 +1339,9 @@ def test_follower_repeats_no_solve(monkeypatch):
 @pytest.mark.parametrize("branch", ["tensile", "compressive"])
 def test_trace_starts_with_the_cold_solve(theta0, branch):
     # a trace is the cold follower walked through its schedule
-    pr = tensile_problem(k_r=0.3)
-    st = solve_R(theta0, elastica._branch_problem(pr, branch))
-    tr = trace_branch(pr, [theta0, 2.0 * theta0], branch)
+    pr = branch_problem(branch, k_r=0.3)
+    st = solve_R(theta0, pr)
+    tr = trace_branch(pr, [theta0, 2.0 * theta0])
     assert tr.points[0] == st
 
 
@@ -1343,9 +1349,9 @@ def test_trace_starts_with_the_cold_solve(theta0, branch):
 def test_seeded_trace_follows_the_unseeded_one(branch):
     # a seed only moves the first solve; the next step starts from that
     # point alone and the follower picks the branch up from there
-    pr, schedule = tensile_problem(), np.linspace(1e-4, 2.8, 100)
-    tr = trace_branch(pr, schedule, branch)
-    seeded = trace_branch(pr, schedule, branch, seed=1.001 * tr.points[0].R)
+    pr, schedule = branch_problem(branch), np.linspace(1e-4, 2.8, 100)
+    tr = trace_branch(pr, schedule)
+    seeded = trace_branch(pr, schedule, seed=1.001 * tr.points[0].R)
     assert tr.complete and seeded.complete
     for a, b in zip(tr.points, seeded.points, strict=True):
         assert (b.R, b.F, b.phi, b.delta) == pytest.approx((a.R, a.F, a.phi, a.delta), rel=1e-11)
@@ -1354,11 +1360,31 @@ def test_seeded_trace_follows_the_unseeded_one(branch):
 def test_spring_hinged_tensile_trace_stops_as_R_nears_zero():
     # the guard's ratio bound cannot hold as R -> 0 on this branch
     pr = ElasticaProblem(B=1.0, l=1.0, R_c=0.333, k_r=0.894, half="left")
-    tr = trace_branch(pr, np.linspace(1e-4, 0.946, 100), "tensile")
+    tr = trace_branch(pr, np.linspace(1e-4, 0.946, 100))
     assert not tr.complete
     at = float(re.search(r"stopped at theta0=(\S+) ", tr.diagnostic).group(1))
     assert abs(at - 0.7698) < 1e-3
     assert "past the last accepted theta0=" in tr.diagnostic
+
+
+# a spring-hinged tensile problem whose follower stops before its schedule
+# ends, keeping two points on either side of phi = pi/2 (R = 46.19, then
+# 1.441); the load-sign refinement's trial at theta0 = 0.4165 is seeded
+# between those reactions and finds no root near the seed
+STOPPED_BEFORE_REFINEMENT = (1.7491601471353802, 0.8529824103012318, 1.1599756942688444)
+
+
+def test_trace_keeps_its_points_when_the_load_sign_refinement_fails():
+    # the refinement's ContinuationError escaped trace_branch
+    k_r, Rc, theta0 = STOPPED_BEFORE_REFINEMENT
+    tr = trace_branch(tensile_problem(Rc=Rc, k_r=k_r), np.linspace(1e-4, theta0, 3))
+    assert not tr.complete
+    assert [p.R for p in tr.points] == pytest.approx([46.186951282713309, 1.4414937842005], rel=1e-12)
+    assert tr.points[0].phi < math.pi / 2.0 < tr.points[1].phi
+    assert "load_sign_transition" not in tr.events
+    follower, refinement = tr.diagnostic.split("; ")
+    assert follower.startswith("stopped at theta0=")
+    assert refinement.startswith("load-sign refinement at phi = pi/2 failed: no sign change")
 
 
 def test_shape_export_samples_and_arclength():
