@@ -93,6 +93,34 @@ def _characteristic_in_x(model, sgn):
     return f
 
 
+def _tension_bound(model):
+    """X such that the tension characteristic, or for a clamped end its
+    factor g, has the sign of A = 1 + chi_hat at every x > X, so that no
+    tension root lies past X.
+
+    With kappa = k l/B, the free and spring ends give
+    f/cosh x = A x + (kappa A - chi_hat) tanh x - kappa chi_hat (1 - sech x)/x.
+    As 0 < tanh x < 1 and 0 <= 1 - sech x < 1, sgn(A) f/cosh x is at least
+    |A| x - p - q/x, with p = max(0, sgn(A) (chi_hat - kappa A)) and
+    q = max(0, sgn(A) kappa chi_hat), which is positive past the root
+    X = (p + sqrt(p^2 + 4 |A| q))/(2 |A|) of |A| x^2 - p x - q.  The clamped
+    factor gives g/cosh(x/2) = A x - chi_hat tanh(x/2), the same bound with
+    kappa = 0: X = max(0, sgn(A) chi_hat)/|A|.  At A = 0 (chi_hat = -1)
+    f/cosh x = tanh x + kappa (1 - sech x)/x and g/cosh(x/2) = tanh(x/2) are
+    positive, so there is no tension root and X = 0.  With k = inf, X is
+    inf where q > 0.
+    """
+    chi, a = model.chi_hat, 1.0 + model.chi_hat
+    if a == 0.0:
+        return 0.0
+    sgn = math.copysign(1.0, a)
+    kappa = 0.0 if model.clamped else model.k * model.l / model.B
+    p = max(0.0, sgn * (chi - kappa * a))
+    # no product kappa * chi_hat, which is NaN at k = inf and chi_hat = 0
+    q = kappa * abs(chi) if sgn * chi > 0.0 else 0.0
+    return (p + math.sqrt(p * p + 4.0 * abs(a) * q)) / (2.0 * abs(a))
+
+
 def characteristic(alpha_l, load_sign, model):
     """Characteristic function whose positive roots are the critical loads.
 
@@ -117,14 +145,30 @@ def characteristic(alpha_l, load_sign, model):
     return f(x)
 
 
+def _grid(step, count, alpha_l_max):
+    """The scan's samples step * (1e-3, 1, ..., count), then alpha_l_max
+    where they end short of it; a generator, as the scan may stop early."""
+    x = step * 1e-3
+    yield x
+    for j in range(1, count + 1):
+        x = step * j
+        yield x
+    if x < alpha_l_max:
+        yield alpha_l_max
+
+
 def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
                         max_modes=None, step=_DEFAULT_STEP):
     """All characteristic roots in (0, alpha_l_max], sorted, as BucklingMode,
     or the first max_modes of them.
 
-    Sign changes on the grid step * (1e-3, 1, 2, ...), refined by brentq
-    as the scan finds them; with max_modes the scan stops once it holds
-    that many roots.  alpha_l_max is capped at 700, where cosh in the
+    Sign changes on the grid step * (1e-3, 1, 2, ...), closed by a sample
+    at alpha_l_max where the grid ends short of it, refined by brentq as
+    the scan finds them; with max_modes the scan stops once it holds that
+    many roots.  A tension scan stops at its first sample past the bound X
+    of _tension_bound, beyond which the function keeps one sign; the
+    samples and brackets before it are the full scan's, so every root keeps
+    its bits.  alpha_l_max is capped at 700, where cosh in the
     tension characteristic is still a factor 3e4 below overflow, and the
     grid at 1e6 samples: step must be positive and at least
     alpha_l_max / 1e6.
@@ -162,16 +206,19 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     exact = []
     if model.clamped and sgn < 0.0:
         exact = [turn * n for n in range(1, int(alpha_l_max * (1.0 + 1e-15) / turn) + 1)]
-    # below: the exact roots up to the sample; no grid list, as max_modes may end the scan early
+    # 1e-12 relative covers the rounding of X
+    stop = _tension_bound(model) * (1.0 + 1e-12) if sgn > 0.0 else math.inf
+    # below: the exact roots up to the sample
     roots, below, prev, x_prev = [], 0, math.nan, math.nan
-    for j in range(count + 1):
-        x = step * j if j else step * 1e-3
+    for x in _grid(step, count, alpha_l_max):
         fx = f(x)
         if fx == 0.0 or prev * fx < 0.0:
             root = refine(f, (x_prev, x), (prev, fx), 1 if fx == 0.0 else 0, 1, _XTOL)[0]
             if not exact or abs(root - turn * round(root / turn)) > _XTOL * (1.0 + root):
                 roots.append(root)
         prev, x_prev = fx, x
+        if x > stop:
+            break
         if max_modes is not None:
             while below < len(exact) and exact[below] <= x:
                 below += 1

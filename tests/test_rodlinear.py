@@ -376,14 +376,15 @@ def test_every_frozen_root_to_a_few_ulps():
 ROD_SWEEP_ROOTS = Path(__file__).parent / "data" / "rod_sweep_roots.txt"
 
 
-def rod_sweep(draws=200, seed=2013):
+def rod_sweep(draws=200, seed=2013, chi_max=6.0):
     """Seeded (model, load sign) pairs of the frozen-root sweep: per draw
-    one curvature in [-6, 6], stiffness and length in [1/e, e], the ends
-    free, spring (k in [0, 5] and in [0, 5000]) and clamped, both signs."""
+    one curvature in [-chi_max, chi_max], stiffness and length in [1/e, e],
+    the ends free, spring (k in [0, 5] and in [0, 5000]) and clamped, both
+    signs."""
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         chi, B, l, k_small, k_large = rng.uniform(
-            [-6.0, -1.0, -1.0, 0.0, 0.0], [6.0, 1.0, 1.0, 5.0, 5000.0]).tolist()
+            [-chi_max, -1.0, -1.0, 0.0, 0.0], [chi_max, 1.0, 1.0, 5.0, 5000.0]).tolist()
         B, l = math.exp(B), math.exp(l)
         for k, clamped in ((0.0, False), (k_small, False), (k_large, False), (0.0, True)):
             for sign in ("tension", "compression"):
@@ -565,21 +566,27 @@ def test_max_modes_is_the_table_prefix():
             assert find_critical_loads(model, sign, max_modes=max_modes) == full[:max_modes]
 
 
+@pytest.fixture
+def sampled(monkeypatch):
+    """Every alpha_l at which a root scan samples its function, in order."""
+    xs = []
+    in_x = rodlinear._characteristic_in_x
+
+    def recording(*args, **kwargs):
+        f = in_x(*args, **kwargs)
+        return lambda x: xs.append(x) or f(x)
+
+    monkeypatch.setattr(rodlinear, "_characteristic_in_x", recording)
+    return xs
+
+
 @pytest.mark.parametrize("chi, clamped, last_root", [
     (-5.0, False, ROLLER_COMPRESSION[-5.0]),
     (-1.5, True, CLAMPED_COMPRESSION_M15),
     (-1.0, True, (2.0 * math.pi, 4.0 * math.pi, 6.0 * math.pi)),
 ])
-def test_max_modes_stops_the_scan(monkeypatch, chi, clamped, last_root):
+def test_max_modes_stops_the_scan(sampled, chi, clamped, last_root):
     # the largest alpha_l sampled lies within a step of the last mode kept
-    sampled = []
-    in_x = rodlinear._characteristic_in_x
-
-    def recording(*args, **kwargs):
-        f = in_x(*args, **kwargs)
-        return lambda x: sampled.append(x) or f(x)
-
-    monkeypatch.setattr(rodlinear, "_characteristic_in_x", recording)
     model = RodModel(B=1.0, l=1.0, chi_hat=chi, clamped=clamped)
     for max_modes, root in enumerate(last_root, start=1):
         sampled.clear()
@@ -588,23 +595,140 @@ def test_max_modes_stops_the_scan(monkeypatch, chi, clamped, last_root):
         assert root <= max(sampled) < root + math.pi / 50.0
 
 
-def test_scan_evaluates_no_alpha_l_twice(monkeypatch):
+def test_scan_evaluates_no_alpha_l_twice(sampled):
     # brentq starts from the two scan samples of a bracket, which it used
     # to evaluate again, twice per root
-    sampled = []
-    in_x = rodlinear._characteristic_in_x
-
-    def recording(*args, **kwargs):
-        f = in_x(*args, **kwargs)
-        return lambda x: sampled.append(x) or f(x)
-
-    monkeypatch.setattr(rodlinear, "_characteristic_in_x", recording)
     roots = 0
     for model, sign in rod_sweep(draws=5, seed=11):
         sampled.clear()
         roots += len(find_critical_loads(model, sign))
         assert len(sampled) == len(set(sampled)), (model, sign)
     assert roots > 50
+
+def test_roots_in_the_last_partial_cell():
+    # an alpha_l_max that is not a multiple of the step is itself sampled;
+    # the grid used to end at step * count and drop the roots in
+    # (step * count, alpha_l_max]
+    roller = RodModel(B=1.0, l=1.0, chi_hat=-5.0)
+    found = find_critical_loads(roller, "compression", alpha_l_max=7.7106)
+    assert_allclose([m.alpha_l for m in found], ROLLER_COMPRESSION[-5.0][:2], rtol=0.0, atol=1e-12)
+    spring = RodModel(B=1.0, l=1.0, k=2.1881, chi_hat=-2.9159)
+    found = find_critical_loads(spring, "compression", alpha_l_max=0.05)
+    assert len(found) == 1
+    assert abs(found[0].alpha_l - SMALL_SPRING_M29159_K21881) < 1e-11
+    # a table cut just above one of its roots keeps that root and those
+    # before it, which keep their bits: only the last bracket is cut
+    cuts = 0
+    for model, sign in rod_sweep(draws=20, seed=43):
+        full = [m.alpha_l for m in find_critical_loads(model, sign)]
+        for i, root in enumerate(full):
+            cut = [m.alpha_l for m in find_critical_loads(model, sign, alpha_l_max=root + 1e-6)]
+            assert cut[:i] == full[:i], (model, sign, root)
+            assert len(cut) == i + 1 and abs(cut[i] - root) < 1e-12, (model, sign, root, cut)
+            cuts += 1
+    assert cuts > 200
+
+
+def tension_bound(model):
+    """X past which the tension characteristic has the sign of
+    A = 1 + chi_hat: (p + sqrt(p^2 + 4 |A| q))/(2 |A|) with kappa = k l/B
+    (0 for a clamped end), p = max(0, chi_hat - kappa A) and
+    q = max(0, kappa chi_hat) for A > 0, p = max(0, kappa A - chi_hat) and
+    q = max(0, -kappa chi_hat) for A < 0; 0 at A = 0, where there is no
+    tension root."""
+    chi, a = model.chi_hat, 1.0 + model.chi_hat
+    if a == 0.0:
+        return 0.0
+    kappa = 0.0 if model.clamped else model.k * model.l / model.B
+    kappa_chi = kappa * chi if chi != 0.0 else 0.0  # inf * 0 at k = inf
+    if a > 0.0:
+        p, q = max(0.0, chi - kappa * a), max(0.0, kappa_chi)
+    else:
+        p, q = max(0.0, kappa * a - chi), max(0.0, -kappa_chi)
+    return (p + math.sqrt(p * p + 4.0 * abs(a) * q)) / (2.0 * abs(a))
+
+
+def bound_models(draws, seed):
+    """Seeded rods for the tension bound: the rod_sweep models with
+    curvatures in [-8, 8]; then unit rods at chi_hat = -1 and within 1e-12
+    of it (A near 0), at 0 and on either side of -1, with k = 0, 1 and inf
+    and a clamped end."""
+    for model, sign in rod_sweep(draws, seed, chi_max=8.0):
+        if sign == "tension":
+            yield model
+    for chi in (-1.0, -1.0 + 1e-12, -1.0 - 1e-12, -1.0 + 1e-13, -1.0 - 1e-13,
+                0.0, -0.5, -3.0, 2.0):
+        for k in (0.0, 1.0, math.inf):
+            yield RodModel(B=1.0, l=1.0, k=k, chi_hat=chi)
+        yield RodModel(B=1.0, l=1.0, chi_hat=chi, clamped=True)
+
+
+def unbounded_tension_scan(model, alpha_l_max, step=math.pi / 50.0):
+    """Tension roots of the scan with no bound: sign changes on every
+    sample of the grid step * (1e-3, 1, ..., count) and at alpha_l_max
+    where the grid ends short of it, each refined by scipy's brentq."""
+    f = rodlinear._characteristic_in_x(model, 1.0)
+    count = int(alpha_l_max / step + 1e-9)
+    xs = [step * 1e-3, *(step * j for j in range(1, count + 1))]
+    if xs[-1] < alpha_l_max:
+        xs.append(alpha_l_max)
+    fs = [f(x) for x in xs]
+    return [xs[i] if i == j else brentq(f, xs[i], xs[j], xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
+            for i, j in sign_changes(fs)]
+
+
+def test_tension_characteristic_keeps_the_sign_of_A_past_the_bound():
+    # on a grid that crowds toward X, from just past X to the scan limit
+    # 700 below which cosh stays finite; the scanned function is the
+    # characteristic, or for a clamped end its factor g, whose sign the
+    # characteristic 2 sinh(x/2) g shares.  At A = 0 it is positive
+    t = np.linspace(0.0, 1.0, 2001) ** 3
+    checked = 0
+    for model in bound_models(draws=150, seed=31):
+        X = tension_bound(model)
+        assert rodlinear._tension_bound(model) == pytest.approx(X, rel=1e-15, abs=0.0), model
+        if not X < 700.0:
+            continue
+        f = rodlinear._characteristic_in_x(model, 1.0)
+        sgn = -1.0 if model.chi_hat < -1.0 else 1.0
+        x0 = X * (1.0 + 1e-12)
+        for x in (x0 + (700.0 - x0) * t).tolist():
+            if x > 0.0:
+                assert sgn * f(x) > 0.0, (model, X, x, f(x))
+        checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("alpha_l_max", [6.0 * math.pi, 30.0, 700.0], ids=["6pi", "30", "700"])
+def test_tension_tables_equal_the_unbounded_scan(alpha_l_max):
+    draws = 30 if alpha_l_max > 100.0 else 150
+    roots = 0
+    for model in bound_models(draws=draws, seed=53):
+        found = [m.alpha_l for m in find_critical_loads(model, "tension", alpha_l_max=alpha_l_max)]
+        assert found == unbounded_tension_scan(model, alpha_l_max), model
+        roots += len(found)
+    assert roots > draws / 2
+
+
+def test_tension_scan_stops_within_a_step_of_the_bound(sampled):
+    # the scan samples nothing more than a step past X, so a rod with no
+    # tension root (chi_hat in (-1, 0], where X = 0) samples at most
+    # twice, where it used to sample its whole grid
+    step = math.pi / 50.0
+    models = list(bound_models(draws=100, seed=59))
+    models += [RodModel(B=B, l=1.0, k=k, chi_hat=chi)
+               for chi in (-0.999, -0.5, -1e-9, 0.0) for k in (0.0, 5.0, 5000.0, math.inf)
+               for B in (1.0 / math.e, math.e)]
+    models += [RodModel(B=1.0, l=1.0, chi_hat=chi, clamped=True) for chi in (-0.999, -0.5, 0.0)]
+    rootless = 0
+    for model in models:
+        sampled.clear()
+        find_critical_loads(model, "tension", alpha_l_max=700.0)
+        assert max(sampled) <= tension_bound(model) * (1.0 + 1e-9) + step, model
+        if -1.0 < model.chi_hat <= 0.0:
+            assert len(sampled) <= 2, (model, len(sampled))
+            rootless += 1
+    assert rootless > 30
 
 
 @pytest.mark.parametrize("step", [0.0, -0.0, -0.1, math.nan, math.inf, 1e-13, 5e-324])
