@@ -566,16 +566,16 @@ def solve_R(theta0, problem, seed=None):
     With a seed (a warm start), Newton's method runs from it on the
     residual's exact slope within seed*[1/1.02, 1.02], and keeps the root
     the bracket search takes when each side of that window holds at most
-    one root: residuals at seed/r and seed*r for r = 1.02,
-    then r**1.6, up to 5, with brentq on the first sign change between
-    neighbouring samples, so the root nearest the seed wins.  That search
-    also solves where Newton leaves the window or stops contracting, and
-    a ContinuationError names the window seed*[0.2, 5] when it holds no
-    sign change (_warm_state).  Without a
-    seed (a cold start), the root is followed along the branch that
-    bifurcates at the linearized critical load R_cr of the matching
-    sliding-rod model: entered at theta0 = 1e-3 and continued in
-    predicted warm steps that keep the continuity bounds (_advance).
+    one root: residuals at seed/r and seed*r for r = 1.02, then r**1.6,
+    up to 5, with brentq on the first sign change between neighbouring
+    samples, so the root nearest the seed wins.  That search also solves
+    where Newton leaves the window or stops contracting, and a
+    ContinuationError names the window seed*[0.2, 5] when it holds no
+    sign change (_warm_state).  Without a seed (a cold start), the root
+    is followed along the branch that bifurcates at the linearized
+    critical load R_cr of the matching sliding-rod model: entered at
+    theta0 = 1e-3 and continued in predicted warm steps that keep the
+    continuity bounds (_advance), as every solve on a traced branch is.
     Either way the state is trace_branch's at theta0 as its whole
     schedule, and its ContinuationError is the text such a trace stops
     with.  A solve evaluates the residual once per reaction it tries.
@@ -609,9 +609,10 @@ def trace_branch(problem, theta0_schedule, seed=None):
     trace stops with complete = False and the text of that error as its
     diagnostic.  Each point is the ElasticaState solved there, and so is
     the load-sign transition, where the pin tops the circle at
-    phi = pi/2, recorded in events after refinement with refine_on_trace;
-    a failed refinement keeps the points, sets complete = False and adds
-    its error to the diagnostic.
+    phi = pi/2, recorded in events after refinement with refine_on_trace,
+    whose trials step the same follower from the trace points; a failed
+    refinement keeps the points, sets complete = False and adds its error
+    to the diagnostic.
     """
     schedule = [float(t) for t in theta0_schedule]
     # 0 < schedule[0] < ... < schedule[-1] < inf, which no NaN keeps
@@ -646,20 +647,19 @@ def refine_on_trace(trace, value, target):
     """Solved state where value(state) == target on a traced branch.
 
     The first sign change of value - target over the trace points is
-    refined by brentq in theta0 from the points' own values, each trial
-    solve warm started from the reaction interpolated between the pair,
-    on the problem the pair was solved on.  The state returned is a trace
-    point, itself when it is on target, or a trial: no theta0 is solved
-    twice.  Returns None when nothing brackets target.
+    refined by brentq in theta0 from their own values.  Each trial is a
+    follower step (_advance) on their problem from the bracket's left
+    point and up to two before it, and raises where the follower stops.
+    The state returned is a trace point, itself when on target, or a
+    trial: no theta0 is solved twice.  None when nothing brackets target.
     """
     pts = trace.points
     fs = [Sample(value(p) - target, p) for p in pts]
     for i, j in sign_changes(fs):
-        a, b = pts[i], pts[j]
+        known = [(p.theta0, p.R, p.phi) for p in pts[max(i - 2, 0):i + 1]]
 
         def trial(th0):
-            w = (th0 - a.theta0) / (b.theta0 - a.theta0)
-            st = solve_R(th0, a.problem, seed=a.R + w * (b.R - a.R))
+            st = _advance(pts[i].problem, known, th0)[0]
             return Sample(value(st) - target, st)
 
         return refine(trial, [p.theta0 for p in pts], fs, i, j, 1e-13)[1].record

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from arcstab import cli, elastica, profiledesign
-from arcstab.errors import QuadratureError
+from arcstab.errors import ContinuationError, QuadratureError
 from arcstab.profiledesign import neutral_profile
 
 
@@ -525,19 +525,29 @@ def test_fig7_refinements_solve_no_trace_point_again(tmp_path, monkeypatch):
     # a refinement brackets on the trace points' own values: no warm solve
     # at a trace point's theta0, where each bracket end was solved again
     # (28 solves per fig7 call), and a point on target is returned itself
-    traces, solved = [], []
-    trace_branch, solve_R = elastica.trace_branch, elastica.solve_R
+    traces, solved, refining = [], [], []
+    trace_branch, warm = elastica.trace_branch, elastica._warm_state
+    refine_on_trace = elastica.refine_on_trace
 
     def tracing(*args, **kwargs):
         traces.append(trace_branch(*args, **kwargs))
         return traces[-1]
 
-    def solving(theta0, problem, seed=None):
-        solved.append(theta0)
-        return solve_R(theta0, problem, seed)
+    def solving(theta0, problem, seed):
+        if refining:
+            solved.append(theta0)
+        return warm(theta0, problem, seed)
+
+    def refine(*args):
+        refining.append(True)
+        try:
+            return refine_on_trace(*args)
+        finally:
+            refining.pop()
 
     monkeypatch.setattr(elastica, "trace_branch", tracing)
-    monkeypatch.setattr(elastica, "solve_R", solving)
+    monkeypatch.setattr(elastica, "_warm_state", solving)
+    monkeypatch.setattr(elastica, "refine_on_trace", refine)
     assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
     assert len(traces) == 2 and solved
     assert not {p.theta0 for trace in traces for p in trace.points} & set(solved)
@@ -559,17 +569,83 @@ def test_elastica_continuation_failure_exits_4(tmp_path, capsys):
     assert rows == []  # partial data kept, nothing solved here
 
 
-def test_elastica_failed_load_sign_refinement_exits_4_with_both_tables(tmp_path, capsys):
+# a spring-hinged tensile trace that stops as R nears zero, with two points
+# on either side of phi = pi/2
+STOPPED_BEFORE_REFINEMENT = ["trace-elastica", "--R-c=0.8529824103012318",
+                             "--k-r=1.7491601471353802", "--theta0-max=1.1599756942688444",
+                             "--n-points=3"]
+
+
+def test_elastica_stop_before_the_schedule_ends_keeps_the_load_sign_event(tmp_path, capsys):
+    # the load-sign trial at theta0 = 0.4165, seeded by R interpolated
+    # between the points, found no sign change; a follower step from the
+    # first point refines the event, and the follower's stop alone exits 4
+    assert run(STOPPED_BEFORE_REFINEMENT, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: stopped at theta0=") and "load-sign" not in err
+    _, rows = read_csv(tmp_path / "elastica_tensile.csv")
+    assert len(rows) == 3 and abs(float(rows[1][3]) - math.pi / 2) < 1e-12
+
+
+def test_elastica_failed_load_sign_refinement_exits_4_with_both_tables(tmp_path, capsys,
+                                                                       monkeypatch):
     # the tensile trace's load-sign refinement raised out of the command,
     # which exited 4 with no table written
-    argv = ["trace-elastica", "--R-c=0.8529824103012318", "--k-r=1.7491601471353802",
-            "--theta0-max=1.1599756942688444", "--n-points=3"]
-    assert run(argv, tmp_path) == 4
+    refine_on_trace = elastica.refine_on_trace
+
+    def failing(trace, value, target):
+        if trace.points[0].problem.half == "left":
+            raise ContinuationError("no sign change (refinement made to fail)")
+        return refine_on_trace(trace, value, target)
+
+    monkeypatch.setattr(elastica, "refine_on_trace", failing)
+    assert run(STOPPED_BEFORE_REFINEMENT, tmp_path) == 4
     err = capsys.readouterr().err
     assert "load-sign refinement at phi = pi/2 failed" in err and "Traceback" not in err
     assert len(read_csv(tmp_path / "elastica_tensile.csv")[1]) == 2
     assert len(read_csv(tmp_path / "elastica_compressive.csv")[1]) == 3
     assert not (tmp_path / "branch_shift.txt").exists()
+
+
+def test_elastica_shape_lands_on_its_phi_between_sparse_points(tmp_path):
+    # the shape's refinement, seeded by R interpolated between the points,
+    # converged onto a jump of phi to another root and wrote the shape at
+    # phi = 1.7451 under the name of phi = 2
+    argv = ["trace-elastica", "--R-c=0.8429431558737941", "--n-points=3",
+            "--theta0-max=2.5", "--branch=tensile", "--shape-phi=2.0"]
+    assert run(argv, tmp_path) == 0
+    _, rows = read_csv(tmp_path / "shape_tensile_phi2.csv")
+    assert abs(float(rows[-1][3]) - 2.0) < 1e-12
+
+
+def test_elastica_failed_shape_refinement_exits_4(tmp_path, capsys, monkeypatch):
+    # a shape refinement's trials are follower steps, so a follower stop
+    # there leaves the command as a ContinuationError
+    trace_branch = elastica.trace_branch
+
+    def failing(theta0, problem, seed):
+        raise ContinuationError("no root at theta0=%r" % theta0)
+
+    def tracing(*args, **kwargs):
+        trace = trace_branch(*args, **kwargs)
+        monkeypatch.setattr(elastica, "_warm_state", failing)
+        return trace
+
+    monkeypatch.setattr(elastica, "trace_branch", tracing)
+    argv = ["trace-elastica", "--branch=tensile", "--n-points=10", "--shape-phi=0.5"]
+    assert run(argv, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: stopped at theta0=") and ": no root at theta0=" in err
+    assert len(read_csv(tmp_path / "elastica_tensile.csv")[1]) == 11
+    assert not list(tmp_path.glob("shape_*.csv"))
+
+
+def test_elastica_shape_phi_off_the_branch_writes_a_note(tmp_path, capsys):
+    argv = ["trace-elastica", "--branch=tensile", "--n-points=10", "--shape-phi=-1"]
+    assert run(argv, tmp_path) == 0
+    err = capsys.readouterr().err
+    assert err == "note: phi=-1 outside the traced tensile branch, no shape written\n"
+    assert not list(tmp_path.glob("shape_*.csv"))
 
 
 def test_elastica_seed_not_a_number_exits_2(tmp_path, capsys):

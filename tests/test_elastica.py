@@ -95,29 +95,15 @@ def traced_compressive():
     return trace_branch(compressive_problem(), SCHEDULE)
 
 
-def solve_at_phi(problem, trace, phi_target):
-    # bracket by consecutive trace points, then root in theta0 with warm seeds
+def solve_at(problem, trace, value, target):
+    # bracket by consecutive trace points, then root in theta0 on cold
+    # solves, which follow the branch from its bifurcation and take no seed
     for a, b in zip(trace.points, trace.points[1:]):
-        if (a.phi - phi_target) * (b.phi - phi_target) <= 0.0:
-            def g(th0):
-                w = (th0 - a.theta0) / (b.theta0 - a.theta0)
-                return solve_R(th0, problem, seed=a.R + w * (b.R - a.R)).phi - phi_target
-            th0 = brentq(g, a.theta0, b.theta0, xtol=1e-13)
-            w = (th0 - a.theta0) / (b.theta0 - a.theta0)
-            return solve_R(th0, problem, seed=a.R + w * (b.R - a.R))
-    raise AssertionError("phi target not bracketed by the trace")
-
-
-def solve_at_force(problem, trace, F_target):
-    for a, b in zip(trace.points, trace.points[1:]):
-        if (a.F - F_target) * (b.F - F_target) <= 0.0:
-            def g(th0):
-                w = (th0 - a.theta0) / (b.theta0 - a.theta0)
-                return solve_R(th0, problem, seed=a.R + w * (b.R - a.R)).F - F_target
-            th0 = brentq(g, a.theta0, b.theta0, xtol=1e-13)
-            w = (th0 - a.theta0) / (b.theta0 - a.theta0)
-            return solve_R(th0, problem, seed=a.R + w * (b.R - a.R))
-    raise AssertionError("force target not bracketed by the trace")
+        if (value(a) - target) * (value(b) - target) <= 0.0:
+            th0 = brentq(lambda t: value(solve_R(t, problem)) - target,
+                         a.theta0, b.theta0, xtol=1e-13)
+            return solve_R(th0, problem)
+    raise AssertionError("target not bracketed by the trace")
 
 
 def test_problem_validation():
@@ -1175,31 +1161,49 @@ def test_branch_shift_congruence(traced_tensile, traced_compressive):
     # one branch is the other translated by 2 R_c along delta
     pr_t, pr_c = tensile_problem(), compressive_problem()
     for target in (-0.45, -0.2, 0.1, 0.4, 0.7):
-        st_t = solve_at_force(pr_t, traced_tensile, target)
-        st_c = solve_at_force(pr_c, traced_compressive, target)
+        st_t = solve_at(pr_t, traced_tensile, lambda p: p.F, target)
+        st_c = solve_at(pr_c, traced_compressive, lambda p: p.F, target)
         assert st_t.delta - st_c.delta == pytest.approx(0.5, abs=1e-6)
 
 
 def test_refine_on_trace_matches_local_bisection(traced_tensile, traced_compressive):
-    # the trace points carry the assembly they were solved on
+    # the trace points carry the assembly they were solved on; the
+    # bisection's cold solves agree with the refinement to about 3e-15
     for tr, pr in ((traced_tensile, tensile_problem()),
                    (traced_compressive, compressive_problem())):
         st = refine_on_trace(tr, lambda p: p.phi, math.pi / 4)
-        assert st == solve_at_phi(pr, tr, math.pi / 4)
+        ref = solve_at(pr, tr, lambda p: p.phi, math.pi / 4)
+        assert (st.theta0, st.R) == pytest.approx((ref.theta0, ref.R), rel=1e-12, abs=0.0)
+        assert st.phi == pytest.approx(math.pi / 4, abs=1e-12)
         assert refine_on_trace(tr, lambda p: p.F, 1e6) is None
 
 
+@pytest.mark.parametrize("kwargs, n_points", [
+    (dict(Rc=0.8429431558737941), 3),
+    (dict(Rc=0.8676911466641781, k_r=0.7861721511231718), 4),
+])
+def test_refine_on_trace_hits_its_target_between_sparse_points(kwargs, n_points):
+    # trials seeded by R interpolated between the bracket's points landed on
+    # another root past theta0 ~ 0.19, where phi jumps, and brentq converged
+    # onto the jump: phi = 1.7451 and 1.7112 were returned for phi = 2
+    pr = tensile_problem(**kwargs)
+    st = refine_on_trace(trace_branch(pr, np.linspace(1e-4, 2.5, n_points)), lambda p: p.phi, 2.0)
+    ref = refine_on_trace(trace_branch(pr, np.linspace(1e-4, 2.5, 600)), lambda p: p.phi, 2.0)
+    assert st.phi == pytest.approx(2.0, abs=1e-12)
+    assert (st.theta0, st.R) == pytest.approx((ref.theta0, ref.R), rel=1e-12, abs=0.0)
+
+
 def test_refine_on_trace_solves_each_theta0_once(monkeypatch, traced_tensile):
-    # the refined theta0 is one of brentq's trials, so its state is not
-    # solved again
+    # the refined theta0 is one of brentq's trials, each a branch-follower
+    # step from the bracket's left point, so its state is not solved again
     thetas = []
-    solve = elastica.solve_R
+    advance = elastica._advance
 
-    def counting(theta0, problem, seed=None):
+    def counting(problem, pts, theta0, step=math.inf):
         thetas.append(theta0)
-        return solve(theta0, problem, seed)
+        return advance(problem, pts, theta0, step)
 
-    monkeypatch.setattr(elastica, "solve_R", counting)
+    monkeypatch.setattr(elastica, "_advance", counting)
     st = refine_on_trace(traced_tensile, lambda p: p.phi, math.pi / 4)
     assert st.phi == pytest.approx(math.pi / 4, abs=1e-12)
     assert st.theta0 in thetas
@@ -1244,14 +1248,17 @@ def test_trace_partial_on_bracket_loss():
 def guarded_trace(monkeypatch, problem, schedule):
     """trace_branch with its continuity checks recorded: returns the trace
     and the (previous, new) (R, phi) pairs of the solved steps the guard
-    accepted, checked to form one chain from the first trace point through
-    every later one.
+    accepted.  The trace's steps are checked to form one chain from the
+    first trace point through every later one, and each step of its
+    load-sign refinement after them to leave a trace point or end the
+    step before.
 
     A check of a solved step compares the state just solved; the other
     checks compare predictions and are left out.
     """
-    solved, steps = [], []
+    solved, steps, refined = [], [], []
     warm, guard = elastica._warm_state, elastica._guard_rejection
+    refine = elastica.refine_on_trace
 
     def solving(theta0, pr, seed):
         st = warm(theta0, pr, seed)
@@ -1264,19 +1271,28 @@ def guarded_trace(monkeypatch, problem, schedule):
             steps.append(((R_prev, phi_prev), (R, phi)))
         return why
 
+    def refining(*args):
+        refined.append(len(steps))
+        return refine(*args)
+
     monkeypatch.setattr(elastica, "_warm_state", solving)
     monkeypatch.setattr(elastica, "_guard_rejection", checking)
+    monkeypatch.setattr(elastica, "refine_on_trace", refining)
     tr = trace_branch(problem, schedule)
+    (split,) = refined
     states = [(p.R, p.phi) for p in tr.points]
     # the steps of the cold follow up to the first point lead into it
-    first = next((i for i, (a, _) in enumerate(steps) if a == states[0]), None)
+    first = next((i for i, (a, _) in enumerate(steps[:split]) if a == states[0]), None)
     assert first is not None, "no accepted step leaves the first trace point"
-    chain = steps[first:]
+    chain = steps[first:split]
     for (_, b), (c, _) in zip(chain, chain[1:]):
         assert b == c
     walked = iter([chain[0][0], *(b for _, b in chain)])
     assert all(st in walked for st in states), "a trace point is off the chain of steps"
-    return tr, chain
+    refinement = steps[split:]
+    for (_, b), (c, _) in zip([(None, None), *refinement], refinement):
+        assert c == b or c in states, "a refinement step leaves neither a trace point nor a step"
+    return tr, chain + refinement
 
 
 def assert_steps_within_guard(steps):
@@ -1368,23 +1384,66 @@ def test_spring_hinged_tensile_trace_stops_as_R_nears_zero():
 
 
 # a spring-hinged tensile problem whose follower stops before its schedule
-# ends, keeping two points on either side of phi = pi/2 (R = 46.19, then
-# 1.441); the load-sign refinement's trial at theta0 = 0.4165 is seeded
-# between those reactions and finds no root near the seed
+# ends, as R nears zero, keeping two points on either side of phi = pi/2
+# (R = 46.19, then 1.441)
 STOPPED_BEFORE_REFINEMENT = (1.7491601471353802, 0.8529824103012318, 1.1599756942688444)
 
 
-def test_trace_keeps_its_points_when_the_load_sign_refinement_fails():
-    # the refinement's ContinuationError escaped trace_branch
+def stopped_before_refinement():
     k_r, Rc, theta0 = STOPPED_BEFORE_REFINEMENT
-    tr = trace_branch(tensile_problem(Rc=Rc, k_r=k_r), np.linspace(1e-4, theta0, 3))
-    assert not tr.complete
+    return trace_branch(tensile_problem(Rc=Rc, k_r=k_r), np.linspace(1e-4, theta0, 3))
+
+
+def test_load_sign_refinement_steps_from_the_trace_point():
+    # the trial at theta0 = 0.4165 was seeded by R = 14.06, interpolated
+    # between the points, and found no sign change in [2.81, 70.3]; a
+    # follower step from the point at 1e-4 finds the crossing at 0.04255
+    tr = stopped_before_refinement()
     assert [p.R for p in tr.points] == pytest.approx([46.186951282713309, 1.4414937842005], rel=1e-12)
     assert tr.points[0].phi < math.pi / 2.0 < tr.points[1].phi
+    ev = tr.events["load_sign_transition"]
+    assert abs(ev.F) <= 1e-12 * max(abs(p.F) for p in tr.points)
+    assert tr.points[0].theta0 < ev.theta0 < tr.points[1].theta0
+    assert tr.diagnostic.startswith("stopped at theta0=") and "; " not in tr.diagnostic
+
+
+def test_trace_keeps_its_points_when_the_load_sign_refinement_fails(monkeypatch):
+    # the refinement's ContinuationError escaped trace_branch
+    def failing(trace, value, target):
+        raise ContinuationError("no sign change (refinement made to fail)")
+
+    monkeypatch.setattr(elastica, "refine_on_trace", failing)
+    tr = stopped_before_refinement()
+    assert not tr.complete
+    assert [p.R for p in tr.points] == pytest.approx([46.186951282713309, 1.4414937842005], rel=1e-12)
     assert "load_sign_transition" not in tr.events
     follower, refinement = tr.diagnostic.split("; ")
     assert follower.startswith("stopped at theta0=")
-    assert refinement.startswith("load-sign refinement at phi = pi/2 failed: no sign change")
+    assert refinement == ("load-sign refinement at phi = pi/2 failed: "
+                          "no sign change (refinement made to fail)")
+
+
+def test_follower_halves_a_step_whose_solve_fails(monkeypatch):
+    # a step whose warm solve raises is halved like a rejected one, and the
+    # stop names the last solve's failure
+    tried, warm = [], elastica._warm_state
+
+    def failing(theta0, pr, seed):
+        tried.append(theta0)
+        if theta0 > 0.3:
+            raise ContinuationError("no root at theta0=%r" % theta0)
+        return warm(theta0, pr, seed)
+
+    monkeypatch.setattr(elastica, "_warm_state", failing)
+    tr = trace_branch(tensile_problem(), [0.2, 0.5])
+    assert not tr.complete and len(tr.points) == 1
+    start = tried.index(0.5)
+    assert tried[start:start + 3] == pytest.approx([0.5, 0.35, 0.275], rel=1e-15)
+    assert tr.diagnostic.endswith(": no root at theta0=%r" % tried[-1])
+    stop = re.search(r"stopped at theta0=(\S+) .* theta0=(\S+):", tr.diagnostic)
+    at, last = map(float, stop.groups())
+    assert at == pytest.approx(tried[-1], rel=1e-5)
+    assert 0.3 - 0.5 / 2**12 < last <= 0.3 < at
 
 
 def test_shape_export_samples_and_arclength():
@@ -1405,7 +1464,7 @@ def test_shape_export_samples_and_arclength():
 def test_shape_export_endpoint_compatibility(traced_tensile):
     # at phi = pi/4 the exported end point satisfies the closure condition
     pr = tensile_problem()
-    st = solve_at_phi(pr, traced_tensile, math.pi / 4)
+    st = solve_at(pr, traced_tensile, lambda p: p.phi, math.pi / 4)
     shape = shape_export(st, 200)
     _, x1, x2, phi = shape[-1]
     assert abs((x1 - 0.25) * math.sin(phi) - x2 * math.cos(phi)) < 1e-8
