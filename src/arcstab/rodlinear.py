@@ -6,7 +6,8 @@ profile of signed dimensionless curvature chi_hat = +-l/R_c and carries a
 rotational spring k; chi_hat = 0 is the straight-constraint limit and k -> inf
 the clamped limit.  Critical loads are roots in x = alpha*l of a transcendental
 characteristic function, one real form for both load signs with
-(C, S) = (cosh, sinh) in tension and (cos, sin) in compression.
+(C, S) = (cosh, sinh) in tension and (cos, sin) in compression.  The root
+scan skips the grid samples that a closed-form bound proves keep their sign.
 """
 
 import math
@@ -31,6 +32,8 @@ _XTOL = 1e-14
 _ALPHA_L_LIMIT = 700.0
 # most samples of a root scan, alpha_l_max / step
 _MAX_SAMPLES = 10**6
+# rounding bound of a compression sample and slope, per unit of their terms
+_ROUNDING = 16.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,68 @@ def _characteristic_in_x(model, sgn):
     return f
 
 
+def _compression_bounds(model):
+    """(slope, m0, m1), slope None at k = inf: slope(x) = (f'(x), rho) and
+    |f''(x)| <= m0 + m1 x for the compression function f of the scan.
+
+    With A = 1 + chi_hat and kappa = k l/B, free and spring ends give
+    f' = -(1 + kappa A) cos x + A x sin x + kappa chi_hat p(x) and
+    f'' = (1 + A + kappa A) sin x + A x cos x + kappa chi_hat p'(x), where
+    p(x) = (x sin x - 1 + cos x)/x^2 = int_0^1 u cos(x u) du and
+    |p'| = |int_0^1 u^2 sin(x u) du| <= 1/3: m0 = |1 + A + kappa A|
+    + kappa |chi_hat|/3 and m1 = |A|.  The clamped factor
+    g = A x cos(x/2) - chi_hat sin(x/2) gives
+    g' = (A - chi_hat/2) cos(x/2) - (A/2) x sin(x/2) and
+    g'' = -(A - chi_hat/4) sin(x/2) - (A x/4) cos(x/2): m0 = |A - chi_hat/4|
+    and m1 = |A|/4.  rho, 16 eps per unit of magnitude of the terms of f
+    and f' (|cos|, |sin| <= 1 where they change), bounds the rounding of f
+    at x and at any x + t, and of f' at x, by rho (2 + t).
+    """
+    chi, a = model.chi_hat, 1.0 + model.chi_hat
+    if model.clamped:
+        kappa, w, alpha, beta = 0.0, 0.5, a - 0.5 * chi, -0.5 * a
+        m0, m1 = abs(a - 0.25 * chi), 0.25 * abs(a)
+    else:
+        kappa = model.k * model.l / model.B
+        w, alpha, beta = 1.0, -(1.0 + kappa * a), a
+        m0, m1 = abs(1.0 + a + kappa * a) + kappa * abs(chi) / 3.0, abs(a)
+    if kappa == math.inf:
+        return None, 0.0, 0.0
+    gamma = kappa * chi
+    e0 = _ROUNDING * (abs(chi) + (kappa + 1.0) * abs(a) + abs(alpha))
+    e1, e2 = _ROUNDING * (abs(a) + abs(beta)), _ROUNDING * abs(gamma)
+
+    def slope(x):
+        c, s = math.cos(w * x), math.sin(w * x)
+        return (alpha * c + beta * x * s + gamma * (x * s - 1.0 + c) / (x * x),
+                e0 + e1 * x + e2 * (3.0 * x + 2.0) / (x * x))
+
+    return slope, m0, m1
+
+
+def _sign_kept(x, fx, slope, m0, m1):
+    """A distance t >= 0 over which the computed f keeps the sign of fx = f(x).
+
+    sgn(fx) f(x + t) >= |f(x)| - q t - m t^2/2 with q = -sgn(fx) f'(x), the
+    rate at which f approaches zero, and m = m0 + m1 (x + t); with the
+    rounding, the computed f keeps its sign while r - b t - m t^2/2 > 0,
+    r = |fx| - 2 rho and b = q + rho.  t is that quadratic's root with m
+    at x, then with m at x plus that larger root.
+    """
+    d, rho = slope(x)
+    r = abs(fx) - 2.0 * rho
+    if not r > 0.0:
+        return 0.0
+    b = rho - (d if fx > 0.0 else -d)
+    m = m0 + m1 * x
+    for _ in (0, 1):
+        root = math.sqrt(b * b + 2.0 * m * r)
+        t = (root - b) / m if b < 0.0 else 2.0 * r / (b + root)
+        m = m0 + m1 * (x + t)
+    # b^2 or m r past overflow (k l/B above about 1e150) skips nothing
+    return t if t < math.inf else 0.0
+
+
 def _tension_bound(model):
     """X such that the tension characteristic, or for a clamped end its
     factor g, has the sign of A = 1 + chi_hat at every x > X, so that no
@@ -145,32 +210,24 @@ def characteristic(alpha_l, load_sign, model):
     return f(x)
 
 
-def _grid(step, count, alpha_l_max):
-    """The scan's samples step * (1e-3, 1, ..., count), then alpha_l_max
-    where they end short of it; a generator, as the scan may stop early."""
-    x = step * 1e-3
-    yield x
-    for j in range(1, count + 1):
-        x = step * j
-        yield x
-    if x < alpha_l_max:
-        yield alpha_l_max
-
-
 def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
                         max_modes=None, step=_DEFAULT_STEP):
     """All characteristic roots in (0, alpha_l_max], sorted, as BucklingMode,
     or the first max_modes of them.
 
-    Sign changes on the grid step * (1e-3, 1, 2, ...), closed by a sample
-    at alpha_l_max where the grid ends short of it, refined by brentq as
-    the scan finds them; with max_modes the scan stops once it holds that
-    many roots.  A tension scan stops at its first sample past the bound X
-    of _tension_bound, beyond which the function keeps one sign; the
-    samples and brackets before it are the full scan's, so every root keeps
-    its bits.  alpha_l_max is capped at 700, where cosh in the
-    tension characteristic is still a factor 3e4 below overflow, and the
-    grid at 1e6 samples: step must be positive and at least
+    Sign changes on the grid step * (1e-3, 1, 2, ...), closed by a sample at
+    alpha_l_max where the grid ends short of it, refined by brentq as the
+    scan finds them; with max_modes the scan stops once it holds that many
+    roots.  A tension scan stops at its first sample past the bound X of
+    _tension_bound, beyond which the function keeps one sign.  A compression
+    scan goes on from a sample to the last grid sample within the distance
+    of _sign_kept, over which f' and |f''| <= m0 + m1 x prove that f keeps
+    its sign, and never past the next exact root 2 pi n; near zero, where f
+    cancels below its rounding bound, and at k = inf it skips nothing.  Both
+    scans never pass a sign change, so every bracket has the full scan's two
+    ends and every root keeps its bits.  alpha_l_max is capped at 700, where
+    cosh in the tension characteristic is still a factor 3e4 below overflow,
+    and the grid at 1e6 samples: step must be positive and at least
     alpha_l_max / 1e6.
     Near zero the function is a power of x times a constant, e.g.
     -x (1 + (k l/B)(1 + chi_hat/2)) in compression, so the first sample
@@ -208,9 +265,12 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
         exact = [turn * n for n in range(1, int(alpha_l_max * (1.0 + 1e-15) / turn) + 1)]
     # 1e-12 relative covers the rounding of X
     stop = _tension_bound(model) * (1.0 + 1e-12) if sgn > 0.0 else math.inf
-    # below: the exact roots up to the sample
-    roots, below, prev, x_prev = [], 0, math.nan, math.nan
-    for x in _grid(step, count, alpha_l_max):
+    slope, m0, m1 = _compression_bounds(model) if sgn < 0.0 else (None, 0.0, 0.0)
+    # below: the exact roots up to the sample; last: the grid's last index
+    last = count + (step * max(count, 1e-3) < alpha_l_max)
+    roots, below, prev, x_prev, j = [], 0, math.nan, math.nan, 0
+    while j <= last:
+        x = step * j if 0 < j <= count else (alpha_l_max if j else step * 1e-3)
         fx = f(x)
         if fx == 0.0 or prev * fx < 0.0:
             root = refine(f, (x_prev, x), (prev, fx), 1 if fx == 0.0 else 0, 1, _XTOL)[0]
@@ -219,11 +279,21 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
         prev, x_prev = fx, x
         if x > stop:
             break
-        if max_modes is not None:
-            while below < len(exact) and exact[below] <= x:
-                below += 1
-            if len(roots) + below >= max_modes:
-                break
+        while below < len(exact) and exact[below] <= x:
+            below += 1
+        if max_modes is not None and len(roots) + below >= max_modes:
+            break
+        j += 1
+        if slope is not None:
+            # on to the last grid sample that keeps the sign of fx
+            t = _sign_kept(x, fx, slope, m0, m1)
+            if below < len(exact) and exact[below] - x < t:
+                t = exact[below] - x
+            land = min(int((x + t) / step), count)
+            while land >= j and step * land - x > t:
+                land -= 1
+            if land > j:
+                j = land
     return [
         BucklingMode(load_sign=load_sign, alpha_l=x,
                      F_cr_normalized=sgn * x**2 / math.pi**2, xi=math.pi / x,

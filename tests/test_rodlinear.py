@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -663,18 +664,39 @@ def bound_models(draws, seed):
         yield RodModel(B=1.0, l=1.0, chi_hat=chi, clamped=True)
 
 
-def unbounded_tension_scan(model, alpha_l_max, step=math.pi / 50.0):
-    """Tension roots of the scan with no bound: sign changes on every
-    sample of the grid step * (1e-3, 1, ..., count) and at alpha_l_max
-    where the grid ends short of it, each refined by scipy's brentq."""
-    f = rodlinear._characteristic_in_x(model, 1.0)
+def full_grid(model, sgn, alpha_l_max, step):
+    """The scanned function of a load sign, the full scan grid
+    step * (1e-3, 1, ..., count), closed by alpha_l_max where it ends short
+    of it, and the function's values there."""
+    f = rodlinear._characteristic_in_x(model, sgn)
     count = int(alpha_l_max / step + 1e-9)
     xs = [step * 1e-3, *(step * j for j in range(1, count + 1))]
     if xs[-1] < alpha_l_max:
         xs.append(alpha_l_max)
-    fs = [f(x) for x in xs]
-    return [xs[i] if i == j else brentq(f, xs[i], xs[j], xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
-            for i, j in sign_changes(fs)]
+    return f, xs, [f(x) for x in xs]
+
+
+def full_scan(model, sign, alpha_l_max, step=math.pi / 50.0, max_modes=None):
+    """Roots of the scan with no bound and no skip: sign changes on every
+    sample of full_grid, each refined by scipy's brentq; in compression
+    with a clamped end, the 2 pi n up to alpha_l_max join them and a root
+    within 1e-14 (1 + root) of one is dropped.  With max_modes, the first
+    max_modes, refining no bracket past the sample where the scan holds
+    that many."""
+    sgn, turn, rtol = (1.0 if sign == "tension" else -1.0), 2.0 * math.pi, 4.0 * np.finfo(float).eps
+    f, xs, fs = full_grid(model, sgn, alpha_l_max, step)
+    exact = []
+    if model.clamped and sgn < 0.0:
+        exact = [turn * n for n in range(1, int(alpha_l_max * (1.0 + 1e-15) / turn) + 1)]
+    roots = []
+    for i, j in sign_changes(fs):
+        before = xs[max(j - 1, 0)]
+        if max_modes is not None and len(roots) + sum(e <= before for e in exact) >= max_modes:
+            break
+        root = xs[i] if i == j else brentq(f, xs[i], xs[j], xtol=1e-14, rtol=rtol)
+        if not exact or abs(root - turn * round(root / turn)) > 1e-14 * (1.0 + root):
+            roots.append(root)
+    return sorted(exact + roots)[:max_modes]
 
 
 def test_tension_characteristic_keeps_the_sign_of_A_past_the_bound():
@@ -705,7 +727,7 @@ def test_tension_tables_equal_the_unbounded_scan(alpha_l_max):
     roots = 0
     for model in bound_models(draws=draws, seed=53):
         found = [m.alpha_l for m in find_critical_loads(model, "tension", alpha_l_max=alpha_l_max)]
-        assert found == unbounded_tension_scan(model, alpha_l_max), model
+        assert found == full_scan(model, "tension", alpha_l_max), model
         roots += len(found)
     assert roots > draws / 2
 
@@ -729,6 +751,198 @@ def test_tension_scan_stops_within_a_step_of_the_bound(sampled):
             assert len(sampled) <= 2, (model, len(sampled))
             rootless += 1
     assert rootless > 30
+
+
+@pytest.fixture
+def visited(monkeypatch, sampled):
+    """Every alpha_l at which a root scan samples its grid, in order: the
+    sampled alpha_l without those of its refinements."""
+    refine = rodlinear.refine
+
+    def refining(*args):
+        n = len(sampled)
+        try:
+            return refine(*args)
+        finally:
+            del sampled[n:]
+
+    monkeypatch.setattr(rodlinear, "refine", refining)
+    return sampled
+
+
+def skip_draws(draws, seed):
+    """Seeded (model, max_modes) pairs for the compression scan: per draw
+    one curvature, in [-8, 8] or within 1e-3 of -1 or -2, stiffness and
+    length in [1/e, e], max_modes None, 1 or 3, and the ends free, spring
+    (k in [0, 5], in [0, 5000] and k = inf) and clamped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        near, chi, B, l, k_small, k_large = rng.uniform(
+            [-1e-3, -8.0, -1.0, -1.0, 0.0, 0.0], [1e-3, 8.0, 1.0, 1.0, 5.0, 5000.0]).tolist()
+        chi = (chi, -1.0 + near, -2.0 + near)[rng.choice(3, p=[0.6, 0.2, 0.2])]
+        max_modes = (None, 1, 3)[rng.integers(3)]
+        B, l = math.exp(B), math.exp(l)
+        for k, clamped in ((0.0, False), (k_small, False), (k_large, False), (math.inf, False),
+                           (0.0, True)):
+            yield RodModel(B=B, l=l, k=k, chi_hat=chi, clamped=clamped), max_modes
+
+
+def scan_outcome(scan):
+    """The bits of a scan's roots, or the type of the error it raises."""
+    try:
+        return [float(x).hex() for x in scan()]
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("alpha_l_max, step, draws", [
+    (6.0 * math.pi, math.pi / 50.0, 60),
+    (6.0 * math.pi, math.pi / 100.0, 20),
+    (30.0, math.pi / 50.0, 40),
+    (700.0, math.pi / 50.0, 4),
+], ids=["6pi", "6pi-fine", "30", "700"])
+def test_compression_tables_equal_the_full_scan(visited, alpha_l_max, step, draws):
+    # the skipping scan visits grid samples only, both ends of every bracket
+    # up to where it stops, and returns the full scan's roots bit for bit.
+    # With a finite end it visits under a fifth of the grid it spans; at
+    # k = inf it skips nothing, and raises where the full scan does
+    roots, visits, cells = 0, [0, 0], [0, 0]
+    for model, max_modes in skip_draws(draws, seed=61):
+        visited.clear()
+        got = scan_outcome(lambda: [m.alpha_l for m in find_critical_loads(
+            model, "compression", alpha_l_max=alpha_l_max, max_modes=max_modes, step=step)])
+        seen = set(visited)
+        want = scan_outcome(lambda: full_scan(model, "compression", alpha_l_max, step, max_modes))
+        assert got == want, (model, max_modes)
+        if isinstance(got, str):
+            continue
+        _, xs, fs = full_grid(model, -1.0, alpha_l_max, step)
+        assert seen <= set(xs), model
+        reach = max(seen)
+        for i, j in sign_changes(fs):
+            if xs[j] <= reach:
+                assert xs[i] in seen and xs[j] in seen, (model, xs[i], xs[j])
+        roots += len(got)
+        visits[model.k == math.inf] += len(seen)
+        cells[model.k == math.inf] += sum(x <= reach for x in xs)
+    assert roots > draws
+    assert visits[0] < cells[0] / 5 and visits[1] == cells[1]
+
+
+def test_compression_table_at_a_fine_step_equals_the_full_scan(visited):
+    # 1e6 cells up to 6 pi: the rod of the spurious root below the first
+    # step (FOUND line 89 in CHANGES.md) and a clamped rod near chi_hat = -2
+    step = 6.0 * math.pi / 1e6
+    for model in (RodModel(B=1.0, l=1.0, k=2.1881, chi_hat=-2.9159),
+                  RodModel(B=1.0, l=1.0, chi_hat=-2.0005702060644834, clamped=True)):
+        visited.clear()
+        got = [m.alpha_l for m in find_critical_loads(model, "compression", step=step)]
+        assert len(visited) < 5000, (model, len(visited))
+        assert got == full_scan(model, "compression", 6.0 * math.pi, step), model
+
+
+@pytest.mark.parametrize("k", [1e100, 1e160, 1e300])
+def test_compression_table_of_a_huge_spring_equals_the_full_scan(k):
+    # the skip's quadratic overflows past k l/B of about 1e150, where it
+    # gave a NaN distance; the table is still the clamped limit's
+    for chi in (-3.0, 0.5):
+        model = RodModel(B=1.0, l=1.0, k=k, chi_hat=chi)
+        found = [m.alpha_l for m in find_critical_loads(model, "compression")]
+        assert found == full_scan(model, "compression", 6.0 * math.pi), model
+        assert len(found) == 5
+
+
+def compression_models(draws, seed):
+    """Seeded rods with a finite end: curvature in [-8, 8], stiffness and
+    length in [1/e, e]; per draw a free, a spring (k in [0, 50]) and a
+    clamped end."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        chi, B, l, k = rng.uniform([-8.0, -1.0, -1.0, 0.0], [8.0, 1.0, 1.0, 50.0]).tolist()
+        for k, clamped in ((0.0, False), (k, False), (0.0, True)):
+            yield RodModel(B=math.exp(B), l=math.exp(l), k=k, chi_hat=chi, clamped=clamped)
+
+
+def mp_function(model):
+    """The compression function of the scan, in mpmath arithmetic."""
+    chi, a = mpmath.mpf(model.chi_hat), 1 + mpmath.mpf(model.chi_hat)
+    if model.clamped:
+        return lambda x: a * x * mpmath.cos(x / 2) - chi * mpmath.sin(x / 2)
+    kappa = mpmath.mpf(model.k) * model.l / model.B
+    return lambda x: (-(a * x * mpmath.cos(x) - chi * mpmath.sin(x))
+                      + kappa / x * (-a * x * mpmath.sin(x) + chi * (1 - mpmath.cos(x))))
+
+
+def test_compression_slope_and_rounding_match_mpmath():
+    # f' of the bounds against mpmath's derivative, and f and f' within
+    # the rounding bound rho of their 40-digit values
+    rng = np.random.default_rng(67)
+    checked = 0
+    with mpmath.workdps(40):
+        for model in compression_models(draws=20, seed=67):
+            f = rodlinear._characteristic_in_x(model, -1.0)
+            slope = rodlinear._compression_bounds(model)[0]
+            ref = mp_function(model)
+            for x in rng.uniform(0.0, 60.0, 8).tolist() + [1e-3, 0.05]:
+                d, rho = slope(x)
+                assert abs(d - mpmath.diff(ref, x)) <= rho, (model, x)
+                assert abs(f(x) - ref(x)) <= rho, (model, x)
+                checked += 1
+    assert checked == 600
+
+
+def test_compression_curvature_bound_holds():
+    # a central difference of f' stays within m0 + m1 x on (0, 60]
+    xs = np.geomspace(1e-3, 60.0, 3000).tolist()
+    tight = 0.0
+    for model in compression_models(draws=15, seed=71):
+        slope, m0, m1 = rodlinear._compression_bounds(model)
+        for x in xs:
+            h = min(1e-4, 0.1 * x)
+            second = (slope(x + h)[0] - slope(x - h)[0]) / (2.0 * h)
+            assert abs(second) <= (m0 + m1 * x) * (1.0 + 1e-6), (model, x, second)
+            tight = max(tight, abs(second) / (m0 + m1 * x))
+    assert tight > 0.9
+
+
+def test_compression_sign_is_kept_across_each_jump():
+    # dense samples over the distance of _sign_kept from a random x keep
+    # the sign of f(x), and are nonzero
+    rng = np.random.default_rng(73)
+    jumps = 0
+    for model in compression_models(draws=40, seed=73):
+        f = rodlinear._characteristic_in_x(model, -1.0)
+        bounds = rodlinear._compression_bounds(model)
+        for x in rng.uniform(0.0, 60.0, 10).tolist():
+            fx = f(x)
+            t = rodlinear._sign_kept(x, fx, *bounds)
+            for y in np.linspace(x, x + t, 400).tolist():
+                assert f(y) * fx > 0.0, (model, x, t, y)
+            jumps += t > 0.2
+    assert jumps > 600
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND line 38 in CHANGES.md, ROADMAP item 7: "
+                   "both roots of each close pair fall inside one scan step")
+def test_stiff_spring_keeps_its_close_root_pairs():
+    model = RodModel(B=1.0, l=1.0, k=5000.0, chi_hat=-0.999)
+    f = lambda x: characteristic(x, "compression", model)
+    xs = np.linspace(1e-6, 6.0 * math.pi, 60001)
+    vals = [f(x) for x in xs.tolist()]
+    dense = [brentq(f, xs[i], xs[j], xtol=1e-14) for i, j in sign_changes(vals)]
+    assert len(dense) == 6
+    found = [m.alpha_l for m in find_critical_loads(model, "compression")]
+    assert_allclose(found, dense, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND line 89 in CHANGES.md, ROADMAP item 7: the characteristic's "
+                   "rounding changes sign between the first two samples")
+def test_fine_step_lists_no_root_below_the_first():
+    model = RodModel(B=1.0, l=1.0, k=2.1881, chi_hat=-2.9159)
+    found = find_critical_loads(model, "compression", step=6.0 * math.pi / 1e6)
+    assert abs(found[0].alpha_l - SMALL_SPRING_M29159_K21881) < 1e-11
 
 
 @pytest.mark.parametrize("step", [0.0, -0.0, -0.1, math.nan, math.inf, 1e-13, 5e-324])
