@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 _RTOL = 4.0 * sys.float_info.epsilon
 _MAXITER = 100
+_NAN = "The function value at x=%r is NaN; solver cannot continue."
 
 
 @dataclass
@@ -108,19 +109,11 @@ def _brentq(f, xa, xb, fa, fb, xtol):
     Raises ValueError when fa and fb have the same sign or a value of f is
     NaN, and RuntimeError after 100 iterations without convergence.
     """
-    samples = {}  # f's return values by x, the root's included
-
-    def value(x, fx):
-        samples[x] = fx
-        fx = float(fx)
-        if math.isnan(fx):
-            raise ValueError("The function value at x=%r is NaN; solver cannot continue." % x)
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
+    xpre, xcur, fpre, fcur = float(xa), float(xb), fa, fb
     xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre, fa)
-    fcur = value(xcur, fb)
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if math.isnan(fx):
+            raise ValueError(_NAN % x)
     if fpre == 0.0:
         return xpre, fa
     if fcur == 0.0:
@@ -138,7 +131,7 @@ def _brentq(f, xa, xb, fa, fb, xtol):
         delta = (xtol + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, samples[xcur]
+            return xcur, fcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
@@ -169,7 +162,9 @@ def _brentq(f, xa, xb, fa, fb, xtol):
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur, f(xcur))
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(_NAN % xcur)
     raise RuntimeError(
         "Failed to converge after %d iterations, value is %f" % (_MAXITER, xcur)
     )

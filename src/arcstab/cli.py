@@ -299,22 +299,22 @@ def cmd_design_profile(opts, out):
 # -------------------------------------------------------------- critical-rod
 
 def cmd_critical_rod(opts, out):
-    def rows(**end):
+    def rows(k):
         return [
             (chi, m.load_sign, m.mode_index, m.alpha_l, m.F_cr_normalized, m.xi)
             for chi in opts.chi_hat_grid
             for sign in ("tension", "compression")
             for m in rodlinear.find_critical_loads(
-                rodlinear.RodModel(B=opts.B, l=opts.l, chi_hat=chi, **end), sign,
+                rodlinear.RodModel(B=opts.B, l=opts.l, k=k, chi_hat=chi), sign,
                 alpha_l_max=opts.alpha_l_max, max_modes=opts.max_modes,
             )
         ]
 
     # every table is computed before the first file is written
     tables = {
-        "critical_rod_k0.csv": rows(k=0.0),
-        "critical_rod_spring.csv": rows(k=opts.spring_k),
-        "critical_rod_clamped.csv": rows(k=0.0, clamped=True),
+        "critical_rod_k0.csv": rows(0.0),
+        "critical_rod_spring.csv": rows(opts.spring_k),
+        "critical_rod_clamped.csv": rows(math.inf),
     }
     header = "chi_hat,sign,mode_index,alpha_l,Fcr_normalized,xi"
     for name, table in tables.items():

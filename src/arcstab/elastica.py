@@ -108,8 +108,9 @@ class ElasticaProblem:
             raise ValueError("length l must be positive")
         if not self.R_c > 0.0:
             raise ValueError("constraint radius R_c must be positive")
-        if not self.k_r >= 0.0:
-            raise ValueError("spring stiffness k_r must be nonnegative")
+        if not 0.0 <= self.k_r < math.inf:
+            # a clamped pin (k_r = inf) fixes theta0 = 0: no branch leaves it
+            raise ValueError("spring stiffness k_r must be nonnegative and finite")
         if self.half not in _HALVES:
             raise ValueError("half must be 'left' or 'right'")
 

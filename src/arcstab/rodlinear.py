@@ -3,9 +3,9 @@
 The straight prestressed state has transverse perturbation v(z) obeying
 B v'''' - F v'' = 0 with alpha^2 = |F|/B.  The sliding end follows a circular
 profile of signed dimensionless curvature chi_hat = +-l/R_c and carries a
-rotational spring k; chi_hat = 0 is the straight-constraint limit and k -> inf
-the clamped limit.  Critical loads are roots in x = alpha*l of a transcendental
-characteristic function, one real form for both load signs with
+rotational spring k; chi_hat = 0 is the straight-constraint limit and k = inf
+(clamped) the clamped limit.  Critical loads are roots in x = alpha*l of a
+transcendental characteristic function, one real form for both load signs with
 (C, S) = (cosh, sinh) in tension and (cos, sin) in compression.  The root
 scan skips the grid samples that a closed-form bound proves keep their sign.
 """
@@ -38,13 +38,13 @@ _ROUNDING = 16.0 * 2.0**-52
 
 @dataclass(frozen=True)
 class RodModel:
-    """Rod of bending stiffness B and length l on a curved sliding support."""
+    """Rod of bending stiffness B and length l on a curved sliding support;
+    its end carries a rotational spring k, from free (k = 0) to k = inf (clamped)."""
 
     B: float
     l: float
     k: float = 0.0
     chi_hat: float = 0.0
-    clamped: bool = False
 
     def __post_init__(self):
         if not self.B > 0.0:
@@ -80,11 +80,11 @@ def _cs(sgn):
 
 def _characteristic_in_x(model, sgn):
     """The function of x = alpha_l alone that the root scan samples: the
-    characteristic of a load sign, or for a clamped end its factor g.  The
-    model constants, the sign and (C, S) are bound once."""
+    characteristic of a load sign, or at k = inf (clamped) its factor g.
+    The model constants, the sign and (C, S) are bound once."""
     chi, a = model.chi_hat, 1.0 + model.chi_hat
     C, S = _cs(sgn)
-    if model.clamped:
+    if model.k == math.inf:
         return lambda x: a * x * C(0.5 * x) - chi * S(0.5 * x)
     # kl / (B x) as written; (kl / B) / x rounds differently
     kl, B = model.k * model.l, model.B
@@ -97,15 +97,15 @@ def _characteristic_in_x(model, sgn):
 
 
 def _compression_bounds(model):
-    """(slope, m0, m1), slope None at k = inf: slope(x) = (f'(x), rho) and
-    |f''(x)| <= m0 + m1 x for the compression function f of the scan.
+    """(slope, m0, m1): slope(x) = (f'(x), rho) and |f''(x)| <= m0 + m1 x
+    for the compression function f of the scan.
 
     With A = 1 + chi_hat and kappa = k l/B, free and spring ends give
     f' = -(1 + kappa A) cos x + A x sin x + kappa chi_hat p(x) and
     f'' = (1 + A + kappa A) sin x + A x cos x + kappa chi_hat p'(x), where
     p(x) = (x sin x - 1 + cos x)/x^2 = int_0^1 u cos(x u) du and
     |p'| = |int_0^1 u^2 sin(x u) du| <= 1/3: m0 = |1 + A + kappa A|
-    + kappa |chi_hat|/3 and m1 = |A|.  The clamped factor
+    + kappa |chi_hat|/3 and m1 = |A|.  The factor at k = inf (clamped)
     g = A x cos(x/2) - chi_hat sin(x/2) gives
     g' = (A - chi_hat/2) cos(x/2) - (A/2) x sin(x/2) and
     g'' = -(A - chi_hat/4) sin(x/2) - (A x/4) cos(x/2): m0 = |A - chi_hat/4|
@@ -114,15 +114,13 @@ def _compression_bounds(model):
     at x and at any x + t, and of f' at x, by rho (2 + t).
     """
     chi, a = model.chi_hat, 1.0 + model.chi_hat
-    if model.clamped:
+    if model.k == math.inf:
         kappa, w, alpha, beta = 0.0, 0.5, a - 0.5 * chi, -0.5 * a
         m0, m1 = abs(a - 0.25 * chi), 0.25 * abs(a)
     else:
         kappa = model.k * model.l / model.B
         w, alpha, beta = 1.0, -(1.0 + kappa * a), a
         m0, m1 = abs(1.0 + a + kappa * a) + kappa * abs(chi) / 3.0, abs(a)
-    if kappa == math.inf:
-        return None, 0.0, 0.0
     gamma = kappa * chi
     e0 = _ROUNDING * (abs(chi) + (kappa + 1.0) * abs(a) + abs(alpha))
     e1, e2 = _ROUNDING * (abs(a) + abs(beta)), _ROUNDING * abs(gamma)
@@ -159,7 +157,7 @@ def _sign_kept(x, fx, slope, m0, m1):
 
 
 def _tension_bound(model):
-    """X such that the tension characteristic, or for a clamped end its
+    """X such that the tension characteristic, or at k = inf (clamped) its
     factor g, has the sign of A = 1 + chi_hat at every x > X, so that no
     tension root lies past X.
 
@@ -168,20 +166,20 @@ def _tension_bound(model):
     As 0 < tanh x < 1 and 0 <= 1 - sech x < 1, sgn(A) f/cosh x is at least
     |A| x - p - q/x, with p = max(0, sgn(A) (chi_hat - kappa A)) and
     q = max(0, sgn(A) kappa chi_hat), which is positive past the root
-    X = (p + sqrt(p^2 + 4 |A| q))/(2 |A|) of |A| x^2 - p x - q.  The clamped
-    factor gives g/cosh(x/2) = A x - chi_hat tanh(x/2), the same bound with
-    kappa = 0: X = max(0, sgn(A) chi_hat)/|A|.  At A = 0 (chi_hat = -1)
-    f/cosh x = tanh x + kappa (1 - sech x)/x and g/cosh(x/2) = tanh(x/2) are
-    positive, so there is no tension root and X = 0.  With k = inf, X is
-    inf where q > 0.
+    X = (p + sqrt(p^2 + 4 |A| q))/(2 |A|) of |A| x^2 - p x - q.  At k = inf
+    (clamped) the factor g gives g/cosh(x/2) = A x - chi_hat tanh(x/2), the
+    same bound with kappa = 0: X = max(0, sgn(A) chi_hat)/|A|.  At A = 0
+    (chi_hat = -1) f/cosh x = tanh x + kappa (1 - sech x)/x and
+    g/cosh(x/2) = tanh(x/2) are positive, so there is no tension root and
+    X = 0.
     """
     chi, a = model.chi_hat, 1.0 + model.chi_hat
     if a == 0.0:
         return 0.0
     sgn = math.copysign(1.0, a)
-    kappa = 0.0 if model.clamped else model.k * model.l / model.B
+    kappa = 0.0 if model.k == math.inf else model.k * model.l / model.B
     p = max(0.0, sgn * (chi - kappa * a))
-    # no product kappa * chi_hat, which is NaN at k = inf and chi_hat = 0
+    # no product kappa * chi_hat, which is NaN where k l/B overflows and chi_hat = 0
     q = kappa * abs(chi) if sgn * chi > 0.0 else 0.0
     return (p + math.sqrt(p * p + 4.0 * abs(a) * q)) / (2.0 * abs(a))
 
@@ -191,12 +189,12 @@ def characteristic(alpha_l, load_sign, model):
 
     With sigma = +-1 the load sign, A = 1 + chi_hat and x = alpha_l,
     first = sigma (A x C(x) - chi_hat S(x)) and
-    bracket = sigma A x S(x) + chi_hat (1 - C(x)); the function is bracket
-    for a clamped end, else first + (k l/(B x)) bracket.  This is the
-    printed condition (compression through cosh(ix) = cos x,
+    bracket = sigma A x S(x) + chi_hat (1 - C(x)); the function is
+    first + (k l/(B x)) bracket, and bracket at k = inf (clamped).  This is
+    the printed condition (compression through cosh(ix) = cos x,
     sinh(ix) = i sin x) times |chi_hat|, which keeps every root and sign and
-    stays regular at the straight-constraint limit chi_hat = 0.  The clamped
-    bracket is evaluated as its exact factorization 2 sigma S(x/2) g(x),
+    stays regular at the straight-constraint limit chi_hat = 0.  At k = inf
+    the bracket is evaluated as its exact factorization 2 sigma S(x/2) g(x),
     g(x) = A x C(x/2) - chi_hat S(x/2), whose factor g the root scan samples.
     """
     sgn = _load_sign(load_sign)
@@ -205,7 +203,7 @@ def characteristic(alpha_l, load_sign, model):
     if not x > 0.0:
         raise ValueError("alpha_l must be positive")
     f = _characteristic_in_x(model, sgn)
-    if model.clamped:
+    if model.k == math.inf:
         return 2.0 * sgn * _cs(sgn)[1](0.5 * x) * f(x)
     return f(x)
 
@@ -223,20 +221,20 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     scan goes on from a sample to the last grid sample within the distance
     of _sign_kept, over which f' and |f''| <= m0 + m1 x prove that f keeps
     its sign, and never past the next exact root 2 pi n; near zero, where f
-    cancels below its rounding bound, and at k = inf it skips nothing.  Both
-    scans never pass a sign change, so every bracket has the full scan's two
-    ends and every root keeps its bits.  alpha_l_max is capped at 700, where
+    cancels below its rounding bound, it skips nothing.  Both scans never
+    pass a sign change, so every bracket has the full scan's two ends and
+    every root keeps its bits.  alpha_l_max is capped at 700, where
     cosh in the tension characteristic is still a factor 3e4 below overflow,
     and the grid at 1e6 samples: step must be positive and at least
     alpha_l_max / 1e6.
     Near zero the function is a power of x times a constant, e.g.
     -x (1 + (k l/B)(1 + chi_hat/2)) in compression, so the first sample
-    keeps a root below step.  The clamped bracket factors exactly as
-    2 sigma S(x/2) g(x), g(x) = A x C(x/2) - chi_hat S(x/2): the roots
-    x = 2 pi n of S(x/2) in compression are emitted analytically, and only g
-    is scanned.  Its roots solve tan(x/2) = A x/chi_hat, one per branch of
-    tan, so they never pair up within a step as the bracket's do next to
-    2 pi n for chi_hat just above -1.  A root of g within the refinement
+    keeps a root below step.  At k = inf (clamped) the bracket factors
+    exactly as 2 sigma S(x/2) g(x), g(x) = A x C(x/2) - chi_hat S(x/2): the
+    roots x = 2 pi n of S(x/2) in compression are emitted analytically, and
+    only g is scanned.  Its roots solve tan(x/2) = A x/chi_hat, one per
+    branch of tan, so they never pair up within a step as the bracket's do
+    next to 2 pi n for chi_hat just above -1.  A root of g within the refinement
     tolerance of a 2 pi n (at A = 0) is emitted once, and a root counts
     toward max_modes only after that merge.
     """
@@ -261,7 +259,7 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     count = int(alpha_l_max / step + 1e-9)
     turn = 2.0 * math.pi
     exact = []
-    if model.clamped and sgn < 0.0:
+    if model.k == math.inf and sgn < 0.0:
         exact = [turn * n for n in range(1, int(alpha_l_max * (1.0 + 1e-15) / turn) + 1)]
     # 1e-12 relative covers the rounding of X
     stop = _tension_bound(model) * (1.0 + 1e-12) if sgn > 0.0 else math.inf
@@ -320,7 +318,7 @@ def mode_shape(mode, model, n_samples=201):
 
     v(0) = v'(0) = 0 and the shear balance, whose first integral gives
     C3 = -phi, leave v = C1 (C(alpha z) - 1) + phi (S(alpha z)/alpha - z).
-    The moment balance -B v''(l) = k (phi + v'(l)) (clamped:
+    The moment balance -B v''(l) = k (phi + v'(l)) (k = inf, clamped:
     phi + v'(l) = 0) and compatibility phi = chi_hat v(l)/l are two rows in
     (C1, phi), singular at a critical load; (C1, phi) is the null vector of
     the row of larger norm.  v is scaled so that its sample of largest
@@ -331,7 +329,7 @@ def mode_shape(mode, model, n_samples=201):
     alpha = x / l
     C, S = _cs(sgn)
     c, s = C(x), S(x)
-    if model.clamped:
+    if k == math.inf:
         a, b = sgn * alpha * s, c
     else:
         a, b = -sgn * alpha * (B * alpha * c + k * s), -sgn * B * alpha * s - k * c

@@ -468,7 +468,7 @@ def test_elastica_shift_report(fig7_dir):
 def test_fig7_residual_budget(tmp_path, monkeypatch):
     # the traces walk the cold solve's branch follower through the
     # schedule, and warm solves run Newton from a predicted seed on the
-    # residual's exact slope: 888 residuals in 262 warm solves, where
+    # residual's exact slope: 883 residuals in 262 warm solves, where
     # brentq on the first bracket made 1,661, refinements that solved
     # their bracket ends again 1,764, the window scan 65,591, a trace
     # seeded by the last reaction 2,163, and solves that sampled both

@@ -121,6 +121,14 @@ def test_problem_validation():
         ElasticaProblem(B=1.0, l=1.0, R_c=0.25, half="top")
 
 
+@pytest.mark.parametrize("half", ["left", "right"])
+def test_problem_rejects_a_clamped_pin(half):
+    # k_r = inf fixes theta0 = 0, so no branch exists: the left half used to
+    # ask for a seed reaction and the right half to fail every solve
+    with pytest.raises(ValueError, match="k_r must be nonnegative and finite"):
+        ElasticaProblem(B=1.0, l=1.0, R_c=0.25, k_r=math.inf, half=half)
+
+
 def test_modulus_small_rotation_limit():
     # roller, R > 0: k = 1/cos(theta0/2) -> 1
     assert modulus_from(1e-8, 1.0) == pytest.approx(1.0, abs=1e-12)
