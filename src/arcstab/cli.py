@@ -7,7 +7,9 @@ parsed and range-checked by the parser next to its default in _COMMANDS,
 before any output is written, and the command runs on the parsed values.
 The fully resolved configuration is echoed next to the outputs so a run can
 be repeated exactly; all floats print with 17 significant digits and reruns
-are byte identical.
+are byte identical.  The rigid-bar and rod-table outputs are normalized, so
+those commands take no k, l or B, and critical-rod's spring_k is the
+dimensionless end stiffness k l/B.
 
 Exit codes: 0 success, 2 invalid configuration, 3 singular configuration
 reached mid-run (partial output kept), 4 continuation failure (partial
@@ -163,12 +165,11 @@ def _write_rows(path, header, rows, fmt=None):
 # ------------------------------------------------------------- critical-1dof
 
 def cmd_critical_1dof(opts, out):
-    k, l = opts.k, opts.l
     rows = []
     for chi in opts.chi_hat_grid:
-        sys_ = onedof.OneDofSystem(k=k, l=l, phi0=0.0, profile=onedof.profile_circular(chi))
+        sys_ = onedof.OneDofSystem(k=1.0, l=1.0, phi0=0.0, profile=onedof.profile_circular(chi))
         try:
-            fn = onedof.critical_load(sys_) * l / k
+            fn = onedof.critical_load(sys_)
         except DegenerateGeometryError:
             fn = math.inf
         rows.append((chi, fn))
@@ -179,7 +180,7 @@ def cmd_critical_1dof(opts, out):
 # ---------------------------------------------------------------- trace-1dof
 
 def cmd_trace_1dof(opts, out):
-    chi, k, l, n, t_pad = opts.chi_hat, opts.k, opts.l, opts.n_points, opts.t_pad
+    chi, n, t_pad = opts.chi_hat, opts.n_points, opts.t_pad
     if opts.profile == "straight":
         profile = onedof.profile_straight()
         trace_fn = onedof.trace_branch
@@ -207,10 +208,10 @@ def cmd_trace_1dof(opts, out):
                 ("trace_1dof_tensile.csv", t_grid),
                 ("trace_1dof_compressive.csv", linspace(-t_stop, -t_pad, n)),
             ]
-    sys_ = onedof.OneDofSystem(k=k, l=l, phi0=opts.phi0, profile=profile)
+    sys_ = onedof.OneDofSystem(k=1.0, l=1.0, phi0=opts.phi0, profile=profile)
     for name, grid in lobes:
         trace = trace_fn(sys_, grid)
-        rows = [(p.phi, p.F * l / k, p.delta / l, p.stability) for p in trace.points]
+        rows = [(p.phi, p.F, p.delta, p.stability) for p in trace.points]
         _write_rows(os.path.join(out, name), "phi,F_normalized,delta_over_l,stability", rows,
                     "%.16e,%.16e,%.16e,%s")
         if not trace.complete:
@@ -305,7 +306,7 @@ def cmd_critical_rod(opts, out):
             for chi in opts.chi_hat_grid
             for sign in ("tension", "compression")
             for m in rodlinear.find_critical_loads(
-                rodlinear.RodModel(B=opts.B, l=opts.l, k=k, chi_hat=chi), sign,
+                rodlinear.RodModel(B=1.0, l=1.0, k=k, chi_hat=chi), sign,
                 alpha_l_max=opts.alpha_l_max, max_modes=opts.max_modes,
             )
         ]
@@ -451,8 +452,6 @@ _COMMANDS = {
         "onedof",
         {
             "chi_hat_grid": ("-4, 0, 4", _float_list, "comma separated signed curvature values"),
-            "k": ("1.0", _float, "rotational spring stiffness"),
-            "l": ("1.0", _float, "structure length"),
         },
         {"fig1": {"chi_hat_grid": "-4, 0, 4"}},
     ),
@@ -465,8 +464,6 @@ _COMMANDS = {
                 "s_shaped", _Choice("s_shaped", "circular", "straight"), "constraint profile"
             ),
             "chi_hat": ("4.0", _float, "signed curvature of the constraint"),
-            "k": ("1.0", _float, "rotational spring stiffness"),
-            "l": ("1.0", _float, "structure length"),
             "phi0": ("0.0", _float, "imperfection angle in radians"),
             "n_points": ("200", _number(int, 1), "number of trace points"),
             "t_pad": ("0.02", _float, "pin-angle margin kept clear of the lobe ends"),
@@ -508,10 +505,8 @@ _COMMANDS = {
                 _float_list,
                 "comma separated signed curvature values",
             ),
-            "B": ("1.0", _float, "bending stiffness"),
-            "l": ("1.0", _float, "structure length"),
             "spring_k": (
-                "1.0", _number(float, 0.0), "end spring stiffness of the spring-hinged table"
+                "1.0", _number(float, 0.0), "dimensionless end stiffness k l/B of the spring table"
             ),
             "alpha_l_max": (
                 "%.17g" % (6.0 * math.pi), _float, "upper bound of the root scan in alpha*l"

@@ -314,8 +314,10 @@ def trace_branch_arc(sys: OneDofSystem, t_grid: Sequence[float]) -> BranchTrace:
     fs = [Sample(p.F, p) for p in trace.points]
     for i, j in sign_changes(fs):
         try:
-            trace.events["load_sign_transition"] = refine(force, ts, fs, i, j, 1e-14)[1].record
-            break
+            F = refine(force, ts, fs, i, j, 1e-14)[1]
         except SingularConfigurationError:
-            pass  # the force changes sign through a pole, not a zero
+            continue
+        if abs(F) <= max(abs(fs[i]), abs(fs[j])):  # through a pole |F| outgrows both ends
+            trace.events["load_sign_transition"] = F.record
+            break
     return trace

@@ -288,7 +288,12 @@ def neutral_profile(beta: float) -> ProfileShape:
 def closed_loop_validate(
     profile: ProfileShape, law: TargetForceLaw, grid: Sequence[float]
 ) -> float:
-    """Max relative gap between traced force and target over a phi grid, or NaN."""
+    """Max relative gap between traced force and target over a phi grid, or NaN.
+
+    The force reads only the slope f', whose closed form on a designed profile
+    makes sin phi + cos phi f' = -phi/beta exact, so the gap is that identity's
+    rounding; no height enters it, and QuadratureError alone checks the heights.
+    """
     sys = OneDofSystem(k=1.0, l=1.0, phi0=0.0, profile=profile)
     worst = 0.0
     for phi in grid:

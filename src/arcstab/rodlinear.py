@@ -38,8 +38,8 @@ _ROUNDING = 16.0 * 2.0**-52
 
 @dataclass(frozen=True)
 class RodModel:
-    """Rod of bending stiffness B and length l on a curved sliding support;
-    its end carries a rotational spring k, from free (k = 0) to k = inf (clamped)."""
+    """Rod of bending stiffness B and length l on a curved sliding support; its
+    end spring k runs from free (k = 0) to clamped (k = inf, or k l/B = inf)."""
 
     B: float
     l: float
@@ -66,6 +66,11 @@ class BucklingMode:
     mode_index: int
 
 
+def _clamped(model):
+    """k = inf, or a k l/B that overflows to inf, which the spring terms cannot carry."""
+    return model.k * model.l / model.B == math.inf
+
+
 def _load_sign(load_sign):
     try:
         return _SIGNS[load_sign]
@@ -84,7 +89,7 @@ def _characteristic_in_x(model, sgn):
     The model constants, the sign and (C, S) are bound once."""
     chi, a = model.chi_hat, 1.0 + model.chi_hat
     C, S = _cs(sgn)
-    if model.k == math.inf:
+    if _clamped(model):
         return lambda x: a * x * C(0.5 * x) - chi * S(0.5 * x)
     # kl / (B x) as written; (kl / B) / x rounds differently
     kl, B = model.k * model.l, model.B
@@ -114,7 +119,7 @@ def _compression_bounds(model):
     at x and at any x + t, and of f' at x, by rho (2 + t).
     """
     chi, a = model.chi_hat, 1.0 + model.chi_hat
-    if model.k == math.inf:
+    if _clamped(model):
         kappa, w, alpha, beta = 0.0, 0.5, a - 0.5 * chi, -0.5 * a
         m0, m1 = abs(a - 0.25 * chi), 0.25 * abs(a)
     else:
@@ -177,10 +182,9 @@ def _tension_bound(model):
     if a == 0.0:
         return 0.0
     sgn = math.copysign(1.0, a)
-    kappa = 0.0 if model.k == math.inf else model.k * model.l / model.B
+    kappa = 0.0 if _clamped(model) else model.k * model.l / model.B
     p = max(0.0, sgn * (chi - kappa * a))
-    # no product kappa * chi_hat, which is NaN where k l/B overflows and chi_hat = 0
-    q = kappa * abs(chi) if sgn * chi > 0.0 else 0.0
+    q = max(0.0, sgn * kappa * chi)
     return (p + math.sqrt(p * p + 4.0 * abs(a) * q)) / (2.0 * abs(a))
 
 
@@ -203,7 +207,7 @@ def characteristic(alpha_l, load_sign, model):
     if not x > 0.0:
         raise ValueError("alpha_l must be positive")
     f = _characteristic_in_x(model, sgn)
-    if model.k == math.inf:
+    if _clamped(model):
         return 2.0 * sgn * _cs(sgn)[1](0.5 * x) * f(x)
     return f(x)
 
@@ -259,7 +263,7 @@ def find_critical_loads(model, load_sign, alpha_l_max=6.0 * math.pi,
     count = int(alpha_l_max / step + 1e-9)
     turn = 2.0 * math.pi
     exact = []
-    if model.k == math.inf and sgn < 0.0:
+    if _clamped(model) and sgn < 0.0:
         exact = [turn * n for n in range(1, int(alpha_l_max * (1.0 + 1e-15) / turn) + 1)]
     # 1e-12 relative covers the rounding of X
     stop = _tension_bound(model) * (1.0 + 1e-12) if sgn > 0.0 else math.inf
@@ -329,7 +333,7 @@ def mode_shape(mode, model, n_samples=201):
     alpha = x / l
     C, S = _cs(sgn)
     c, s = C(x), S(x)
-    if k == math.inf:
+    if _clamped(model):
         a, b = sgn * alpha * s, c
     else:
         a, b = -sgn * alpha * (B * alpha * c + k * s), -sgn * B * alpha * s - k * c

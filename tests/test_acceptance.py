@@ -64,21 +64,14 @@ def oracle_E(beta, k):
     return val
 
 
-def solve_between(pr, a, b, value, target):
-    def gap(th0):
-        w = (th0 - a.theta0) / (b.theta0 - a.theta0)
-        st = elastica.solve_R(th0, pr, seed=a.R + w * (b.R - a.R))
-        return value(st) - target
-
-    th = brentq(gap, a.theta0, b.theta0, xtol=1e-13)
-    w = (th - a.theta0) / (b.theta0 - a.theta0)
-    return elastica.solve_R(th, pr, seed=a.R + w * (b.R - a.R))
-
-
 def refine_on_trace(pr, trace, value, target):
+    # bracket by consecutive trace points, then root in theta0 on cold
+    # solves, which follow the branch from its bifurcation and take no seed
     for a, b in zip(trace.points, trace.points[1:]):
         if (value(a) - target) * (value(b) - target) <= 0.0:
-            return solve_between(pr, a, b, value, target)
+            th0 = brentq(lambda t: value(elastica.solve_R(t, pr)) - target,
+                         a.theta0, b.theta0, xtol=1e-13)
+            return elastica.solve_R(th0, pr)
     return None
 
 

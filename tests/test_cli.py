@@ -57,8 +57,10 @@ def test_critical_1dof_empty_grid(tmp_path):
         ["trace-elastica", "--scenario", "fig7"],
         ["critical-rod"],
         ["trace-1dof", "--profile", "circular"],
+        ["design-profile", "--law", "circular"],
     ],
-    ids=["fig1", "fig2", "neutral", "fig7", "critical-rod", "trace-1dof-circular"],
+    ids=["fig1", "fig2", "neutral", "fig7", "critical-rod", "trace-1dof-circular",
+         "design-profile-circular"],
 )
 @pytest.mark.filterwarnings("error::arcstab.elastica.MultipleRootWarning")
 def test_scenario_reruns_byte_identical(argv, tmp_path):
@@ -74,18 +76,19 @@ def test_scenario_reruns_byte_identical(argv, tmp_path):
 # --------------------------------------------------------------- configuration
 
 def test_config_echo_lists_resolved_values(tmp_path):
-    assert run(["critical-1dof", "--k", "2.0"], tmp_path) == 0
-    echo = (tmp_path / "critical_1dof_config.ini").read_text()
-    assert "[onedof]" in echo
-    assert "k = 2.0" in echo
-    assert "l = 1.0" in echo  # untouched default is echoed too
+    assert run(["critical-rod", "--chi-hat-grid", "2.0"], tmp_path) == 0
+    echo = (tmp_path / "critical_rod_config.ini").read_text()
+    assert "[rodlinear]" in echo
+    assert "chi_hat_grid = 2.0" in echo
+    assert "spring_k = 1.0" in echo  # untouched default is echoed too
 
 
 def test_parser_is_built_once_and_keeps_no_flag(tmp_path):
     assert cli._build_parser() is cli._build_parser()
-    assert run(["critical-1dof", "--k", "2.0"], tmp_path / "a") == 0
+    assert run(["critical-1dof", "--chi-hat-grid", "2.0"], tmp_path / "a") == 0
     assert run(["critical-1dof"], tmp_path / "b") == 0
-    assert "k = 1.0" in (tmp_path / "b" / "critical_1dof_config.ini").read_text()
+    echo = (tmp_path / "b" / "critical_1dof_config.ini").read_text()
+    assert "chi_hat_grid = -4, 0, 4" in echo
 
 
 def test_config_file_overrides_defaults(tmp_path):
@@ -141,9 +144,9 @@ def test_malformed_numeric_exits_2(tmp_path, capsys):
          "onedof.chi_hat_grid: need a finite number"),
         # checked after parsing, by the command or by a library constructor,
         # whose message names the quantity
-        (["trace-1dof", "--k", "0"], "spring stiffness k"),
-        (["critical-1dof", "--l", "-1"], "bar length l"),
-        (["critical-rod", "--B", "0"], "bending stiffness B"),
+        (["trace-elastica", "--k-r", "-1"], "spring stiffness k_r"),
+        (["trace-elastica", "--l", "-1"], "length l"),
+        (["trace-elastica", "--B", "0"], "bending stiffness B"),
         (["critical-rod", "--alpha-l-max", "-1"], "alpha_l_max"),
         # past the rod scan's limit cosh overflows, and 1e12 asks for a huge grid
         (["critical-rod", "--alpha-l-max", "800", "--chi-hat-grid=0.5"],
@@ -166,7 +169,8 @@ def test_malformed_numeric_exits_2(tmp_path, capsys):
     ],
     ids=["max-modes", "n-validate", "n-samples", "shape-samples", "elastica-n-points",
          "spring-k", "unused-phi-start", "spring-k-nan", "alpha-l-max-inf", "shape-phi-nan",
-         "chi-hat-grid-inf", "bar-k", "bar-l", "rod-B", "alpha-l-max-negative",
+         "chi-hat-grid-inf", "elastica-k-r", "elastica-l", "elastica-B",
+         "alpha-l-max-negative",
          "alpha-l-max-800", "alpha-l-max-1e12", "R-c",
          "theta0-min", "chi-hat-zero", "beta-zero", "t-pad-zero", "t-pad-negative",
          "constant-psi-max-0", "constant-psi-max-2", "sinusoidal-psi-max-0",
@@ -176,6 +180,73 @@ def test_bad_setting_exits_2_before_any_output(argv, message, tmp_path, capsys):
     assert run(argv, tmp_path) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_normalized_commands_take_no_k_l_or_B():
+    # k, l and B divide out of the rigid-bar and rod-table outputs
+    keys = {command: list(spec.keys) for command, spec in cli._COMMANDS.items()}
+    assert keys["critical-1dof"] == ["chi_hat_grid"]
+    assert not {"k", "l"} & set(keys["trace-1dof"])
+    assert not {"B", "l"} & set(keys["critical-rod"])
+    assert {"B", "l"} <= set(keys["trace-elastica"])
+    assert sum(map(len, keys.values())) == 34
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("critical-1dof", "k"), ("critical-1dof", "l"), ("trace-1dof", "k"),
+     ("trace-1dof", "l"), ("critical-rod", "B"), ("critical-rod", "l")],
+)
+def test_removed_setting_exits_2_before_any_output(command, key, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--" + key, "2.0"], tmp_path / "flag")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --%s 2.0" % key in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[%s]\n%s = 2.0\n" % (cli._COMMANDS[command].section, key))
+    assert run([command, "--config", str(cfg)], tmp_path / "config") == 2
+    assert "unknown config key %s.%s" % (cli._COMMANDS[command].section, key) in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "config").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["critical-1dof", "--config", "{tmp}/missing.ini"], "cannot read config file"),
+        (["critical-1dof", "--config", "{tmp}/no_section.ini"],
+         "malformed config file: File contains no section headers"),
+        (["critical-1dof", "--config", "{tmp}/rod_section.ini"],
+         "unknown config section [rodlinear] for command critical-1dof"),
+        (["design-profile", "--law", "bogus"],
+         "profiledesign.law: 'bogus' is not one of constant, sinusoidal, circular, tabulated"),
+        (["design-profile", "--law", "tabulated"],
+         "profiledesign.table: tabulated law needs a table file"),
+        (["design-profile", "--law", "tabulated", "--table", "{tmp}/missing.csv"],
+         "cannot read table"),
+        (["design-profile", "--law", "tabulated", "--table", "{tmp}/words.csv"],
+         "malformed table"),
+        (["design-profile", "--law", "tabulated", "--table", "{tmp}/one_row.csv"],
+         "need at least two psi,beta rows"),
+        (["design-profile", "--law", "tabulated", "--table", "{tmp}/falling.csv"],
+         "psi must increase within [0, 1)"),
+    ],
+    ids=["config-unreadable", "config-malformed", "config-unknown-section", "law-unknown",
+         "table-none", "table-unreadable", "table-malformed", "table-one-row",
+         "table-psi-falling"],
+)
+def test_bad_config_or_table_exits_2_before_any_output(argv, message, tmp_path, capsys):
+    (tmp_path / "no_section.ini").write_text("chi_hat_grid = 1\n")
+    (tmp_path / "rod_section.ini").write_text("[rodlinear]\nchi_hat_grid = 1\n")
+    (tmp_path / "words.csv").write_text("psi,beta\n0,-1\n0.5,spam\n")
+    (tmp_path / "one_row.csv").write_text("psi,beta\n0,-1\n")
+    (tmp_path / "falling.csv").write_text("psi,beta\n0.5,-1\n0.2,-1\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run([arg.format(tmp=tmp_path) for arg in argv], out) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_write_rows_format(tmp_path):

@@ -420,6 +420,19 @@ def test_load_sign_transition_on_sharp_circles():
         assert abs(ev.phi - np.arcsin(1.0 / mag)) < 1e-9
 
 
+@pytest.mark.parametrize("chi", [2.0, -2.0])
+@pytest.mark.parametrize("phi0", [0.01, -0.01])
+def test_load_sign_event_skips_the_pole_at_the_lobe_joint(chi, phi0):
+    # across t = 0 the force changes sign through the pole of the joint
+    # (|F| grew to 2e12 and 5e12 there), and again through a zero at
+    # phi = phi0; the event is the zero, wherever the two fall on the grid
+    tr = trace_branch_arc(system(profile_circular(chi), phi0=phi0), np.linspace(-1.0, 1.0, 200))
+    assert tr.complete
+    ev = tr.events["load_sign_transition"]
+    assert abs(ev.phi - phi0) < 1e-15
+    assert abs(ev.F) < 1e-15
+
+
 def test_no_load_sign_transition_on_shallow_circle():
     # |curvature| < 1: the pin reaches the bar-horizontal position first,
     # the force keeps its sign on the whole branch

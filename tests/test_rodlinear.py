@@ -405,6 +405,24 @@ def test_infinite_spring_mode_shapes_are_finite():
             assert abs(phi + vpl) < 1e-8, (chi, mode, phi, vpl)
 
 
+@pytest.mark.parametrize("B, l, k", [(1.0, 10.0, 1e308), (1e-10, 1.0, 1e300)],
+                         ids=["kl-overflows", "kl-over-B-overflows"])
+@pytest.mark.parametrize("chi", INFINITE_SPRING_CHI)
+def test_spring_whose_kl_over_B_overflows_is_the_clamped_end(B, l, k, chi):
+    # k l/B = inf made every sample of the spring formula +-inf or NaN, and
+    # the compression scan at chi_hat = -3 raised on a NaN value
+    spring = RodModel(B=B, l=l, k=k, chi_hat=chi)
+    clamped = RodModel(B=B, l=l, k=math.inf, chi_hat=chi)
+    for sign in ("tension", "compression"):
+        modes = find_critical_loads(spring, sign)
+        assert [m.alpha_l for m in modes] == CLAMPED_ROOTS.get((chi, sign), []), sign
+        assert modes == find_critical_loads(clamped, sign)
+        for x in (0.3, 2.0, 7.7):
+            assert characteristic(x, sign, spring) == characteristic(x, sign, clamped)
+        for mode in modes:
+            assert mode_shape(mode, spring) == mode_shape(mode, clamped)
+
+
 def test_every_frozen_root_to_a_few_ulps():
     cl = RodModel(B=1.0, l=1.0, k=math.inf, chi_hat=-1.5)
     cases = [
