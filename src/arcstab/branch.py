@@ -97,8 +97,21 @@ def newton(f, x, lo, hi, xtol):
 def refine(f, xs, fs, i, j, xtol):
     """(root, sample) of f on a bracket (i, j) of sign_changes over the
     samples fs of f at xs: (xs[i], fs[i]) when i == j, else Brent's method
-    from fs[i] and fs[j] to xtol and rtol 4 eps, which evaluates no xs."""
-    return (xs[i], fs[i]) if i == j else _brentq(f, xs[i], xs[j], fs[i], fs[j], xtol)
+    from fs[i] and fs[j] to xtol and rtol 4 eps, which evaluates no xs.
+
+    Where the bracket end of smaller |f| is a Sample with a finite slope,
+    newton steps from it inside the bracket first, and Brent's method from
+    the same two ends runs only when newton returns None; plain floats and
+    slope-less Samples go to Brent's method directly."""
+    if i == j:
+        return xs[i], fs[i]
+    a = i if abs(fs[i]) <= abs(fs[j]) else j
+    if math.isfinite(getattr(fs[a], "slope", math.nan)):
+        lo, hi = sorted((xs[i], xs[j]))
+        found = newton(lambda x: fs[a] if x == xs[a] else f(x), xs[a], lo, hi, xtol)
+        if found is not None:
+            return found
+    return _brentq(f, xs[i], xs[j], fs[i], fs[j], xtol)
 
 
 def _brentq(f, xa, xb, fa, fb, xtol):

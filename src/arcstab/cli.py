@@ -550,12 +550,14 @@ def _scenario_names():
 # the command table is constant, so one parser serves every call in the process
 @functools.cache
 def _build_parser():
+    # a prefix of a flag is refused rather than taken for the flag
     parser = argparse.ArgumentParser(
-        description="stability of bars and rods with ends sliding on curved profiles"
+        description="stability of bars and rods with ends sliding on curved profiles",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in _COMMANDS.items():
-        p = sub.add_parser(command, help=spec.help)
+        p = sub.add_parser(command, help=spec.help, allow_abbrev=False)
         p.add_argument("--config", help="INI file overriding the defaults")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--scenario", help="named preset (%s)" % _scenario_names())

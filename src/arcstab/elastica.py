@@ -129,7 +129,11 @@ class ElasticaState(NamedTuple):
     of the pin, s = 0, at parameter m, all in closed form: for k > 1 at
     F(gamma, 1/k) with sin(gamma) = k sin(beta0), which are sin(gamma),
     cos(gamma) and sqrt(1 - m sin(gamma)^2), and for k <= 1 at F(beta0, k),
-    which are sin(beta0), cos(beta0) and cos(gamma).
+    which are sin(beta0), cos(beta0) and cos(gamma).  clamp holds what the
+    residual leaves for the branch tangent (_tangent) at s = l: (x1, x2,
+    df/dR, dphi/dR, jac), with jac as _rod_points returns it, or None where
+    the slopes are NaN: where mc is not in closed form, next to k = 1, or a
+    slope term divides by an m or mc that underflowed to zero.
     """
 
     theta0: float
@@ -144,6 +148,7 @@ class ElasticaState(NamedTuple):
     angle_offset: float
     mc: float
     pin: tuple[float, float, float]
+    clamp: tuple | None
 
 
 def _rotation_denominator(theta0, R, k_r, B):
@@ -230,47 +235,89 @@ def _rod_points(ss, k, at, R, offset, mc, pin):
     return points, (w, snU, C / D, Delta / D, e)
 
 
-def _spring_terms(k, at, R, mc, pin, den, spring, x2, jac):
-    """q d/dq of (theta, x1, x2) at the clamp, at fixed R and theta0, where
-    q = theta'(0) = spring.
+def _clamp_terms(k, at, R, mc, pin, x2, jac, dm, dpin):
+    """d(theta, x1, x2) at the clamp, at fixed R, for a move dm of the
+    Jacobi parameter m and a move dpin of the pin: d gamma for k > 1, and
+    for k <= 1 (P, dn0 d beta0, d dn0) with P = (d beta0 - sn0 cn0
+    dm/(2 mc))/dn0, each of which its caller writes in closed form.
 
-    q moves the Jacobi parameter m and, through the pin, its argument w0;
-    for k <= 1 also w = s alpha/k.  At fixed argument, d am/dm =
-    [sn cn - dn (eps - mc u)/m]/(2 mc) and d eps/dm = (eps - u)/(2 m) +
-    dn d am/dm (Byrd & Friedman 1971, §710), and the pin's
-    dF(gamma, m)/dm has the same form.  w0 and eps(w0) then enter only
-    through the differences w and e of jac, which the addition theorems
-    give, so no integral is taken.  The pin's angle gamma (k > 1) or
-    dn(w0) (k <= 1) moves like 1/q, and dm/dq like q: their quotient is
-    written in closed form, so q = 0 divides nothing.  The terms lose
-    digits like eps/mc as the modulus nears one away from small theta0.
+    At fixed argument, d am/dm = [sn cn - dn (eps - mc u)/m]/(2 mc) and
+    d eps/dm = (eps - u)/(2 m) + dn d am/dm (Byrd & Friedman 1971, §710),
+    and the pin's argument F(gamma, m) (k > 1) or F(beta0, m) (k <= 1)
+    moves by the same form, so eps(w0) and w0 enter only through the
+    differences w and e of jac, which the addition theorems give, and no
+    integral is taken; for k <= 1 w = s alpha/k moves with m too.  The
+    terms lose digits like eps/mc as the modulus nears one.
     """
     w, sn, cn, dn, e = jac
     sn0, cn0, dn0 = pin
-    q2, pref = spring * spring, math.copysign(2.0, R) / at
+    pref = math.copysign(2.0, R) / at
     if k > 1.0:
-        # m = den/(4 alpha^2); mq = q dm/dq, and gq = mq/cn0 with cn0 = q/sqrt(den)
-        m, mq, gq = k**-2, q2 / (2.0 * at * at), spring * math.sqrt(den) / (2.0 * at * at)
-        amq = (mq * (sn * cn - dn * (e - mc * w) / m - dn * sn0 * cn0 / dn0)
-               - gq * mc * dn * sn0 / (m * dn0)) / (2.0 * mc)
+        m = k**-2
+        amd = (dm * (sn * cn - dn * (e - mc * w) / m - dn * sn0 * cn0 / dn0) / (2.0 * mc)
+               + dn * dpin / dn0)
         return (
-            2.0 * (0.5 * mq * k * sn + cn * amq / k) / dn,
-            -pref * (mq * (e - w) / (2.0 * m) + dn * amq + gq * dn0 * sn0 / (2.0 * m)),
-            mq * x2 / (2.0 * m) - pref / k * (sn * amq + gq * sn0 * sn0 / (2.0 * m)),
+            2.0 * (0.5 * dm * k * sn + cn * amd / k) / dn,
+            -pref * (dm * (e - w) / (2.0 * m) + dn * amd - dn0 * dpin),
+            dm * x2 / (2.0 * m) - pref / k * (sn * amd - sn0 * dpin),
         )
-    # m = 4 alpha^2/den; mq = q dm/dq, and gq = mq/dn0 with dn0 = q/sqrt(den)
     m = k * k
-    mq, gq = -2.0 * m * q2 / den, -2.0 * m * spring / math.sqrt(den)
-    amq = (mq * (sn * cn - dn * ((1.0 - 0.5 * m) * w - e) / m) - gq * dn * sn0 * cn0) / (2.0 * mc)
+    P, h, ddn0 = dpin
+    amd = dm * (sn * cn - dn * ((1.0 - 0.5 * m) * w - e) / m) / (2.0 * mc) + dn * P
     # d e/dm with the 1/m terms of (1 - m/2) dw/dm and d eps/dm cancelled
-    deq = (mq * (w * (cn * cn - 0.5 * dn * dn) - e * cn * cn - dn * sn * cn)
-           + gq * dn * dn * sn0 * cn0) / (2.0 * mc)
+    de = (dm * (w * (cn * cn - 0.5 * dn * dn) - e * cn * cn - dn * sn * cn) / (2.0 * mc)
+          - dn * dn * P + h)
     return (
-        2.0 * amq,
-        pref / k * (deq - mq * e / (2.0 * m)),
-        -mq * x2 / (2.0 * m) + pref / k * (0.5 * gq * sn0 * sn0
-                                            - (mq * sn * sn + 2.0 * m * sn * cn * amq) / (2.0 * dn)),
+        2.0 * amd,
+        pref / k * (de - dm * e / (2.0 * m)),
+        -dm * x2 / (2.0 * m)
+        - pref / k * (ddn0 + (dm * sn * sn + 2.0 * m * sn * cn * amd) / (2.0 * dn)),
     )
+
+
+def _spring_terms(k, at, R, mc, pin, den, spring, x2, jac):
+    """q d/dq of (theta, x1, x2) at the clamp, at fixed R and theta0, where
+    q = theta'(0) = spring (_clamp_terms).
+
+    q moves m like q^2 and the pin's angle gamma (k > 1) or dn(w0)
+    (k <= 1) like q, written so that q = 0 divides nothing.
+    """
+    sn0, cn0, _ = pin
+    rden = math.sqrt(den)
+    if k > 1.0:
+        # m = den/(4 alpha^2), and sin(gamma) = k sin(beta0)
+        dm, dpin = spring * spring / (2.0 * at * at), -spring * sn0 / rden
+    else:
+        # m = 4 alpha^2/den, and dn0 = q/sqrt(den)
+        m = k * k
+        dm, g = -2.0 * m * spring * spring / den, m * spring / rden
+        dpin = (g * sn0 * cn0 / mc, 0.0, g * sn0 * sn0)
+    return _clamp_terms(k, at, R, mc, pin, x2, jac, dm, dpin)
+
+
+def _theta0_terms(k, at, R, mc, pin, den, spring, k_r, sb, cb, x2, jac):
+    """d/dtheta0 of (theta, x1, x2) at the clamp at fixed R (_clamp_terms),
+    with sb and cb the sine and cosine of beta0 and k_r per B.
+
+    theta0 moves den = q^2 + 4 alpha^2 sb^2, q = theta0 k_r, by
+    2 q k_r + 4 alpha^2 sb cb, and beta0 by 1/2.  With X = q cb - 2 k_r sb,
+    the pin's angle gamma (k > 1) moves by alpha X/den, with no 1/cos(gamma)
+    left, so a roller pin, where cos(gamma) = 0, divides by nothing; for
+    k <= 1 dn0 = q/sqrt(den) moves by -2 alpha^2 sb X/den^(3/2), and
+    P = (q den - 4 alpha^2 cb X)/(2 den^(3/2) mc) has no 1/dn0.
+    """
+    at2 = at * at
+    dden = 2.0 * spring * k_r + 4.0 * at2 * sb * cb
+    X = spring * cb - 2.0 * k_r * sb
+    rden = math.sqrt(den)
+    if k > 1.0:
+        dm, dpin = dden / (4.0 * at2), at * X / den
+    else:
+        m = k * k
+        dm = -m * dden / den
+        P = (spring * den - 4.0 * at2 * cb * X) / (2.0 * den * rden * mc)
+        dpin = (P, 0.5 * spring / rden, -2.0 * at2 * sb * X / (den * rden))
+    return _clamp_terms(k, at, R, mc, pin, x2, jac, dm, dpin)
 
 
 def _state_and_defect(theta0, R, problem):
@@ -282,10 +329,13 @@ def _state_and_defect(theta0, R, problem):
     The slope comes from the rod's scaling: theta(s) at (l^2 R, l q) is
     theta(l s) at (R, q), q = theta'(0), so 2 R df/dR + q df/dq = S with
     S = -(f + c sin phi) + l kappa [(x1 - c) cos phi + x2 sin phi] and
-    kappa = theta'(l); _spring_terms gives q df/dq.  It is NaN where the
-    complement mc is not in closed form, next to k = 1.  The rounding bound
-    is eps times the magnitudes of the terms of f, with phi's error that
-    of its two terms, phi - angle_offset and angle_offset."""
+    kappa = theta'(l); _spring_terms gives q df/dq.  The same scaling gives
+    2 R dphi/dR + q dphi/dq = l kappa, and the fields' clamp keeps both
+    slopes for the branch tangent.  The slope is NaN where the complement
+    mc is not in closed form, next to k = 1, and where its terms divide by
+    zero at extreme R or theta0.  The rounding bound is eps times the
+    magnitudes of the terms of f, with phi's error that of its two terms,
+    phi - angle_offset and angle_offset."""
     # pure-Python arithmetic on numpy scalars is several times slower
     theta0, R = float(theta0), float(R)
     if theta0 < 0.0:
@@ -337,14 +387,64 @@ def _state_and_defect(theta0, R, problem):
     _, sn, cn, dn, _ = jac
     kappa = 2.0 * at / k * (cn if k > 1.0 else dn)
     df_dphi = (x1 - c) * cos_phi + x2 * sin_phi
-    S = -(defect + c * sin_phi) + l * kappa * df_dphi
-    if spring and closed:
-        q_phi, q_x1, q_x2 = _spring_terms(k, at, R, mc, pin, den, spring, x2, jac)
-        S -= q_x1 * sin_phi - q_x2 * cos_phi + df_dphi * q_phi
     rounding = _EPS * (abs(x1 * sin_phi) + abs(c * sin_phi) + abs(x2 * cos_phi)
                        + abs(df_dphi) * (abs(phi - offset) + abs(offset)))
-    return ((theta0, R, k, at, beta0, phi, R * cos_phi, lam + c - l, problem, offset, mc, pin),
-            defect, S / (2.0 * R) if closed else math.nan, rounding)
+    slope, clamp = math.nan, None
+    if closed:
+        S, phi_l = -(defect + c * sin_phi) + l * kappa * df_dphi, l * kappa
+        try:
+            if spring:
+                q_phi, q_x1, q_x2 = _spring_terms(k, at, R, mc, pin, den, spring, x2, jac)
+                S -= q_x1 * sin_phi - q_x2 * cos_phi + df_dphi * q_phi
+                phi_l -= q_phi
+        except ZeroDivisionError:
+            # m = 1/k^2 underflows to zero at extreme R or theta0, where the
+            # rod itself is still finite: no slopes there
+            pass
+        else:
+            slope = S / (2.0 * R)
+            clamp = (x1, x2, slope, phi_l / (2.0 * R), jac)
+    fields = (theta0, R, k, at, beta0, phi, R * cos_phi, lam + c - l, problem, offset, mc, pin,
+              clamp)
+    return fields, defect, slope, rounding
+
+
+def _theta0_partials(state):
+    """(df/dtheta0, dphi/dtheta0) at fixed R of the closure defect f and
+    the clamp angle phi of a state, from the Jacobi values at the clamp
+    that its residual kept (_theta0_terms); NaN where df/dR is, and where
+    the terms divide by zero at extreme scales."""
+    if state.clamp is None:
+        return math.nan, math.nan
+    theta0, R, problem = state.theta0, state.R, state.problem
+    x1, x2, _, _, jac = state.clamp
+    k_r = problem.k_r / problem.B
+    den, spring, half_trig, _ = _rotation_denominator(theta0, R, problem.k_r, problem.B)
+    other_trig = math.sin(theta0 / 2.0) if R > 0.0 else math.cos(theta0 / 2.0)
+    sb, cb = math.copysign(half_trig, state.beta0), abs(other_trig)
+    try:
+        phi_t, x1_t, x2_t = _theta0_terms(state.modulus, state.alpha_tilde, R, state.mc,
+                                          state.pin, den, spring, k_r, sb, cb, x2, jac)
+    except ZeroDivisionError:
+        # m, mc or a product with den underflows to zero at extreme scales
+        return math.nan, math.nan
+    c = problem.R_c if problem.half == "left" else -problem.R_c
+    sin_phi, cos_phi = math.sin(state.phi), math.cos(state.phi)
+    df_dphi = (x1 - c) * cos_phi + x2 * sin_phi
+    return x1_t * sin_phi - x2_t * cos_phi + df_dphi * phi_t, phi_t
+
+
+def _tangent(state):
+    """(dR/dtheta0, dphi/dtheta0) along the branch through a solved state:
+    dR/dtheta0 = -f_theta0/f_R and dphi/dtheta0 = phi_theta0 + phi_R
+    dR/dtheta0, with phi_R from the rod's scaling, 2 R phi_R + q phi_q =
+    l theta'(l), as f_R is.  NaN where df/dR is, next to k = 1."""
+    if state.clamp is None:
+        return math.nan, math.nan
+    f_t, phi_t = _theta0_partials(state)
+    _, _, f_R, phi_R, _ = state.clamp
+    dR = -f_t / f_R if f_R else math.nan
+    return dR, phi_t + phi_R * dR
 
 
 def make_state(theta0, R, problem):
@@ -413,7 +513,9 @@ def _nearest_root(f, seed, xtol):
     root.
 
     Samples seed, then seed/r and seed*r for r = 1.02, 1.02**1.6, ...,
-    capped at 5, and refines the first bracket that appears.  The smaller
+    capped at 5, and refines the first bracket that appears (branch.refine:
+    Newton on the residual's slope inside the bracket from its end of
+    smaller |f|, brentq from both ends where Newton fails).  The smaller
     magnitude side comes first: seed*r is sampled only when seed/r
     brackets nothing, so when both would bracket at the same r, seed/r
     wins.
@@ -438,8 +540,9 @@ def _warm_state(theta0, problem, seed):
     ContinuationError naming the window seed*[0.2, 5]; a seed that is zero
     or not finite is a ValueError.
 
-    Newton's method runs from the seed on the residual's exact slope,
-    inside the first window seed*[1/r, r], r = 1.02 (branch.newton).  When
+    Newton's method runs from the seed, which a follower step predicts on
+    the branch tangent (_advance), on the residual's exact slope, inside
+    the first window seed*[1/r, r], r = 1.02 (branch.newton).  When
     each side of the window holds at most one root, its root is the one
     _nearest_root's order takes: when it lies above the seed in ratio,
     seed/r is sampled, and a sign change against the seed there hands the
@@ -448,7 +551,8 @@ def _warm_state(theta0, problem, seed):
     sign nowhere on the samples, and Newton keeps a root in the window
     that _nearest_root would pass over.  Each reaction tried is
     evaluated once, the fallback reusing Newton's samples, and the root is
-    one of them: its residual holds the state's fields."""
+    one of them: its residual holds the state's fields, and those hold the
+    quantities its branch tangent is taken from."""
     if seed == 0.0 or not math.isfinite(seed):
         raise ValueError("seed reaction must be finite and nonzero")
     xtol = 1e-15 * problem.B / problem.l**2
@@ -474,44 +578,65 @@ def _warm_state(theta0, problem, seed):
     return ElasticaState(*found[1].record)
 
 
+def _point(st):
+    """(theta0, R, phi, dR/dtheta0, dphi/dtheta0): an accepted state as
+    the follower keeps it."""
+    return (st.theta0, st.R, st.phi, *_tangent(st))
+
+
+def _hermite(h, d, dy, s1, s2):
+    """p(t2 + d) - p(t2) of the cubic p with slopes s1 and s2 at t2 - h
+    and t2 and p(t2) - p(t2 - h) = dy, in Newton form about t2."""
+    D = dy / h
+    return d * (s2 + d * ((s2 - D) / h + (d + h) * (s2 - 2.0 * D + s1) / (h * h)))
+
+
 def _advance(problem, pts, theta0, step=math.inf):
     """(state at theta0, pts, step): the branch continued to theta0 from
-    its accepted points pts, (theta0, R, phi) oldest first, at most three.
+    its accepted points pts (_point) oldest first, at most three.
 
     The first step is step, and any step goes the whole way when it would
     leave less than theta0/2**_FOLLOW_HALVINGS.  pts predict the end of a
-    step: one point predicts itself; two give R by the secant in theta0^2
-    (Koiter's law when the older is the bifurcation (0, R_cr, phi = 0)),
-    and three by the quadratic in theta0 through ln|R|, with the sign of
-    the last R; phi comes from the secant in theta0 through the last two.
-    A step solved from the predicted R is accepted within the bounds of
-    _guard_rejection and doubled; the distance it took is halved when its
-    solve fails or breaks the bounds, or, without a solve, when the
-    prediction breaks them.  The step returned is the doubled last one.
-    Once a step falls below theta0/2**_FOLLOW_HALVINGS, a ContinuationError
-    names the theta0 it stopped at, the last accepted theta0 and the
-    rejected (R, phi) or the solve failure.
+    step: one point predicts itself; the last two, where both have finite
+    tangents (_tangent), give ln|R| and phi by the cubic Hermite through
+    them.  Where a tangent is missing (the bifurcation (0, R_cr,
+    phi = 0), or NaN next to k = 1), two points give R by the secant in
+    theta0^2 (Koiter's law when the older is the bifurcation), and three by
+    the quadratic in theta0 through ln|R|, with the sign of the last R; phi
+    comes from the secant in theta0 through the last two.  A step solved
+    from the predicted R is accepted within the bounds of _guard_rejection
+    and doubled; the distance it took is halved when its solve fails or
+    breaks the bounds, or, without a solve, when the prediction breaks
+    them.  The step returned is the doubled last one.  Once a step falls
+    below theta0/2**_FOLLOW_HALVINGS, a ContinuationError names the theta0
+    it stopped at, the last accepted theta0 and the rejected (R, phi) or
+    the solve failure.
     """
     step = min(step, theta0 - pts[-1][0])
     min_step = theta0 / 2**_FOLLOW_HALVINGS
     while True:
-        t2, r2, phi2 = pts[-1]
+        t2, r2, phi2, dr2, dphi2 = pts[-1]
         th = t2 + step
         if theta0 - th < min_step:
             th = theta0
         if len(pts) == 1:
             seed, phi, why = r2, phi2, ""
         else:
-            t1, r1, phi1 = pts[-2]
-            if len(pts) == 2:
-                seed = r2 + (r2 - r1) * (th * th - t2 * t2) / (t2 * t2 - t1 * t1)
+            t1, r1, phi1, dr1, dphi1 = pts[-2]
+            h, d = t2 - t1, th - t2
+            if math.isfinite(dr1 + dphi1 + dr2 + dphi2):
+                seed = r2 * math.exp(_hermite(h, d, math.log(r2 / r1), dr1 / r1, dr2 / r2))
+                phi = phi2 + _hermite(h, d, phi2 - phi1, dphi1, dphi2)
             else:
-                # Newton form of the quadratic in theta0 through ln|R| at pts
-                t0, y0 = pts[0][0], math.log(abs(pts[0][1]))
-                y1, y2 = math.log(abs(r1)), math.log(abs(r2))
-                d0, d1 = (y1 - y0) / (t1 - t0), (y2 - y1) / (t2 - t1)
-                seed = r2 * math.exp((th - t2) * (d1 + (d1 - d0) / (t2 - t0) * (th - t1)))
-            phi = phi2 + (phi2 - phi1) * (th - t2) / (t2 - t1)
+                if len(pts) == 2:
+                    seed = r2 + (r2 - r1) * (th * th - t2 * t2) / (t2 * t2 - t1 * t1)
+                else:
+                    # Newton form of the quadratic in theta0 through ln|R| at pts
+                    t0, y0 = pts[0][0], math.log(abs(pts[0][1]))
+                    y1, y2 = math.log(abs(r1)), math.log(abs(r2))
+                    d0, d1 = (y1 - y0) / (t1 - t0), (y2 - y1) / h
+                    seed = r2 * math.exp(d * (d1 + (d1 - d0) / (t2 - t0) * (th - t1)))
+                phi = phi2 + (phi2 - phi1) * d / h
             why = _guard_rejection(seed, phi, r2, phi2)
         if why:
             why = "predicted " + why
@@ -523,7 +648,7 @@ def _advance(problem, pts, theta0, step=math.inf):
             else:
                 why = _guard_rejection(st.R, st.phi, r2, phi2)
                 if not why:
-                    pts = [*pts[-2:], (st.theta0, st.R, st.phi)]
+                    pts = [*pts[-2:], _point(st)]
                     step *= 2.0
                     if th == theta0:
                         return st, pts, step
@@ -548,13 +673,13 @@ def _follow_branch(theta0, problem, seed=None):
     """
     if seed is not None:
         st = _warm_state(theta0, problem, seed)
-        return st, [(st.theta0, st.R, st.phi)], math.inf
+        return st, [_point(st)], math.inf
     R_cr = _default_seed(problem)
     st = _warm_state(_THETA_START, problem, R_cr)
     if theta0 < _THETA_START:
         R2 = (st.R - R_cr) / _THETA_START**2
         st = _warm_state(theta0, problem, R_cr + R2 * theta0 * theta0)
-    pts = [(0.0, R_cr, 0.0), (st.theta0, st.R, st.phi)]
+    pts = [(0.0, R_cr, 0.0, math.nan, math.nan), _point(st)]
     if theta0 <= _THETA_START:
         return st, pts, math.inf
     return _advance(problem, pts, theta0)
@@ -568,18 +693,20 @@ def solve_R(theta0, problem, seed=None):
     residual's exact slope within seed*[1/1.02, 1.02], and keeps the root
     the bracket search takes when each side of that window holds at most
     one root: residuals at seed/r and seed*r for r = 1.02, then r**1.6,
-    up to 5, with brentq on the first sign change between neighbouring
-    samples, so the root nearest the seed wins.  That search also solves
-    where Newton leaves the window or stops contracting, and a
-    ContinuationError names the window seed*[0.2, 5] when it holds no
-    sign change (_warm_state).  Without a seed (a cold start), the root
-    is followed along the branch that bifurcates at the linearized
-    critical load R_cr of the matching sliding-rod model: entered at
-    theta0 = 1e-3 and continued in predicted warm steps that keep the
-    continuity bounds (_advance), as every solve on a traced branch is.
-    Either way the state is trace_branch's at theta0 as its whole
-    schedule, and its ContinuationError is the text such a trace stops
-    with.  A solve evaluates the residual once per reaction it tries.
+    up to 5, with Newton, or brentq where Newton fails, inside the first
+    sign change between neighbouring samples, so the root nearest the seed
+    wins.  That search also solves where Newton leaves the window or stops
+    contracting, and a ContinuationError names the window seed*[0.2, 5]
+    when it holds no sign change (_warm_state).  Without a seed (a cold
+    start), the root is followed along the branch that bifurcates at the
+    linearized critical load R_cr of the matching sliding-rod model:
+    entered at theta0 = 1e-3 and continued in warm steps, predicted by the
+    cubic Hermite through the last two accepted states and their branch
+    tangents, that keep the continuity bounds (_advance), as every solve on
+    a traced branch is.  Either way the state is trace_branch's at theta0
+    as its whole schedule, and its ContinuationError is the text such a
+    trace stops with.  A solve evaluates the residual once per reaction it
+    tries.
     """
     if not 0.0 < theta0 < math.inf:
         raise ValueError("theta0 must be positive and finite")
@@ -657,7 +784,7 @@ def refine_on_trace(trace, value, target):
     pts = trace.points
     fs = [Sample(value(p) - target, p) for p in pts]
     for i, j in sign_changes(fs):
-        known = [(p.theta0, p.R, p.phi) for p in pts[max(i - 2, 0):i + 1]]
+        known = [_point(p) for p in pts[max(i - 2, 0):i + 1]]
 
         def trial(th0):
             st = _advance(pts[i].problem, known, th0)[0]

@@ -109,6 +109,37 @@ def _sampled(g, dg, calls, rounding=0.0):
     return f
 
 
+def test_refine_steps_newton_from_the_smaller_end_before_brentq():
+    # samples with slopes: Newton from the end of smaller |f|, inside the
+    # bracket, reads neither end again and needs fewer values than brentq
+    g, dg = (lambda x: math.cos(x) - x / 3.0), (lambda x: -math.sin(x) - 1.0 / 3.0)
+    calls = []
+    f = _sampled(g, dg, calls)
+    xs = [0.0, 0.5, 1.0, 1.5, 2.0]
+    fs = [f(x) for x in xs]
+    (i, j), = sign_changes(fs)
+    del calls[:]
+    root, sample = refine(f, xs, fs, i, j, 1e-15)
+    assert xs[i] not in calls and xs[j] not in calls
+    assert sample.record == ("state", root) and len(calls) == len(set(calls))
+    want = brentq(g, xs[i], xs[j], xtol=1e-15, rtol=4.0 * 2.0**-52)
+    assert abs(root - want) <= 1e-15 + 4.0 * 2.0**-52 * want
+    # slope-less samples go to brentq, which takes more values here
+    plain_calls = []
+
+    def plain_f(x):
+        plain_calls.append(x)
+        return Sample(g(x), ("state", x))
+
+    plain = [Sample(float(v), v.record) for v in fs]
+    slopeless = refine(plain_f, xs, plain, i, j, 1e-15)[0]
+    assert len(calls) < len(plain_calls)
+    # slopes that send Newton out of the bracket hand the refinement to
+    # brentq from the same two ends, which finds the slope-less root
+    wrong = _sampled(g, lambda x: 1e-3, [])
+    assert refine(wrong, xs, [wrong(x) for x in xs], i, j, 1e-15)[0] == slopeless
+
+
 def test_newton_stops_within_brentqs_tolerance_on_an_evaluated_root():
     # the last step is at most xtol + 4 eps |x|, and the root returned is
     # the last iterate, with f's own sample there: no x is evaluated twice

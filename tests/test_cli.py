@@ -208,6 +208,22 @@ def test_removed_setting_exits_2_before_any_output(command, key, tmp_path, capsy
     assert run([command, "--config", str(cfg)], tmp_path / "config") == 2
     assert "unknown config key %s.%s" % (cli._COMMANDS[command].section, key) in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "command, prefix, flag",
+    [("critical-rod", "--spring", "--spring-k"), ("trace-elastica", "--k", "--k-r")],
+)
+def test_flag_prefix_exits_2_before_any_output(command, prefix, flag, tmp_path, capsys):
+    # argparse took a unique prefix for its flag, so both ran and exited 0
+    with pytest.raises(SystemExit) as exc:
+        run([command, prefix, "0.5"], tmp_path / "prefix")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s 0.5" % prefix in capsys.readouterr().err
+    assert not (tmp_path / "prefix").exists()
+    # the full name parses as before
+    args = cli._build_parser().parse_args([command, flag, "0.5"])
+    assert getattr(args, flag[2:].replace("-", "_")) == "0.5"
     assert not (tmp_path / "config").exists()
 
 
@@ -538,9 +554,10 @@ def test_elastica_shift_report(fig7_dir):
 
 def test_fig7_residual_budget(tmp_path, monkeypatch):
     # the traces walk the cold solve's branch follower through the
-    # schedule, and warm solves run Newton from a predicted seed on the
-    # residual's exact slope: 883 residuals in 262 warm solves, where
-    # brentq on the first bracket made 1,661, refinements that solved
+    # schedule, predicting each step on the branch tangent, and warm solves
+    # run Newton from that seed on the residual's exact slope: 562
+    # residuals in 261 warm solves, where predictions by secants and
+    # quadratics made 883, brentq on the first bracket 1,661, refinements that solved
     # their bracket ends again 1,764, the window scan 65,591, a trace
     # seeded by the last reaction 2,163, and solves that sampled both
     # sides of the seed at once and the CLI's second refinement of
@@ -555,7 +572,7 @@ def test_fig7_residual_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(elastica, "compatibility_residual", counting)
     assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
-    assert 870 < len(calls) < 910
+    assert 550 < len(calls) < 575
 
 
 def test_fig7_pi_half_shape_is_the_load_sign_event(tmp_path, monkeypatch):
