@@ -338,8 +338,6 @@ def _shift_report(path, problem, traces):
         for F in targets:
             st = elastica.refine_on_trace(tens, lambda p: p.F, F)
             sc = elastica.refine_on_trace(comp, lambda p: p.F, F)
-            if st is None or sc is None:
-                continue
             shift = st.delta - sc.delta
             shifts.append(shift)
             lines.append(

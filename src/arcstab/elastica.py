@@ -412,10 +412,9 @@ def _state_and_defect(theta0, R, problem):
 def _theta0_partials(state):
     """(df/dtheta0, dphi/dtheta0) at fixed R of the closure defect f and
     the clamp angle phi of a state, from the Jacobi values at the clamp
-    that its residual kept (_theta0_terms); NaN where df/dR is, and where
-    the terms divide by zero at extreme scales."""
-    if state.clamp is None:
-        return math.nan, math.nan
+    that its residual kept (_theta0_terms): only a state with a finite
+    df/dR keeps them, and _tangent asks for no other.  NaN where the terms
+    divide by zero at extreme scales."""
     theta0, R, problem = state.theta0, state.R, state.problem
     x1, x2, _, _, jac = state.clamp
     k_r = problem.k_r / problem.B
@@ -593,24 +592,22 @@ def _hermite(h, d, dy, s1, s2):
 
 def _advance(problem, pts, theta0, step=math.inf):
     """(state at theta0, pts, step): the branch continued to theta0 from
-    its accepted points pts (_point) oldest first, at most three.
+    its last one or two accepted points pts (_point), oldest first.
 
     The first step is step, and any step goes the whole way when it would
     leave less than theta0/2**_FOLLOW_HALVINGS.  pts predict the end of a
-    step: one point predicts itself; the last two, where both have finite
-    tangents (_tangent), give ln|R| and phi by the cubic Hermite through
-    them.  Where a tangent is missing (the bifurcation (0, R_cr,
-    phi = 0), or NaN next to k = 1), two points give R by the secant in
-    theta0^2 (Koiter's law when the older is the bifurcation), and three by
-    the quadratic in theta0 through ln|R|, with the sign of the last R; phi
-    comes from the secant in theta0 through the last two.  A step solved
-    from the predicted R is accepted within the bounds of _guard_rejection
-    and doubled; the distance it took is halved when its solve fails or
-    breaks the bounds, or, without a solve, when the prediction breaks
-    them.  The step returned is the doubled last one.  Once a step falls
-    below theta0/2**_FOLLOW_HALVINGS, a ContinuationError names the theta0
-    it stopped at, the last accepted theta0 and the rejected (R, phi) or
-    the solve failure.
+    step: one point predicts itself; two, where both have finite tangents
+    (_tangent), give ln|R| and phi by the cubic Hermite through them.
+    Where a tangent is missing (the bifurcation (0, R_cr, phi = 0), or NaN
+    next to k = 1), R comes from the secant in theta0^2 through the two
+    (Koiter's law when the older is the bifurcation) and phi from the
+    secant in theta0.  A step solved from the predicted R is accepted
+    within the bounds of _guard_rejection and doubled; the distance it
+    took is halved when its solve fails or breaks the bounds, or, without
+    a solve, when the prediction breaks them.  The step returned is the
+    doubled last one.  Once a step falls below theta0/2**_FOLLOW_HALVINGS,
+    a ContinuationError names the theta0 it stopped at, the last accepted
+    theta0 and the rejected (R, phi) or the solve failure.
     """
     step = min(step, theta0 - pts[-1][0])
     min_step = theta0 / 2**_FOLLOW_HALVINGS
@@ -628,14 +625,7 @@ def _advance(problem, pts, theta0, step=math.inf):
                 seed = r2 * math.exp(_hermite(h, d, math.log(r2 / r1), dr1 / r1, dr2 / r2))
                 phi = phi2 + _hermite(h, d, phi2 - phi1, dphi1, dphi2)
             else:
-                if len(pts) == 2:
-                    seed = r2 + (r2 - r1) * (th * th - t2 * t2) / (t2 * t2 - t1 * t1)
-                else:
-                    # Newton form of the quadratic in theta0 through ln|R| at pts
-                    t0, y0 = pts[0][0], math.log(abs(pts[0][1]))
-                    y1, y2 = math.log(abs(r1)), math.log(abs(r2))
-                    d0, d1 = (y1 - y0) / (t1 - t0), (y2 - y1) / h
-                    seed = r2 * math.exp(d * (d1 + (d1 - d0) / (t2 - t0) * (th - t1)))
+                seed = r2 + (r2 - r1) * (th * th - t2 * t2) / (t2 * t2 - t1 * t1)
                 phi = phi2 + (phi2 - phi1) * d / h
             why = _guard_rejection(seed, phi, r2, phi2)
         if why:
@@ -648,7 +638,7 @@ def _advance(problem, pts, theta0, step=math.inf):
             else:
                 why = _guard_rejection(st.R, st.phi, r2, phi2)
                 if not why:
-                    pts = [*pts[-2:], _point(st)]
+                    pts = [pts[-1], _point(st)]
                     step *= 2.0
                     if th == theta0:
                         return st, pts, step
@@ -777,17 +767,20 @@ def refine_on_trace(trace, value, target):
     The first sign change of value - target over the trace points is
     refined by brentq in theta0 from their own values.  Each trial is a
     follower step (_advance) on their problem from the bracket's left
-    point and up to two before it, and raises where the follower stops.
-    The state returned is a trace point, itself when on target, or a
-    trial: no theta0 is solved twice.  None when nothing brackets target.
+    point and the one before it, and its first step is their spacing, so
+    their predictor never reaches far past them; it raises where the
+    follower stops.  The state returned is a trace point, itself when on
+    target, or a trial: no theta0 is solved twice.  None when nothing
+    brackets target.
     """
     pts = trace.points
     fs = [Sample(value(p) - target, p) for p in pts]
     for i, j in sign_changes(fs):
-        known = [_point(p) for p in pts[max(i - 2, 0):i + 1]]
+        known = [_point(p) for p in pts[max(i - 1, 0):i + 1]]
+        step = known[-1][0] - known[0][0] or math.inf
 
         def trial(th0):
-            st = _advance(pts[i].problem, known, th0)[0]
+            st = _advance(pts[i].problem, known, th0, step)[0]
             return Sample(value(st) - target, st)
 
         return refine(trial, [p.theta0 for p in pts], fs, i, j, 1e-13)[1].record

@@ -552,6 +552,14 @@ def test_elastica_shift_report(fig7_dir):
     assert spread < 1e-6
 
 
+def test_elastica_shift_report_without_a_shared_load(tmp_path):
+    # up to theta0 = 0.3 every tensile load is positive and every compressive
+    # one negative
+    assert run(["trace-elastica", "--theta0-max=0.3", "--n-points=20"], tmp_path) == 0
+    txt = (tmp_path / "branch_shift.txt").read_text()
+    assert txt == "max_shift_spread = nan (branches share no load interval)\n"
+
+
 def test_fig7_residual_budget(tmp_path, monkeypatch):
     # the traces walk the cold solve's branch follower through the
     # schedule, predicting each step on the branch tangent, and warm solves

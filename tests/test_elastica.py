@@ -842,6 +842,48 @@ def test_state_without_a_tangent_keeps_the_old_predictor(monkeypatch):
         assert (b.R, b.phi) == pytest.approx((a.R, a.phi), rel=1e-11)
 
 
+def test_missing_tangent_mid_trace_falls_back_to_the_theta0_squared_secant(monkeypatch):
+    # a trace point whose tangent is NaN, as next to k = 1: the steps from
+    # it are predicted by the secant in theta0^2 through it and the point
+    # accepted before it, and the trace goes on to the unpatched trace's
+    # points
+    pr = tensile_problem()
+    schedule = np.linspace(1e-4, 2.8, 30)
+    ref = trace_branch(pr, schedule)
+    nan_at = float(schedule[10])
+    tangent, point, warm = elastica._tangent, elastica._point, elastica._warm_state
+    kept, tried = [], []
+
+    def patched(st):
+        return (math.nan, math.nan) if st.theta0 == nan_at else tangent(st)
+
+    def keeping(st):
+        kept.append(point(st))
+        return kept[-1]
+
+    def solving(theta0, problem, seed):
+        tried.append((len(kept), theta0, seed))
+        return warm(theta0, problem, seed)
+
+    monkeypatch.setattr(elastica, "_tangent", patched)
+    monkeypatch.setattr(elastica, "_point", keeping)
+    monkeypatch.setattr(elastica, "_warm_state", solving)
+    tr = trace_branch(pr, schedule)
+    assert tr.complete, tr.diagnostic
+    n = next(i for i, p in enumerate(kept) if p[0] == nan_at)
+    assert math.isnan(kept[n][3])
+    (t1, r1, *_), (t2, r2, *_) = kept[n - 1:n + 1]
+    after = [(th, seed) for m, th, seed in tried if m == n + 1]
+    assert after
+    for th, seed in after:
+        assert seed == r2 + (r2 - r1) * (th * th - t2 * t2) / (t2 * t2 - t1 * t1)
+    assert tr.points[:11] == ref.points[:11]
+    for a, b in zip(tr.points[11:], ref.points[11:], strict=True):
+        assert (a.R, a.phi) == pytest.approx((b.R, b.phi), rel=1e-11)
+    ev, ref_ev = tr.events["load_sign_transition"], ref.events["load_sign_transition"]
+    assert (ev.theta0, ev.R) == pytest.approx((ref_ev.theta0, ref_ev.R), rel=1e-11)
+
+
 def test_residual_is_continuous_through_zero_reaction():
     # the spring-hinged tensile branch that stops as R nears zero (see
     # test_spring_hinged_tensile_trace_stops_as_R_nears_zero) has k -> 0
@@ -1292,6 +1334,50 @@ def test_branch_shift_congruence(traced_tensile, traced_compressive):
         assert st_t.delta - st_c.delta == pytest.approx(0.5, abs=1e-6)
 
 
+def assert_roller_mirror(left, right, R_c):
+    """Without a spring, the left-half state (theta0, R, phi) maps to the
+    right-half state (pi - theta0, -R, pi - phi), with the same F and
+    delta_left - delta_right = 2 R_c: each right point is checked against
+    the left point mirrored on their common schedule, symmetric about
+    pi/2.  Bounds: about 6 to 10 times the worst of 100-point traces at
+    R_c = 0.25 and 0.6 (R and F 1.7e-11 relative to |R|, phi 4.4e-15,
+    shift 1.9e-15); the schedule's own asymmetry is one ulp of pi."""
+    assert left.complete, left.diagnostic
+    n = len(left.points)
+    for j, b in enumerate(right.points):
+        a = left.points[n - 1 - j]
+        assert a.theta0 + b.theta0 == pytest.approx(math.pi, abs=1e-15), j
+        assert abs(a.R + b.R) <= 1e-10 * abs(a.R), (j, a.R, b.R)
+        assert abs(a.phi + b.phi - math.pi) <= 5e-14, (j, a.phi, b.phi)
+        assert abs(a.F - b.F) <= 1e-10 * abs(a.R), (j, a.F, b.F)
+        assert abs(a.delta - b.delta - 2.0 * R_c) <= 2e-14, (j, a.delta, b.delta)
+
+
+def roller_halves(R_c, n=100):
+    schedule = np.linspace(1e-4, math.pi - 1e-4, n)
+    return (trace_branch(tensile_problem(Rc=R_c), schedule),
+            trace_branch(compressive_problem(Rc=R_c), schedule))
+
+
+@pytest.mark.parametrize("R_c", [0.25, 0.6])
+def test_roller_halves_trace_one_branch_from_both_ends(R_c):
+    left, right = roller_halves(R_c)
+    assert right.complete, right.diagnostic
+    assert_roller_mirror(left, right, R_c)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND line 208 in CHANGES.md, ROADMAP item 4: the follower cannot "
+                   "split the schedule's last 9.9e-4 into steps of at least theta0/2**12")
+def test_roller_right_half_reaches_the_image_of_the_left_start():
+    # the left trace completes, and its image reaches R = -89.596 at
+    # pi - 1e-4; the right trace keeps the map up to theta0 = 3.1405 and
+    # stops at 3.14149 with a predicted |R/R_prev - 1| = 0.316
+    left, right = roller_halves(0.9)
+    assert_roller_mirror(left, right, 0.9)
+    assert right.complete, right.diagnostic
+
+
 def test_refine_on_trace_matches_local_bisection(traced_tensile, traced_compressive):
     # the trace points carry the assembly they were solved on; the
     # bisection's cold solves agree with the refinement to about 3e-15
@@ -1317,6 +1403,25 @@ def test_refine_on_trace_hits_its_target_between_sparse_points(kwargs, n_points)
     ref = refine_on_trace(trace_branch(pr, np.linspace(1e-4, 2.5, 600)), lambda p: p.phi, 2.0)
     assert st.phi == pytest.approx(2.0, abs=1e-12)
     assert (st.theta0, st.R) == pytest.approx((ref.theta0, ref.R), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kwargs, schedule", [
+    (dict(Rc=0.8312407764289671), [1e-4, 1e-3, 2.8]),
+    (dict(Rc=0.7994155293943626, k_r=0.13107339809499474), [1e-3, 1.1e-3, 2.0]),
+])
+def test_load_sign_event_between_far_sparse_points(kwargs, schedule):
+    # each trial of the load-sign refinement started with an unbounded
+    # step from the bracket's two points, so the cubic Hermite in ln|R|
+    # extrapolated about 3,000 of their spacings, exp overflowed in the
+    # predictor and an OverflowError escaped trace_branch
+    pr = tensile_problem(**kwargs)
+    tr = trace_branch(pr, schedule)
+    assert tr.complete, tr.diagnostic
+    ev = tr.events["load_sign_transition"]
+    dense = trace_branch(pr, np.linspace(schedule[0], schedule[-1], 400))
+    ref = dense.events["load_sign_transition"]
+    assert ev.phi == pytest.approx(math.pi / 2, abs=1e-12)
+    assert (ev.theta0, ev.R) == pytest.approx((ref.theta0, ref.R), rel=1e-12, abs=0.0)
 
 
 def test_refine_on_trace_solves_each_theta0_once(monkeypatch, traced_tensile):
