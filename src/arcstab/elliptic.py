@@ -1,28 +1,30 @@
-"""Incomplete elliptic integrals and Jacobi elliptic functions, valid for
-modulus below and above one.
+"""The incomplete elliptic integral F and the Jacobi elliptic functions,
+valid for modulus below and above one.
 
 Conventions: the modulus k multiplies sin(t) in the integrand (parameter
 m = k^2). For k > 1 everything is mapped back to modulus 1/k through the
 reciprocal-modulus identities, so only real arithmetic is involved; the
-amplitude is then restricted to |k sin(beta)| <= 1 for the integrals, while
+amplitude is then restricted to |k sin(beta)| <= 1 for ellint_F, while
 jacobi_am / jacobi_dn continue smoothly through the turning points of the
 underlying pendulum (signed delta-amplitude).
 
 One scalar kernel in plain `math` does all the work: the descending
 Landen / AGM scheme (DLMF 22.20.1; Abramowitz & Stegun 16.4, 17.6).  One
 AGM sequence gives the quarter period K and the complete integral E.  Its
-Landen angles, run forward from an amplitude, give F and E
-(_FE_landen); run backward from an argument, they give the amplitude, sn,
-cn, dn and the Jacobi epsilon (_ellipj_reduced).  Both take the
-complementary parameter 1 - m as an argument, so callers that know it in
-closed form keep the digits that 1 - m would cancel near m = 1.
+Landen angles, run forward from an amplitude, give F alone (_F_landen);
+run backward from an argument, they give the amplitude, sn, cn, dn and
+the Jacobi epsilon (_ellipj_reduced).  The integral of the second kind
+needs no pass of its own: E(beta, k) = jacobi_epsilon(ellint_F(beta, k), k)
+on the admissible range.  Both passes take the complementary parameter
+1 - m as an argument, so callers that know it in closed form keep the
+digits that 1 - m would cancel near m = 1.
 
 All angles are radians.
 """
 
 import math
 
-__all__ = ["ellint_F", "ellint_E", "jacobi_am", "jacobi_dn", "jacobi_epsilon"]
+__all__ = ["ellint_F", "jacobi_am", "jacobi_dn", "jacobi_epsilon"]
 
 # how far past |k sin beta| = 1 is still treated as roundoff on the endpoint
 _UNIT_SLACK = 1e-12
@@ -67,43 +69,35 @@ def _agm(m, mc):
     return a, two_n, e_sum, levels
 
 
-def _FE_landen(beta_r, n, m, mc):
-    """(F, Z, e_sum) at amplitude beta_r + n pi, |beta_r| <= pi/2,
-    parameter m in [0, 1) and complement mc = 1 - m > 0, with e_sum as _agm
-    gives it.
+def _F_landen(beta_r, n, m, mc):
+    """F at amplitude beta_r + n pi, |beta_r| <= pi/2, parameter m in [0, 1)
+    and complement mc = 1 - m > 0.
 
     The forward Landen angles phi_0 = beta_r, phi_n = 2 phi_(n-1) -
     atan2(2 c_n sin cos, a_(n-1) cos^2 + b_(n-1) sin^2) at phi_(n-1)
-    (A&S 17.6.8) give F = phi_N / (2^N a_N) + 2 n K and the Jacobi zeta
-    function Z = sum c_n sin(phi_n), so that E = F (1 - e_sum) + Z
-    (A&S 17.6.10).  Both atan2 terms are taken over a_(n-1) = a_n + c_n,
-    which leaves no difference to cancel.
+    (A&S 17.6.8) give F = phi_N / (2^N a_N) + 2 n K.  The atan2 term is
+    taken over a_(n-1) = a_n + c_n, which leaves no difference to cancel.
     """
     sin, cos = math.sin, math.cos
-    a, two_n, e_sum, levels = _agm(m, mc)
-    phi, rho, zeta, c = beta_r, math.sqrt(mc), 0.0, math.sqrt(m)
-    for c, kappa, rho_n in levels:
+    a, two_n, _, levels = _agm(m, mc)
+    phi, rho = beta_r, math.sqrt(mc)
+    for _, kappa, rho_n in levels:
         s, co = sin(phi), cos(phi)
         phi = 2.0 * phi - math.atan2(2.0 * kappa * s * co, (1.0 + kappa) * (co * co + rho * s * s))
-        zeta += c * sin(phi)
         rho = rho_n
-    # the first level the AGM leaves out, c_(N+1) sin(phi_(N+1)) with
-    # c_(N+1) = c_N^2/(4 a_N) < 2^-56 and phi_(N+1) = 2 phi_N: below the
-    # rounding of E at k <= 1, but the reciprocal modulus multiplies Z by k
-    zeta += 0.25 * c * c / a * sin(2.0 * phi)
-    return phi / (two_n * a) + math.pi * n / a, zeta, e_sum
+    return phi / (two_n * a) + math.pi * n / a
 
 
-def _ellint(beta, k):
-    """(F, E) at amplitude beta and modulus k, dispatched on k once: k > 1
-    through the reciprocal modulus, k = 1 in closed form, k < 1 through
-    _FE_landen at beta = beta_r + n pi.
+def ellint_F(beta, k):
+    """Incomplete elliptic integral of the first kind F(beta, k).
 
-    For k > 1, with F1, Z1 and e_sum of _FE_landen at gamma and 1/k, the
-    reciprocal identity E = k E(gamma, 1/k) - (k - 1/k) F1 is written as
-    F1/k + k (Z1 - F1 e_sum): the identity's two terms cancel like k^2, and
-    these do not.  Past k = 1/_AGM_TOL the AGM runs no level, and then E is
-    (gamma/2 + sin(2 gamma)/4)/k, with no 1/k^2 to go subnormal."""
+    For k > 1 computed through F(beta, k) = F(gamma, 1/k)/k with
+    sin(gamma) = k sin(beta); requires |k sin(beta)| <= 1. The endpoint
+    k sin(beta) = 1 is an integrable square-root singularity and evaluates
+    to the finite limit.  At k = 1, F = gd^-1(beta) within a quarter turn
+    and infinite past it.  The integral of the second kind is
+    E(beta, k) = jacobi_epsilon(ellint_F(beta, k), k) on the same range.
+    """
     beta, k = float(beta), float(k)
     _check(beta, k)
     if k > 1.0:
@@ -114,39 +108,13 @@ def _ellint(beta, k):
         s = _unit_clamped(k * sb)
         c2 = max(cb * cb - ((k - 1.0) * sb) * ((k + 1.0) * sb), 0.0)
         gamma = math.atan2(s, math.sqrt(c2))
-        if k >= 1.0 / _AGM_TOL:
-            return gamma / k, (0.5 * gamma + 0.25 * math.sin(2.0 * gamma)) / k
-        f, zeta, e_sum = _FE_landen(gamma, 0, k**-2, (1.0 - 1.0 / k) * (1.0 + 1.0 / k))
-        return f / k, f / k + k * (zeta - f * e_sum)
+        return _F_landen(gamma, 0, k**-2, (1.0 - 1.0 / k) * (1.0 + 1.0 / k)) / k
     n = math.floor(beta / math.pi + 0.5)
     br = beta - math.pi * n
     if k == 1.0:
-        # no AGM ends at K = inf: F = gd^-1(beta_r) within a quarter turn, and E = 1
-        f = math.copysign(math.inf, n) if n else math.asinh(math.tan(br))
-        return f, math.sin(br) + 2.0 * n
-    f, zeta, e_sum = _FE_landen(br, n, k * k, (1.0 - k) * (1.0 + k))
-    return f, f * (1.0 - e_sum) + zeta
-
-
-def ellint_F(beta, k):
-    """Incomplete elliptic integral of the first kind F(beta, k).
-
-    For k > 1 computed through F(beta, k) = F(gamma, 1/k)/k with
-    sin(gamma) = k sin(beta); requires |k sin(beta)| <= 1. The endpoint
-    k sin(beta) = 1 is an integrable square-root singularity and evaluates
-    to the finite limit.
-    """
-    return _ellint(beta, k)[0]
-
-
-def ellint_E(beta, k):
-    """Incomplete elliptic integral of the second kind E(beta, k).
-
-    Reciprocal-modulus transform for k > 1:
-    E(beta, k) = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k), evaluated
-    without its cancelling pair (see _ellint).
-    """
-    return _ellint(beta, k)[1]
+        # no AGM ends at K = inf
+        return math.copysign(math.inf, n) if n else math.asinh(math.tan(br))
+    return _F_landen(br, n, k * k, (1.0 - k) * (1.0 + k))
 
 
 def _ellipj_reduced(w, m, mc, agm):

@@ -326,23 +326,30 @@ def test_shape_export_one_jacobi_evaluation_per_sample(ellipj_calls):
 
 @pytest.fixture
 def integral_calls(monkeypatch):
-    # arguments of every call of the incomplete integrals F and E
+    # arguments of every call of the incomplete integral F, by its public
+    # name in either module or by its forward Landen pass
     calls = []
-    ellint = elliptic._ellint
 
-    def counting(*args):
-        calls.append(args)
-        return ellint(*args)
+    def counting(module, name):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(elliptic, "_ellint", counting)
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(elliptic, "ellint_F")
+    counting(elastica, "ellint_F")
+    counting(elliptic, "_F_landen")
     return calls
 
 
 @pytest.mark.parametrize("k_r, R", [(0.0, 1.3), (0.0, -1.3), (0.7, 1.1), (1.0, -1.0), (5.0, 0.5)])
-def test_no_carlson_integral_at_any_modulus(integral_calls, k_r, R):
+def test_no_incomplete_integral_at_any_modulus(integral_calls, k_r, R):
     # the addition theorems take the pin's Jacobi functions in closed form,
-    # so neither a residual nor a shape export needs F or E at the pin;
-    # k_r = 5 puts the modulus below one
+    # so neither a residual nor a shape export needs F at the pin; k_r = 5
+    # puts the modulus below one
     assert (modulus_from(0.8, R, k_r) > 1.0) == (k_r < 5.0)
     problem = tensile_problem(k_r=k_r)
     compatibility_residual(R, 0.8, problem)

@@ -21,13 +21,17 @@ from scipy.optimize import brentq
 from arcstab import elliptic
 from arcstab.elliptic import (
     ellint_F,
-    ellint_E,
     jacobi_am,
     jacobi_dn,
     jacobi_epsilon,
 )
 
 EPS = 2.0**-52
+
+
+def E_of(beta, k):
+    # the incomplete integral of the second kind on the admissible range
+    return jacobi_epsilon(ellint_F(beta, k), k)
 
 
 def oracle_F(beta, k):
@@ -120,8 +124,8 @@ def admissible_betas(k, n=200):
 def test_trivial_values():
     assert ellint_F(0.0, 0.7) == 0.0
     assert abs(ellint_F(np.pi / 2, 0.0) - np.pi / 2) < 1e-15
-    assert ellint_E(0.0, 0.3) == 0.0
-    assert abs(ellint_E(1.1, 0.0) - 1.1) < 1e-15
+    assert E_of(0.0, 0.3) == 0.0
+    assert abs(E_of(1.1, 0.0) - 1.1) < 1e-15
     assert jacobi_am(0.0, 0.5) == 0.0
     assert abs(jacobi_am(0.9, 0.0) - 0.9) < 1e-14
     assert jacobi_dn(0.0, 0.8) == 1.0
@@ -130,19 +134,10 @@ def test_trivial_values():
 
 def test_frozen_values():
     for (kind, beta, k), want in FROZEN.items():
-        fn = ellint_F if kind == "F" else ellint_E
+        fn = ellint_F if kind == "F" else E_of
         assert abs(fn(beta, k) - want) < 1e-13, (kind, beta, k)
     assert abs(ellint_F(BETA_STAR_12, 1.2) - F_END_12) < 1e-12
-    assert abs(ellint_E(BETA_STAR_12, 1.2) - E_END_12) < 1e-13
-
-
-@pytest.mark.parametrize("beta", [3.0, -5.0, 10.0])
-def test_E_at_unit_modulus_past_quarter_turn(beta):
-    # E(1) = 1 closes the half-period reduction; its Carlson form is inf - inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = ellint_E(beta, 1.0)
-    assert abs(got - float(mpmath.ellipe(beta, 1))) < 1e-14 * abs(got)
+    assert abs(E_of(BETA_STAR_12, 1.2) - E_END_12) < 1e-13
 
 
 def test_oracle_equivalence_500_random():
@@ -154,7 +149,7 @@ def test_oracle_equivalence_500_random():
         else:
             beta = rng.uniform(-1.0, 1.0) * np.arcsin(1.0 / k)
         assert abs(ellint_F(beta, k) - oracle_F(beta, k)) < 1e-9
-        assert abs(ellint_E(beta, k) - oracle_E(beta, k)) < 1e-9
+        assert abs(E_of(beta, k) - oracle_E(beta, k)) < 1e-9
 
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 1.2])
@@ -236,10 +231,10 @@ def test_epsilon_frozen_and_derivative():
 
 
 @pytest.mark.parametrize("k", [0.7, 1.2])
-def test_epsilon_matches_ellint_E_on_admissible_range(k):
+def test_epsilon_matches_E_quadrature_on_admissible_range(k):
     for beta in admissible_betas(k, n=101):
         u = ellint_F(beta, k)
-        assert abs(jacobi_epsilon(u, k) - ellint_E(beta, k)) < 1e-10
+        assert abs(jacobi_epsilon(u, k) - oracle_E(beta, k)) < 1e-10
 
 
 def test_epsilon_quadrature_oracle():
@@ -254,7 +249,9 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         ellint_F(1.4, 1.2)          # k sin(beta) > 1
     with pytest.raises(ValueError):
-        ellint_E(1.4, 1.2)
+        E_of(1.4, 1.2)
+    with pytest.raises(ValueError):
+        E_of(3.0, 1.0)              # F is infinite past a quarter turn at k = 1
     with pytest.raises(ValueError):
         ellint_F(np.nan, 0.5)
     with pytest.raises(ValueError):
@@ -304,16 +301,17 @@ def _large_k_draws(rng, n):
 
 def test_FE_match_mpmath_within_backward_error():
     # within 32 eps (|F| + |beta|/Delta), Delta = sqrt(1 - k^2 sin^2 beta):
-    # what a relative perturbation of beta of a few ulp moves F by; E
-    # likewise with |E|.  A kernel that forms 1 - k^2 from a rounded k*k
+    # what a relative perturbation of beta of a few ulp moves F by; E,
+    # taken as jacobi_epsilon(ellint_F(beta, k), k), likewise with |E|
+    # (worst 6.4 units).  A kernel that forms 1 - k^2 from a rounded k*k
     # misses this by up to 1e5 times next to k = 1.  At large k,
     # E = k E(gamma, 1/k) - (k - 1/k) F(gamma, 1/k) cancels like k^2
     # (worst 52, 3.1e3 and 6e7 units up to 1e8, with |E| floored at 1), and
-    # so does a Z that stops at the AGM's last level (319 and 60 units at
-    # k ~ 6e3 and 1e4, where the level left out is about 1/(64 k^4)).  Past
-    # k = 6.7e153, 1/k^2 is subnormal, and past 1.3e154 (k - 1)(k + 1)
-    # overflows: F and E, both about 1/k there, were off by up to 1.8e17
-    # units
+    # so does an epsilon whose Z stops at the AGM's last level (2.8e6 and
+    # 7e5 units at k ~ 6.7e3 and 1.4e4, where the level left out is about
+    # 1/(64 k^4)).  Past k = 6.7e153, 1/k^2 is subnormal, and past 1.3e154
+    # (k - 1)(k + 1) overflows: F and E, both about 1/k there, were off by
+    # up to 1.8e17 units
     rng = random.Random(20261019)
     for beta, k in [*_FE_draws(rng, 600), *_large_k_draws(rng, 400)]:
         with mpmath.workdps(40):
@@ -323,7 +321,7 @@ def test_FE_match_mpmath_within_backward_error():
             delta = float(mpmath.sqrt(mpmath.cos(b) ** 2 + (1 - m) * mpmath.sin(b) ** 2))
         slack = abs(beta) / delta
         assert abs(ellint_F(beta, k) - want_f) <= 32 * EPS * (abs(want_f) + slack), (beta, k)
-        assert abs(ellint_E(beta, k) - want_e) <= 32 * EPS * (abs(want_e) + slack), (beta, k)
+        assert abs(E_of(beta, k) - want_e) <= 32 * EPS * (abs(want_e) + slack), (beta, k)
 
 
 @pytest.mark.parametrize(
@@ -342,6 +340,63 @@ def test_ellipj_kernel_matches_mpmath(k):
             want = [mpmath.ellipfun(f, w, m=m_ref) for f in ("sn", "cn", "dn")] + [am, eps]
         for name, g, x in zip(("sn", "cn", "dn", "am", "eps"), got, want):
             assert abs(g - x) <= 4 * EPS * max(1.0, abs(w)), (name, w)
+
+
+def kernel(w, k):
+    # the AGM kernel at modulus k < 1, with the complement in closed form
+    m, mc = k * k, (1.0 - k) * (1.0 + k)
+    return elliptic._ellipj_reduced(w, m, mc, elliptic._agm(m, mc))
+
+
+@pytest.mark.parametrize("k", [2.6e-129, 1e-12, 3e-5])
+def test_kernel_keeps_dn_at_most_one_at_small_modulus(k):
+    # m < 1e-9: one AGM level or none; dn = sqrt(1 - m sn^2) <= 1 to the ulp,
+    # and am(w) = w - m (w - sin w cos w) / 4 + O(m^2)
+    for w in (-7.0, 0.3, 1.6, 40.0):
+        _, _, dn, am, _, _ = kernel(w, k)
+        assert 1.0 - k * k - EPS <= dn <= 1.0, w
+        assert abs(am - w) <= k * k * (abs(w) + 1.0) / 4.0 + 4 * EPS * abs(w), w
+
+
+@pytest.mark.parametrize("k", [0.5, 0.9, 1.0 - 1e-10])
+def test_kernel_dn_at_reduced_argument_plus_minus_K(k):
+    # w = K, -K and 3K reduce to the end r = -K of [-K, K), or to r = K by
+    # rounding; cn vanishes there and dn is the complementary modulus
+    K = float(mpmath.ellipk(k * k))
+    kc = math.sqrt((1.0 - k) * (1.0 + k))
+    for w in (K, -K, 3.0 * K):
+        assert abs(kernel(w, k)[2] - kc) <= 8 * EPS * kc + 4 * EPS * abs(w) * kc * k, w
+
+
+def test_kernel_dn_near_unit_parameter_against_mpmath():
+    # m = k^2 within 2e-8 of 1, where dn ~ sech(w): given 1 - k^2 without
+    # cancellation, the kernel stays within 2 ulp of 1
+    for k in (1.0 - 1e-10, 1.0 - 1e-9, 1.0 - 1e-8):
+        for w in (0.5, 2.0, 5.0, 8.0, 11.0, 14.0):
+            with mpmath.workdps(40):
+                want = mpmath.ellipfun("dn", w, m=mpmath.mpf(k) ** 2)
+            assert abs(kernel(w, k)[2] - want) <= 2 * EPS, (k, w)
+
+
+def test_kernel_am_periodicity_and_monotonicity():
+    # the continued amplitude adds pi per half period 2K and increases
+    # everywhere, also where the argument is reduced by many half periods;
+    # there it is held to the rounding of w, as in the mpmath test above
+    k = 0.6
+    m, mc = k * k, (1.0 - k) * (1.0 + k)
+    K = 0.5 * math.pi / elliptic._agm(m, mc)[0]
+    ams = np.array([kernel(w, k)[3] for w in np.linspace(-7.0, 7.0, 301)])
+    assert np.all(np.diff(ams) > 0)
+    for w in np.linspace(-2.0, 2.0, 21):
+        assert abs(kernel(w + 2 * K, k)[3] - kernel(w, k)[3] - np.pi) < 1e-12, w
+    for w0 in (1e3, -2.5e4, 1e6):
+        ws = w0 + np.linspace(-3.0, 3.0, 13)
+        ams = np.array([kernel(w, k)[3] for w in ws])
+        assert np.all(np.diff(ams) > 0), w0
+        for w, am in zip(ws, ams):
+            with mpmath.workdps(40):
+                want, _ = _mp_am_eps(mpmath.mpf(w), 1 - mpmath.mpf(mc))
+            assert abs(am - want) <= 4 * EPS * abs(w), w
 
 
 def assert_jacobi_matches_mpmath(u, k):
