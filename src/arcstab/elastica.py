@@ -102,12 +102,12 @@ class ElasticaProblem:
     half: str = "left"
 
     def __post_init__(self):
-        if not self.B > 0.0:
-            raise ValueError("bending stiffness B must be positive")
-        if not self.l > 0.0:
-            raise ValueError("length l must be positive")
-        if not self.R_c > 0.0:
-            raise ValueError("constraint radius R_c must be positive")
+        if not 0.0 < self.B < math.inf:
+            raise ValueError("bending stiffness B must be positive and finite")
+        if not 0.0 < self.l < math.inf:
+            raise ValueError("length l must be positive and finite")
+        if not 0.0 < self.R_c < math.inf:
+            raise ValueError("constraint radius R_c must be positive and finite")
         if not 0.0 <= self.k_r < math.inf:
             # a clamped pin (k_r = inf) fixes theta0 = 0: no branch leaves it
             raise ValueError("spring stiffness k_r must be nonnegative and finite")
@@ -130,10 +130,11 @@ class ElasticaState(NamedTuple):
     F(gamma, 1/k) with sin(gamma) = k sin(beta0), which are sin(gamma),
     cos(gamma) and sqrt(1 - m sin(gamma)^2), and for k <= 1 at F(beta0, k),
     which are sin(beta0), cos(beta0) and cos(gamma).  clamp holds what the
-    residual leaves for the branch tangent (_tangent) at s = l: (x1, x2,
-    df/dR, dphi/dR, jac), with jac as _rod_points returns it, or None where
-    the slopes are NaN: where mc is not in closed form, next to k = 1, or a
-    slope term divides by an m or mc that underflowed to zero.
+    residual leaves for the branch tangent (_tangent, which moves the pin
+    by _clamp_terms) at s = l: (x1, x2, df/dR, dphi/dR, jac), with jac as
+    _rod_points returns it, or None where the slopes are NaN: where mc is
+    not in closed form, next to k = 1, or a slope term divides by an m or
+    mc that underflowed to zero.
     """
 
     theta0: float
@@ -235,11 +236,20 @@ def _rod_points(ss, k, at, R, offset, mc, pin):
     return points, (w, snU, C / D, Delta / D, e)
 
 
-def _clamp_terms(k, at, R, mc, pin, x2, jac, dm, dpin):
-    """d(theta, x1, x2) at the clamp, at fixed R, for a move dm of the
-    Jacobi parameter m and a move dpin of the pin: d gamma for k > 1, and
-    for k <= 1 (P, dn0 d beta0, d dn0) with P = (d beta0 - sn0 cn0
-    dm/(2 mc))/dn0, each of which its caller writes in closed form.
+def _clamp_terms(k, at, R, mc, pin, den, q, sb, cb, x2, jac, dq, dbeta):
+    """d(theta, x1, x2) at the clamp, at fixed R, for a move (dq, dbeta) of
+    the pin's q = theta'(0) and beta0, with sb and cb the sine and cosine
+    of beta0: q d/dq is the move (q, 0), and d/dtheta0 is (k_r/B, 1/2).
+
+    The move takes den = q^2 + 4 alpha^2 sb^2 by dden = 2 q dq + 8 alpha^2
+    sb cb dbeta; with Y = sb dq - q cb dbeta, for k > 1 the Jacobi
+    parameter m = den/(4 alpha^2) moves by dden/(4 alpha^2) and the pin's
+    angle gamma, sin(gamma) = k sb, by -2 alpha Y/den; for k <= 1 m =
+    4 alpha^2/den moves by -m dden/den, dn0 = q/sqrt(den) by m sb
+    Y/sqrt(den), dn0 d beta0 is q dbeta/sqrt(den), and P = (d beta0 -
+    sn0 cn0 dm/(2 mc))/dn0 = (q dbeta + m cb Y)/(sqrt(den) mc).  None of
+    these divides by cos(gamma), dn0 or q, so a roller pin divides by
+    nothing, nor by a power of den that could underflow.
 
     At fixed argument, d am/dm = [sn cn - dn (eps - mc u)/m]/(2 mc) and
     d eps/dm = (eps - u)/(2 m) + dn d am/dm (Byrd & Friedman 1971, §710),
@@ -252,72 +262,33 @@ def _clamp_terms(k, at, R, mc, pin, x2, jac, dm, dpin):
     w, sn, cn, dn, e = jac
     sn0, cn0, dn0 = pin
     pref = math.copysign(2.0, R) / at
+    at2 = at * at
+    # factored by 2, as 4 alpha^2 is finite wherever den is and 8 alpha^2 need not be
+    dden = 2.0 * (q * dq + 4.0 * at2 * sb * cb * dbeta)
+    Y = sb * dq - q * cb * dbeta
     if k > 1.0:
         m = k**-2
+        dm, dgamma = dden / (4.0 * at2), -2.0 * at * Y / den
         amd = (dm * (sn * cn - dn * (e - mc * w) / m - dn * sn0 * cn0 / dn0) / (2.0 * mc)
-               + dn * dpin / dn0)
+               + dn * dgamma / dn0)
         return (
             2.0 * (0.5 * dm * k * sn + cn * amd / k) / dn,
-            -pref * (dm * (e - w) / (2.0 * m) + dn * amd - dn0 * dpin),
-            dm * x2 / (2.0 * m) - pref / k * (sn * amd - sn0 * dpin),
+            -pref * (dm * (e - w) / (2.0 * m) + dn * amd - dn0 * dgamma),
+            dm * x2 / (2.0 * m) - pref / k * (sn * amd - sn0 * dgamma),
         )
-    m = k * k
-    P, h, ddn0 = dpin
+    m, rden = k * k, math.sqrt(den)
+    dm = -m * dden / den
+    P = (q * dbeta + m * cb * Y) / rden / mc
     amd = dm * (sn * cn - dn * ((1.0 - 0.5 * m) * w - e) / m) / (2.0 * mc) + dn * P
     # d e/dm with the 1/m terms of (1 - m/2) dw/dm and d eps/dm cancelled
     de = (dm * (w * (cn * cn - 0.5 * dn * dn) - e * cn * cn - dn * sn * cn) / (2.0 * mc)
-          - dn * dn * P + h)
+          - dn * dn * P + q * dbeta / rden)
     return (
         2.0 * amd,
         pref / k * (de - dm * e / (2.0 * m)),
-        -dm * x2 / (2.0 * m)
-        - pref / k * (ddn0 + (dm * sn * sn + 2.0 * m * sn * cn * amd) / (2.0 * dn)),
+        -dm * x2 / (2.0 * m) - pref / k * (m * sb * Y / rden
+                                          + (dm * sn * sn + 2.0 * m * sn * cn * amd) / (2.0 * dn)),
     )
-
-
-def _spring_terms(k, at, R, mc, pin, den, spring, x2, jac):
-    """q d/dq of (theta, x1, x2) at the clamp, at fixed R and theta0, where
-    q = theta'(0) = spring (_clamp_terms).
-
-    q moves m like q^2 and the pin's angle gamma (k > 1) or dn(w0)
-    (k <= 1) like q, written so that q = 0 divides nothing.
-    """
-    sn0, cn0, _ = pin
-    rden = math.sqrt(den)
-    if k > 1.0:
-        # m = den/(4 alpha^2), and sin(gamma) = k sin(beta0)
-        dm, dpin = spring * spring / (2.0 * at * at), -spring * sn0 / rden
-    else:
-        # m = 4 alpha^2/den, and dn0 = q/sqrt(den)
-        m = k * k
-        dm, g = -2.0 * m * spring * spring / den, m * spring / rden
-        dpin = (g * sn0 * cn0 / mc, 0.0, g * sn0 * sn0)
-    return _clamp_terms(k, at, R, mc, pin, x2, jac, dm, dpin)
-
-
-def _theta0_terms(k, at, R, mc, pin, den, spring, k_r, sb, cb, x2, jac):
-    """d/dtheta0 of (theta, x1, x2) at the clamp at fixed R (_clamp_terms),
-    with sb and cb the sine and cosine of beta0 and k_r per B.
-
-    theta0 moves den = q^2 + 4 alpha^2 sb^2, q = theta0 k_r, by
-    2 q k_r + 4 alpha^2 sb cb, and beta0 by 1/2.  With X = q cb - 2 k_r sb,
-    the pin's angle gamma (k > 1) moves by alpha X/den, with no 1/cos(gamma)
-    left, so a roller pin, where cos(gamma) = 0, divides by nothing; for
-    k <= 1 dn0 = q/sqrt(den) moves by -2 alpha^2 sb X/den^(3/2), and
-    P = (q den - 4 alpha^2 cb X)/(2 den^(3/2) mc) has no 1/dn0.
-    """
-    at2 = at * at
-    dden = 2.0 * spring * k_r + 4.0 * at2 * sb * cb
-    X = spring * cb - 2.0 * k_r * sb
-    rden = math.sqrt(den)
-    if k > 1.0:
-        dm, dpin = dden / (4.0 * at2), at * X / den
-    else:
-        m = k * k
-        dm = -m * dden / den
-        P = (spring * den - 4.0 * at2 * cb * X) / (2.0 * den * rden * mc)
-        dpin = (P, 0.5 * spring / rden, -2.0 * at2 * sb * X / (den * rden))
-    return _clamp_terms(k, at, R, mc, pin, x2, jac, dm, dpin)
 
 
 def _state_and_defect(theta0, R, problem):
@@ -329,7 +300,7 @@ def _state_and_defect(theta0, R, problem):
     The slope comes from the rod's scaling: theta(s) at (l^2 R, l q) is
     theta(l s) at (R, q), q = theta'(0), so 2 R df/dR + q df/dq = S with
     S = -(f + c sin phi) + l kappa [(x1 - c) cos phi + x2 sin phi] and
-    kappa = theta'(l); _spring_terms gives q df/dq.  The same scaling gives
+    kappa = theta'(l); _clamp_terms gives q df/dq.  The same scaling gives
     2 R dphi/dR + q dphi/dq = l kappa, and the fields' clamp keeps both
     slopes for the branch tangent.  The slope is NaN where the complement
     mc is not in closed form, next to k = 1, and where its terms divide by
@@ -394,7 +365,9 @@ def _state_and_defect(theta0, R, problem):
         S, phi_l = -(defect + c * sin_phi) + l * kappa * df_dphi, l * kappa
         try:
             if spring:
-                q_phi, q_x1, q_x2 = _spring_terms(k, at, R, mc, pin, den, spring, x2, jac)
+                sb, cb = math.copysign(half_trig, beta0), abs(other_trig)
+                q_phi, q_x1, q_x2 = _clamp_terms(k, at, R, mc, pin, den, spring, sb, cb, x2, jac,
+                                                 spring, 0.0)
                 S -= q_x1 * sin_phi - q_x2 * cos_phi + df_dphi * q_phi
                 phi_l -= q_phi
         except ZeroDivisionError:
@@ -412,7 +385,7 @@ def _state_and_defect(theta0, R, problem):
 def _theta0_partials(state):
     """(df/dtheta0, dphi/dtheta0) at fixed R of the closure defect f and
     the clamp angle phi of a state, from the Jacobi values at the clamp
-    that its residual kept (_theta0_terms): only a state with a finite
+    that its residual kept (_clamp_terms): only a state with a finite
     df/dR keeps them, and _tangent asks for no other.  NaN where the terms
     divide by zero at extreme scales."""
     theta0, R, problem = state.theta0, state.R, state.problem
@@ -422,10 +395,10 @@ def _theta0_partials(state):
     other_trig = math.sin(theta0 / 2.0) if R > 0.0 else math.cos(theta0 / 2.0)
     sb, cb = math.copysign(half_trig, state.beta0), abs(other_trig)
     try:
-        phi_t, x1_t, x2_t = _theta0_terms(state.modulus, state.alpha_tilde, R, state.mc,
-                                          state.pin, den, spring, k_r, sb, cb, x2, jac)
+        phi_t, x1_t, x2_t = _clamp_terms(state.modulus, state.alpha_tilde, R, state.mc,
+                                         state.pin, den, spring, sb, cb, x2, jac, k_r, 0.5)
     except ZeroDivisionError:
-        # m, mc or a product with den underflows to zero at extreme scales
+        # a divisor such as m underflows to zero at extreme scales
         return math.nan, math.nan
     c = problem.R_c if problem.half == "left" else -problem.R_c
     sin_phi, cos_phi = math.sin(state.phi), math.cos(state.phi)

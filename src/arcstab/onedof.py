@@ -58,10 +58,10 @@ class OneDofSystem:
     profile: ProfileShape
 
     def __post_init__(self):
-        if not self.k > 0.0:
-            raise ValueError("spring stiffness k must be positive")
-        if not self.l > 0.0:
-            raise ValueError("bar length l must be positive")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError("spring stiffness k must be positive and finite")
+        if not 0.0 < self.l < math.inf:
+            raise ValueError("bar length l must be positive and finite")
         if not abs(self.phi0) < math.pi / 2:
             raise ValueError("imperfection angle must satisfy |phi0| < pi/2")
 

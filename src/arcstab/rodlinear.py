@@ -47,10 +47,10 @@ class RodModel:
     chi_hat: float = 0.0
 
     def __post_init__(self):
-        if not self.B > 0.0:
-            raise ValueError("bending stiffness B must be positive")
-        if not self.l > 0.0:
-            raise ValueError("length l must be positive")
+        if not 0.0 < self.B < math.inf:
+            raise ValueError("bending stiffness B must be positive and finite")
+        if not 0.0 < self.l < math.inf:
+            raise ValueError("length l must be positive and finite")
         if not self.k >= 0.0:
             raise ValueError("spring stiffness k must be nonnegative")
         if not math.isfinite(self.chi_hat):
@@ -328,6 +328,8 @@ def mode_shape(mode, model, n_samples=201):
     the row of larger norm.  v is scaled so that its sample of largest
     magnitude is +1, and phi with it.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2, got %r" % (n_samples,))
     sgn = _load_sign(mode.load_sign)
     B, l, k, chi, x = model.B, model.l, model.k, model.chi_hat, mode.alpha_l
     alpha = x / l

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -536,6 +538,16 @@ def test_system_validation():
         OneDofSystem(k=1.0, l=0.0, phi0=0.0, profile=profile_straight())
     with pytest.raises(ValueError):
         OneDofSystem(k=1.0, l=1.0, phi0=2.0, profile=profile_straight())
+
+
+@pytest.mark.parametrize("field", ["k", "l"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_system_rejects_non_finite_parameters(field, value):
+    # k = inf gave a critical load of -inf
+    params = dict(k=1.0, l=1.0, phi0=0.0, profile=profile_straight())
+    params[field] = value
+    with pytest.raises(ValueError, match="%s must be positive and finite" % field):
+        OneDofSystem(**params)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

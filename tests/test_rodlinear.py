@@ -206,6 +206,17 @@ def test_model_rejects_non_finite_curvature(chi):
         RodModel(B=1.0, l=1.0, k=0.0, chi_hat=chi)
 
 
+@pytest.mark.parametrize("field", ["B", "l"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_model_rejects_non_finite_stiffness_and_length(field, value):
+    # B = inf returned a tension mode; k = inf stays the clamped end
+    params = dict(B=1.0, l=1.0, k=math.inf, chi_hat=-2.0)
+    RodModel(**params)
+    params[field] = value
+    with pytest.raises(ValueError, match="%s must be positive and finite" % field):
+        RodModel(**params)
+
+
 def test_straight_limit_pinned_scan_oracle():
     # chi -> 0, k = 0: reduced equation is -x cos x = 0, roots pi/2 + n pi;
     # cross-check the module against a dense sign-change scan of that oracle
@@ -1089,6 +1100,17 @@ def test_mode_shape_rejects_non_critical():
                        mode_index=1)
     with pytest.raises(ValueError):
         mode_shape(off, model)
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_mode_shape_rejects_fewer_than_two_samples(n_samples):
+    # one sample is v(0) = 0, which v was divided by (ZeroDivisionError),
+    # and none left max() an empty sequence
+    model = RodModel(B=1.0, l=1.0, k=0.0, chi_hat=-5.0)
+    mode = find_critical_loads(model, "compression", max_modes=1)[0]
+    with pytest.raises(ValueError, match="n_samples must be at least 2, got %d" % n_samples):
+        mode_shape(mode, model, n_samples=n_samples)
+    assert len(mode_shape(mode, model, n_samples=2)[0]) == 2
 
 
 def test_bc_determinant_vanishes_at_roots():
