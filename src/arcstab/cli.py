@@ -336,8 +336,8 @@ def _shift_report(path, problem, traces):
     if lo < hi:
         targets = linspace(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), 5)
         for F in targets:
-            st = elastica.refine_on_trace(tens, lambda p: p.F, F)
-            sc = elastica.refine_on_trace(comp, lambda p: p.F, F)
+            st = elastica.refine_on_trace(tens, "F", F)
+            sc = elastica.refine_on_trace(comp, "F", F)
             shift = st.delta - sc.delta
             shifts.append(shift)
             lines.append(
@@ -403,7 +403,7 @@ def cmd_trace_elastica(opts, out):
             if phi == math.pi / 2.0:
                 st = trace.events.get("load_sign_transition")
             else:
-                st = elastica.refine_on_trace(trace, lambda p: p.phi, phi)
+                st = elastica.refine_on_trace(trace, "phi", phi)
             if st is None:
                 print(
                     "note: phi=%.6g outside the traced %s branch, no shape written"

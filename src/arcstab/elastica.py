@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .branch import BranchTrace, Sample, linspace, newton, refine, sign_changes
+from .branch import BranchTrace, Sample, _brentq, linspace, newton, refine, sign_changes
 from . import elliptic
 # unused here; the benchmark tracer (bench/tracing.py) wraps them under this module's name
 from .elliptic import ellint_F, jacobi_am, jacobi_dn, jacobi_epsilon  # noqa: F401
@@ -131,10 +131,10 @@ class ElasticaState(NamedTuple):
     cos(gamma) and sqrt(1 - m sin(gamma)^2), and for k <= 1 at F(beta0, k),
     which are sin(beta0), cos(beta0) and cos(gamma).  clamp holds what the
     residual leaves for the branch tangent (_tangent, which moves the pin
-    by _clamp_terms) at s = l: (x1, x2, df/dR, dphi/dR, jac), with jac as
-    _rod_points returns it, or None where the slopes are NaN: where mc is
-    not in closed form, next to k = 1, or a slope term divides by an m or
-    mc that underflowed to zero.
+    by _clamp_terms) at s = l: (x1, x2, df/dR, dphi/dR, jac), with jac the
+    (w, sn, cn, dn, e) of the clamp's _rod_points point, or None where the
+    slopes are NaN: where mc is not in closed form, next to k = 1, or a
+    slope term divides by an m or mc that underflowed to zero.
     """
 
     theta0: float
@@ -181,59 +181,70 @@ def modulus_from(theta0, R, k_r=0.0, B=1.0):
     return 2.0 * math.sqrt(at2) / math.sqrt(den)
 
 
-def _rod_points(ss, k, at, R, offset, mc, pin):
-    """([(theta, x1, x2) at each arclength of ss], jac), from one AGM and
-    one Jacobi evaluation per point.
-
-    The Jacobi functions at w and parameter m, with the pin's (sn, cn, dn)
-    at w0, give those at w + w0 by the addition theorems (DLMF 22.8.1-3):
-    D sn = S, D cn = C and D dn = Delta with D = 1 - m sn(w)^2 sn(w0)^2 > 0,
-    and eps(w + w0) - eps(w0) = eps(w) - m sn(w) sn(w0) sn(w + w0)
-    (DLMF 22.16.27).  k > 1: w = s alpha and m = 1/k^2, and theta/2 is the
-    arcsine of sn(w + w0)/k on the signed-dn branch.  k <= 1: w = s alpha/k
-    and m = k^2, and theta/2 = am(w + w0) is the angle of (cn, sn)(w + w0)
-    on the 2 pi branch nearest am(w) + am(w0).  jac, at the last arclength
-    of ss, is (w, sn, cn, dn, e) with the Jacobi functions at w + w0, and e
-    the difference x1 is built from: eps(w + w0) - eps(w0) for k > 1, and
-    (1 - m/2) w less that difference for k <= 1.
-    """
-    m = k**-2 if k > 1.0 else k * k
-    agm = elliptic._agm(m, mc)
-    sn0, cn0, dn0 = pin
-    pref = math.copysign(2.0, R) / at
-    points = []
+def _jacobi(ss, k, at, m, mc, agm):
+    """(w, (sn, cn, dn, am, eps, (1 - m/2) w - eps)) at parameter m and
+    w = s alpha for k > 1, s alpha/k for k <= 1, for each arclength of ss:
+    one Jacobi evaluation each, on the AGM agm = elliptic._agm(m, mc)."""
+    offsets = []
     for s in ss:
         w = s * at if k > 1.0 else s * at / k
-        sn, cn, dn, am, eps, drift = elliptic._ellipj_reduced(w, m, mc, agm)
-        # 1 - m sn^2 sn0^2 without cancellation, as sn0^2 = 1 - cn0^2
-        D = dn * dn + m * sn * sn * cn0 * cn0
-        S = sn * cn0 * dn0 + sn0 * cn * dn
-        C = cn * cn0 - sn * sn0 * dn * dn0
-        Delta = dn * dn0 - m * sn * sn0 * cn * cn0
+        offsets.append((w, elliptic._ellipj_reduced(w, m, mc, agm)))
+    return offsets
+
+
+def _rod_points(offsets, k, at, R, offset, m, base):
+    """[(theta, x1, x2, w, e, sn, cn, dn, am)] at Jacobi offsets u (_jacobi)
+    from a base point (sn, cn, dn, am) at W, no Jacobi evaluation.
+
+    sn, cn and dn are the Jacobi functions at W + u, and am is am(W + u)
+    on its 2 pi branch (k <= 1 only), so the last four entries of a point
+    are a base of further offsets.  The residual's base is the pin,
+    (*pin, beta0), as am(w0) = beta0 for k <= 1.  x1, x2, w and e are
+    differences to the base: w = u, and e is the difference x1 is built
+    from, eps(W + u) - eps(W) for k > 1 and (1 - m/2) u less that
+    difference for k <= 1.  The Jacobi functions at u, with the base's,
+    give those at W + u by the addition theorems (DLMF 22.8.1-3):
+    D sn = S, D cn = C and D dn = Delta with D = 1 - m sn(u)^2 sn(W)^2 > 0,
+    and eps(W + u) - eps(W) = eps(u) - m sn(u) sn(W) sn(W + u)
+    (DLMF 22.16.27).  k > 1: u = s alpha and m = 1/k^2, and theta/2 is the
+    arcsine of sn(W + u)/k on the signed-dn branch.  k <= 1: u = s alpha/k
+    and m = k^2, and theta/2 = am(W + u) is the angle of (cn, sn)(W + u)
+    on the 2 pi branch nearest am(u) + am(W).
+    """
+    snb, cnb, dnb, amb = base
+    pref = math.copysign(2.0, R) / at
+    points = []
+    for u, (sn, cn, dn, am, eps, drift) in offsets:
+        # 1 - m sn^2 snb^2 without cancellation, as snb^2 = 1 - cnb^2
+        D = dn * dn + m * sn * sn * cnb * cnb
+        S = sn * cnb * dnb + snb * cn * dn
+        C = cn * cnb - sn * snb * dn * dnb
+        Delta = dn * dnb - m * sn * snb * cn * cnb
+        snU = S / D
         if k > 1.0:
-            # x1 = pref ((1 - k^2/2) m w + mc w + eps(w0) - eps(w + w0)), and
+            # x1 = pref ((1 - k^2/2) m u + mc u + eps(W) - eps(W + u)), and
             # (1 - k^2/2) m + mc = 1/2
             points.append((
                 2.0 * math.atan2(S / k, Delta) + offset,
-                pref * (0.5 * w - eps + m * sn * sn0 * S / D),
-                pref / k * (C / D - cn0),
+                pref * (0.5 * u - eps + m * sn * snb * S / D),
+                pref / k * (C / D - cnb),
+                u, eps - m * sn * snb * snU, snU, C / D, Delta / D, amb,
             ))
             continue
         half = math.atan2(S, C)
-        half += 2.0 * math.pi * round((am + math.atan2(sn0, cn0) - half) / (2.0 * math.pi))
-        # x1 = pref/k ((1 - m/2) w - eps(w) + m sn sn0 S/D), with the first
-        # difference taken from the AGM's sums as tau w - Z(w), and
-        # x2 = pref/k (Delta/D - dn0), with Delta - dn0 D written out as m sn
+        half += 2.0 * math.pi * round((am + amb - half) / (2.0 * math.pi))
+        # x1 = pref/k ((1 - m/2) u - eps(u) + m sn snb S/D), with the first
+        # difference taken from the AGM's sums as tau u - Z(u), and
+        # x2 = pref/k (Delta/D - dnb), with Delta - dnb D written out as m sn
         # times terms of order one through 1 - dn = m sn^2/(1 + dn), so small
         # moduli keep the digits that either difference would cancel
         points.append((
             2.0 * half + offset,
-            pref / k * (drift + m * sn * sn0 * S / D),
-            pref / k * m * sn * (dn0 * sn * (dn / (1.0 + dn) - cn0 * cn0) - sn0 * cn * cn0) / D,
+            pref / k * (drift + m * sn * snb * S / D),
+            pref / k * m * sn * (dnb * sn * (dn / (1.0 + dn) - cnb * cnb) - snb * cn * cnb) / D,
+            u, drift + m * sn * snb * snU, snU, C / D, Delta / D, half,
         ))
-    snU = S / D
-    e = eps - m * sn * sn0 * snU if k > 1.0 else drift + m * sn * sn0 * snU
-    return points, (w, snU, C / D, Delta / D, e)
+    return points
 
 
 def _clamp_terms(k, at, R, mc, pin, den, q, sb, cb, x2, jac, dq, dbeta):
@@ -341,7 +352,12 @@ def _state_and_defect(theta0, R, problem):
             mc, closed = max((1.0 - k) * (1.0 + k), math.ulp(0.0)), False
         pin = (math.copysign(half_trig, beta0), abs(other_trig), math.sqrt(c2))
     l = problem.l
-    [(phi, x1, x2)], jac = _rod_points((l,), k, at, R, offset, mc, pin)
+    m = k**-2 if k > 1.0 else k * k
+    w = l * at if k > 1.0 else l * at / k
+    [(phi, x1, x2, w, e, sn, cn, dn, _)] = _rod_points(
+        ((w, elliptic._ellipj_reduced(w, m, mc, elliptic._agm(m, mc))),), k, at, R, offset, m,
+        (pin[0], pin[1], pin[2], beta0))
+    jac = (w, sn, cn, dn, e)
     c = problem.R_c if problem.half == "left" else -problem.R_c
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     if abs(cos_phi) >= abs(sin_phi):
@@ -355,7 +371,6 @@ def _state_and_defect(theta0, R, problem):
         raise DegenerateGeometryError(
             "degenerate rotation field: closure defect %r at R=%r, theta0=%r" % (defect, R, theta0)
         )
-    _, sn, cn, dn, _ = jac
     kappa = 2.0 * at / k * (cn if k > 1.0 else dn)
     df_dphi = (x1 - c) * cos_phi + x2 * sin_phi
     rounding = _EPS * (abs(x1 * sin_phi) + abs(c * sin_phi) + abs(x2 * cos_phi)
@@ -425,14 +440,17 @@ def make_state(theta0, R, problem):
 
 
 def _state_points(ss, state):
-    """(theta, x1, x2) of _rod_points of a state at arclengths ss in [0, l]."""
+    """(theta, x1, x2) of _rod_points of a state at arclengths ss in [0, l],
+    each off the pin."""
     # pure-Python arithmetic on numpy scalars is several times slower
     ss, l = [float(s) for s in ss], state.problem.l
     if any(s < -1e-9 * l or s > l * (1.0 + 1e-9) for s in ss):
         raise ValueError("arclength s must lie in [0, l]")
-    return _rod_points(
-        ss, state.modulus, state.alpha_tilde, state.R, state.angle_offset, state.mc, state.pin
-    )[0]
+    k, at = state.modulus, state.alpha_tilde
+    m = k**-2 if k > 1.0 else k * k
+    offsets = _jacobi(ss, k, at, m, state.mc, elliptic._agm(m, state.mc))
+    points = _rod_points(offsets, k, at, state.R, state.angle_offset, m, (*state.pin, state.beta0))
+    return [p[:3] for p in points]
 
 
 def theta_at(s, state):
@@ -561,6 +579,16 @@ def _hermite(h, d, dy, s1, s2):
     and t2 and p(t2) - p(t2 - h) = dy, in Newton form about t2."""
     D = dy / h
     return d * (s2 + d * ((s2 - D) / h + (d + h) * (s2 - 2.0 * D + s1) / (h * h)))
+
+
+# d value/dtheta0 along the branch of each field refine_on_trace takes,
+# from (R, phi, dR/dtheta0, dphi/dtheta0) of a _point
+_FIELD_SLOPES = {
+    "theta0": lambda R, phi, dR, dphi: 1.0,
+    "R": lambda R, phi, dR, dphi: dR,
+    "phi": lambda R, phi, dR, dphi: dphi,
+    "F": lambda R, phi, dR, dphi: dR * math.cos(phi) - R * math.sin(phi) * dphi,
+}
 
 
 def _advance(problem, pts, theta0, step=math.inf):
@@ -723,7 +751,7 @@ def trace_branch(problem, theta0_schedule, seed=None):
         trace.diagnostic = str(exc)
 
     try:
-        ev = refine_on_trace(trace, lambda p: p.phi, math.pi / 2.0)
+        ev = refine_on_trace(trace, "phi", math.pi / 2.0)
     except (ContinuationError, DegenerateGeometryError) as exc:
         trace.complete = False
         why = "load-sign refinement at phi = pi/2 failed: %s" % exc
@@ -735,39 +763,88 @@ def trace_branch(problem, theta0_schedule, seed=None):
 
 
 def refine_on_trace(trace, value, target):
-    """Solved state where value(state) == target on a traced branch.
+    """Solved state where the field value of the state, one of "theta0",
+    "R", "phi" and "F", equals target on a traced branch.
 
     The first sign change of value - target over the trace points is
-    refined by brentq in theta0 from their own values.  Each trial is a
-    follower step (_advance) on their problem from the bracket's left
+    refined in theta0 by Newton's method on the branch tangent (_tangent):
+    each Sample carries d value/dtheta0 along the branch, with dF =
+    dR cos phi - R sin phi dphi.  Newton starts at the root of the cubic
+    Hermite through the bracket ends' values and slopes and stops once a
+    step is at most 4 eps theta0 (branch.newton); where it leaves the
+    bracket or stalls, branch.refine takes the same two ends.  Each trial
+    is a follower step (_advance) on their problem from the bracket's left
     point and the one before it, and its first step is their spacing, so
     their predictor never reaches far past them; it raises where the
     follower stops.  The state returned is a trace point, itself when on
     target, or a trial: no theta0 is solved twice.  None when nothing
     brackets target.
     """
+    slope = _FIELD_SLOPES.get(value)
+    if slope is None:
+        raise ValueError("value must be one of %s, got %r" % (", ".join(_FIELD_SLOPES), value))
     pts = trace.points
-    fs = [Sample(value(p) - target, p) for p in pts]
-    for i, j in sign_changes(fs):
+    for i, j in sign_changes([getattr(p, value) - target for p in pts]):
+        if i == j:
+            return pts[i]
         known = [_point(p) for p in pts[max(i - 1, 0):i + 1]]
         step = known[-1][0] - known[0][0] or math.inf
+        samples = {}
+
+        def sample(st, pt):
+            # pt is the state's _point, whose tangent gives the slope
+            samples[st.theta0] = Sample(getattr(st, value) - target, st, slope(*pt[1:]))
+            return samples[st.theta0]
 
         def trial(th0):
-            st = _advance(pts[i].problem, known, th0, step)[0]
-            return Sample(value(st) - target, st)
+            if th0 not in samples:
+                st, ahead, _ = _advance(pts[i].problem, known, th0, step)
+                sample(st, ahead[-1])
+            return samples[th0]
 
-        return refine(trial, [p.theta0 for p in pts], fs, i, j, 1e-13)[1].record
+        xs = [pts[i].theta0, pts[j].theta0]
+        fs = [sample(pts[i], known[-1]), sample(pts[j], _point(pts[j]))]
+        found = None
+        if math.isfinite(fs[0].slope + fs[1].slope):
+            (t1, t2), (y1, y2) = xs, fs
+            h = t2 - t1
+            d, _ = _brentq(lambda d: y2 + _hermite(h, d, y2 - y1, y1.slope, y2.slope),
+                           -h, 0.0, y1, y2, 0.0)
+            found = newton(trial, t2 + d, t1, t2, 0.0)
+        return (found or refine(trial, xs, fs, 0, 1, 1e-13))[1].record
     return None
 
 
 def shape_export(state, n):
     """Deformed centerline sampled uniformly in s, as a list of n float
     tuples (s, x1, x2, theta); the first is the pin, (0, 0, 0, theta0).
-    The samples share one AGM."""
+
+    The samples share one AGM and make at most 2 c - 1 Jacobi
+    evaluations, c = ceil(sqrt(n - 1)).  Every c-th sample, counting back
+    from s = l, is a grid point taken off the pin as the residual takes
+    the clamp, so the last row is the clamp of the residual: theta = phi.
+    Each other sample is the offset -f ds, f < c, from the grid point
+    above it (_rod_points), and the c - 1 offsets' Jacobi values are
+    evaluated once, at f ds; sn, am and eps are odd in the argument.
+    """
     if n < 2:
         raise ValueError("need at least two samples")
-    ss = linspace(0.0, state.problem.l, n)[1:]
-    rows = [(0.0, 0.0, 0.0, state.theta0)]
-    for s, (theta, x1, x2) in zip(ss, _state_points(ss, state)):
-        rows.append((s, x1, x2, theta))
+    l = state.problem.l
+    ss = linspace(0.0, l, n)
+    k, at, mc = state.modulus, state.alpha_tilde, state.mc
+    m = k**-2 if k > 1.0 else k * k
+    agm = elliptic._agm(m, mc)
+    c = 1 + math.isqrt(n - 2)
+    grid = range(n - 1, 0, -c)
+    back = [(-u, (-sn, cn, dn, -am, -eps, -drift)) for u, (sn, cn, dn, am, eps, drift)
+            in _jacobi([f * (l / (n - 1)) for f in range(1, c)], k, at, m, mc, agm)]
+    rod = (k, at, state.R, state.angle_offset, m)
+    tops = _rod_points(_jacobi([ss[g] for g in grid], k, at, m, mc, agm), *rod,
+                       (*state.pin, state.beta0))
+    rows = [(0.0, 0.0, 0.0, state.theta0)] * n
+    for g, (theta, x1, x2, *_, sn, cn, dn, am) in zip(grid, tops):
+        rows[g] = (ss[g], x1, x2, theta)
+        for i, (th, dx1, dx2, *_) in zip(range(g - 1, 0, -1),
+                                          _rod_points(back[:g - 1], *rod, (sn, cn, dn, am))):
+            rows[i] = (ss[i], x1 + dx1, x2 + dx2, th)
     return rows

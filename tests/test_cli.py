@@ -563,14 +563,15 @@ def test_elastica_shift_report_without_a_shared_load(tmp_path):
 def test_fig7_residual_budget(tmp_path, monkeypatch):
     # the traces walk the cold solve's branch follower through the
     # schedule, predicting each step on the branch tangent, and warm solves
-    # run Newton from that seed on the residual's exact slope: 562
-    # residuals in 261 warm solves, where predictions by secants and
-    # quadratics made 883, brentq on the first bracket 1,661, refinements that solved
-    # their bracket ends again 1,764, the window scan 65,591, a trace
-    # seeded by the last reaction 2,163, and solves that sampled both
-    # sides of the seed at once and the CLI's second refinement of
-    # phi = pi/2 2,000.  The lower bound fails a trace whose solves go
-    # round compatibility_residual
+    # run Newton from that seed on the residual's exact slope; the 14
+    # refinements run Newton in theta0 on the branch tangent: 505
+    # residuals, where refinements by brentq in theta0 made 562,
+    # predictions by secants and quadratics 883, brentq on the first
+    # bracket 1,661, refinements that solved their bracket ends again
+    # 1,764, the window scan 65,591, a trace seeded by the last reaction
+    # 2,163, and solves that sampled both sides of the seed at once and the
+    # CLI's second refinement of phi = pi/2 2,000.  The lower bound fails a
+    # trace whose solves go round compatibility_residual
     calls = []
     residual = elastica.compatibility_residual
 
@@ -580,7 +581,7 @@ def test_fig7_residual_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(elastica, "compatibility_residual", counting)
     assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
-    assert 550 < len(calls) < 575
+    assert 492 < len(calls) < 517
 
 
 def test_fig7_pi_half_shape_is_the_load_sign_event(tmp_path, monkeypatch):
@@ -617,6 +618,39 @@ def test_fig7_pi_half_shape_is_the_load_sign_event(tmp_path, monkeypatch):
     assert len(refinements) == 14
 
 
+def test_fig7_refinements_land_on_their_targets(tmp_path, monkeypatch):
+    # the 14 refinements of a fig7 call (2 load-sign events, 2 shapes at
+    # phi = pi/4 and 10 shift targets in F) run Newton in theta0 on the
+    # branch tangent from the root of the cubic Hermite through their
+    # bracket ends: every refined field within 2e-15 of its target (9.4e-16
+    # at worst, where brentq in theta0 left 1.4e-14 in phi and 8.9e-15 in
+    # F) and 71 residuals in all, where brentq took 128
+    refined, calls, inside = [], [], []
+    residual, refine_on_trace = elastica.compatibility_residual, elastica.refine_on_trace
+
+    def counting(*args):
+        if inside:
+            calls.append(args)
+        return residual(*args)
+
+    def refining(trace, value, target):
+        inside.append(True)
+        try:
+            st = refine_on_trace(trace, value, target)
+        finally:
+            inside.pop()
+        refined.append((getattr(st, value), target))
+        return st
+
+    monkeypatch.setattr(elastica, "compatibility_residual", counting)
+    monkeypatch.setattr(elastica, "refine_on_trace", refining)
+    assert run(["trace-elastica", "--scenario", "fig7"], tmp_path) == 0
+    assert len(refined) == 14
+    for got, target in refined:
+        assert abs(got - target) <= 2e-15, (got, target)
+    assert len(calls) < 90
+
+
 def test_fig7_refinements_solve_no_trace_point_again(tmp_path, monkeypatch):
     # a refinement brackets on the trace points' own values: no warm solve
     # at a trace point's theta0, where each bracket end was solved again
@@ -649,7 +683,7 @@ def test_fig7_refinements_solve_no_trace_point_again(tmp_path, monkeypatch):
     assert not {p.theta0 for trace in traces for p in trace.points} & set(solved)
     for trace in traces:
         for p in trace.points[::9]:
-            assert elastica.refine_on_trace(trace, lambda q: q.theta0, p.theta0) is p
+            assert elastica.refine_on_trace(trace, "theta0", p.theta0) is p
 
 
 def test_elastica_continuation_failure_exits_4(tmp_path, capsys):

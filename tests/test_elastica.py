@@ -327,12 +327,15 @@ def test_residual_makes_one_jacobi_evaluation_per_rod_point(ellipj_calls, k_r, R
     assert len(ellipj_calls) == calls
 
 
-def test_shape_export_one_jacobi_evaluation_per_sample(ellipj_calls):
+@pytest.mark.parametrize("n", [2, 3, 9, 400, 1000])
+def test_shape_export_jacobi_evaluations_on_its_grid(ellipj_calls, n):
+    # the pin, s = 0, is (0, 0, 0, theta0) without an evaluation; the
+    # export takes c = ceil(sqrt(n - 1)) grid points off the pin and adds
+    # c - 1 offsets to them: 5 evaluations at n = 9 and 39 at n = 400
     st = make_state(0.8, 1.3, tensile_problem())
     ellipj_calls.clear()
-    shape_export(st, 9)
-    # the pin, s = 0, is (0, 0, 0, theta0) without an evaluation
-    assert len(ellipj_calls) == 8
+    shape_export(st, n)
+    assert len(ellipj_calls) <= 2 * math.ceil(math.sqrt(n - 1)) - 1
 
 
 @pytest.fixture
@@ -1470,11 +1473,11 @@ def test_refine_on_trace_matches_local_bisection(traced_tensile, traced_compress
     # bisection's cold solves agree with the refinement to about 3e-15
     for tr, pr in ((traced_tensile, tensile_problem()),
                    (traced_compressive, compressive_problem())):
-        st = refine_on_trace(tr, lambda p: p.phi, math.pi / 4)
+        st = refine_on_trace(tr, "phi", math.pi / 4)
         ref = solve_at(pr, tr, lambda p: p.phi, math.pi / 4)
         assert (st.theta0, st.R) == pytest.approx((ref.theta0, ref.R), rel=1e-12, abs=0.0)
         assert st.phi == pytest.approx(math.pi / 4, abs=1e-12)
-        assert refine_on_trace(tr, lambda p: p.F, 1e6) is None
+        assert refine_on_trace(tr, "F", 1e6) is None
 
 
 @pytest.mark.parametrize("kwargs, n_points", [
@@ -1486,8 +1489,8 @@ def test_refine_on_trace_hits_its_target_between_sparse_points(kwargs, n_points)
     # another root past theta0 ~ 0.19, where phi jumps, and brentq converged
     # onto the jump: phi = 1.7451 and 1.7112 were returned for phi = 2
     pr = tensile_problem(**kwargs)
-    st = refine_on_trace(trace_branch(pr, np.linspace(1e-4, 2.5, n_points)), lambda p: p.phi, 2.0)
-    ref = refine_on_trace(trace_branch(pr, np.linspace(1e-4, 2.5, 600)), lambda p: p.phi, 2.0)
+    st = refine_on_trace(trace_branch(pr, np.linspace(1e-4, 2.5, n_points)), "phi", 2.0)
+    ref = refine_on_trace(trace_branch(pr, np.linspace(1e-4, 2.5, 600)), "phi", 2.0)
     assert st.phi == pytest.approx(2.0, abs=1e-12)
     assert (st.theta0, st.R) == pytest.approx((ref.theta0, ref.R), rel=1e-12, abs=0.0)
 
@@ -1522,7 +1525,7 @@ def test_refine_on_trace_solves_each_theta0_once(monkeypatch, traced_tensile):
         return advance(problem, pts, theta0, step)
 
     monkeypatch.setattr(elastica, "_advance", counting)
-    st = refine_on_trace(traced_tensile, lambda p: p.phi, math.pi / 4)
+    st = refine_on_trace(traced_tensile, "phi", math.pi / 4)
     assert st.phi == pytest.approx(math.pi / 4, abs=1e-12)
     assert st.theta0 in thetas
     assert len(thetas) == len(set(thetas))
@@ -1539,7 +1542,7 @@ def test_refine_on_trace_solves_the_traced_problem(branch, traced_tensile):
         tr = traced_tensile
     else:
         tr = trace_branch(branch_problem(branch, k_r=0.5), np.linspace(1e-3, 1.5, 20))
-    st = refine_on_trace(tr, lambda p: p.phi, 1.0)
+    st = refine_on_trace(tr, "phi", 1.0)
     assert st.problem == tr.points[0].problem
     assert st.problem.half == ("left" if branch == "tensile" else "right")
     assert abs(compatibility_residual(st.R, st.theta0, st.problem)) < 1e-13
@@ -1780,6 +1783,48 @@ def test_shape_export_samples_and_arclength():
     assert abs(seg.sum() - 1.0) < 1e-4
     with pytest.raises(ValueError):
         shape_export(st, 1)
+
+
+def export_states(traces):
+    """(key, state, bounds) on both halves: the states of fig7's problem at
+    phi = pi/4 and pi/2 on traces, and spring-hinged states at k <= 1
+    (k_r = 5), |k - 1| = 1e-8 and k = 1e-3.  bounds (a, r, b) bound
+    |row - point-by-point| of their shape_export by a + r |theta| in theta
+    and b in x1 and x2.  fig7's are 2e-15 absolute (1.0e-15 measured).
+    Elsewhere theta, which grows like 1/k, is within 8 eps (1 + |theta|)
+    (5.7 eps max(1, |theta|) measured, at k = 1e-3), and x1 and x2 within
+    2e-15 (1.4e-15 measured, next to k = 1)."""
+    eps = math.ulp(1.0)
+    for trace in traces:
+        for phi in (math.pi / 4, math.pi / 2):
+            st = refine_on_trace(trace, "phi", phi)
+            yield "fig7-%s-%.4f" % (st.problem.half, phi), st, (2e-15, 0.0, 2e-15)
+    draws = [(0.8, 0.5, "left", None), (0.8, -0.5, "right", None), (2.5, 3.0, "left", None),
+             (1.5, 2.0, "left", 1.0 - 1e-8), (2.2, 0.9, "right", 1.0 + 1e-8),
+             (1.5, -2.0, "right", 1.0 - 1e-8), (1.1, -0.7, "left", 1.0 + 1e-8),
+             (0.7, 1.7, "left", 1e-3), (2.6, -4.0, "right", 1e-3)]
+    for theta0, R, half, k in draws:
+        k_r = 5.0 if k is None else spring_for_modulus(theta0, R, k)
+        st = make_state(theta0, R, ElasticaProblem(B=1.0, l=1.0, k_r=k_r, R_c=0.3, half=half))
+        yield "%s-%g-%g-k%.9g" % (half, theta0, R, st.modulus), st, (8 * eps, 8 * eps, 2e-15)
+
+
+def test_shape_export_grid_matches_the_point_by_point_rod(traced_tensile, traced_compressive):
+    # grid rows are taken off the pin, the others are offsets from the grid
+    # row above them; every row is checked against _state_points, which
+    # takes each arclength off the pin, and the last row is the residual's
+    # own clamp, bit for bit
+    for key, st, (a, r, b) in export_states((traced_tensile, traced_compressive)):
+        for n in (2, 3, 9, 400, 1000):
+            rows = shape_export(st, n)
+            assert rows[0] == (0.0, 0.0, 0.0, st.theta0)
+            points = elastica._state_points([row[0] for row in rows[1:]], st)
+            for (_, x1, x2, theta), ref in zip(rows[1:], points):
+                assert abs(theta - ref[0]) <= a + r * abs(ref[0]), (key, n, theta, ref)
+                assert abs(x1 - ref[1]) <= b and abs(x2 - ref[2]) <= b, (key, n, x1, x2, ref)
+            l = st.problem.l
+            assert rows[-1] == (l, *coordinates_at(l, st), theta_at(l, st))
+            assert rows[-1][3] == st.phi
 
 
 def test_shape_export_endpoint_compatibility(traced_tensile):
